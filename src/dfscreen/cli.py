@@ -21,8 +21,8 @@ import sys
 from . import clustering as clustering_mod
 from . import corpus, evaluation, triage
 from .cache import ArtifactCache, canonical_json, content_key, sha256_hex
-from .embedding import EmbeddingClient, EmbeddingProviderConfig
-from .exemplar_pool import ExemplarPool, build_pool
+from .embedding import EmbeddingClient, EmbeddingError, EmbeddingProviderConfig
+from .exemplar_pool import ExemplarPool, PoolError, build_pool
 from .gateway import (
     CostLedger,
     HttpChatProvider,
@@ -32,11 +32,18 @@ from .gateway import (
     OracleProvider,
     ProviderError,
     ResponseCache,
+    ResponseCacheError,
     estimate_cost,
     estimate_tokens,
 )
-from .projection import project_2d, read_points_jsonl, write_points_jsonl
-from .prompting import Strategy, render, static_instances
+from .projection import (
+    ProjectionError,
+    project_2d,
+    read_points_jsonl,
+    write_points_jsonl,
+)
+from .prompting import PromptError, Strategy
+from .prompting import render  # noqa: F401  (the benchmark's tracer patches cli.render)
 from .pubmed import PubMedClient, PubMedError
 from .triage import RunConfig, RunError
 
@@ -266,6 +273,10 @@ class ReviewPipeline:
             self._pool = (pool, key)
         return self._pool
 
+    def exemplars(self):
+        """(pool, clustering, points): what dynamic few-shot selects from."""
+        return self.pool()[0], self.clustering()[0], self.points()[0]
+
     def screen_key(self) -> str:
         _, pool_key = self.pool()
         params = {
@@ -392,17 +403,11 @@ def _screen_review(cfg: PipelineConfig, rid: str, response_cache, failures):
     criteria = pipe.criteria()
     gold = {r.id: r.gold_label for r in dataset.records}
     stage1, stage2 = _build_providers(cfg, gold)
-    run_cfg = _run_config(cfg)
     if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT:
-        pool, _ = pipe.pool()
-        clus, _ = pipe.clustering()
-        pts, _ = pipe.points()
         results, ledger = triage.run_two_stage(
             dataset,
-            pool,
-            clus,
-            pts,
-            run_cfg,
+            *pipe.exemplars(),
+            _run_config(cfg),
             stage1,
             stage2,
             criteria,
@@ -426,32 +431,19 @@ def _screen_review(cfg: PipelineConfig, rid: str, response_cache, failures):
 
 
 def _dry_run_screen(cfg: PipelineConfig) -> int:
+    stages = 2 if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT else 1
     total_calls = 0
     usd_upper = 0.0
     for rid in sorted(cfg.reviews):
         pipe = _pipeline_for(cfg, rid)
         dataset, _, _ = pipe.curated()
-        criteria = pipe.criteria()
-        prompt_tokens = 0
-        if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT:
-            pool, _ = pipe.pool()
-            clus, _ = pipe.clustering()
-            pts, _ = pipe.points()
-            by_id = dataset.by_id()
-            for record in dataset.records:
-                chosen = pool.select_instances(record.id)
-                instances = [(by_id[e.record_id], e.label) for e in chosen]
-                prompt = render(cfg.strategy, criteria, record, instances)
-                prompt_tokens += estimate_tokens(prompt.text)
-            stages = 2
-        else:
-            shared = None
-            if cfg.strategy is Strategy.FEW_SHOT:
-                shared = static_instances(dataset, cfg.seed)
-            for record in dataset.records:
-                prompt = render(cfg.strategy, criteria, record, shared)
-                prompt_tokens += estimate_tokens(prompt.text)
-            stages = 1
+        exemplars = pipe.exemplars() if stages == 2 else None
+        prompt_for = triage.prompter(
+            cfg.strategy, pipe.criteria(), dataset, cfg.seed, exemplars
+        )
+        prompt_tokens = sum(
+            estimate_tokens(prompt_for(record).text) for record in dataset.records
+        )
         calls = len(dataset) * stages
         completion_tokens = len(dataset) * DRY_RUN_COMPLETION_TOKENS
         entry = LedgerEntry(prompt_tokens, completion_tokens)
@@ -584,14 +576,9 @@ def cmd_sweep(args) -> int:
         dataset, _, _ = pipe.curated()
         gold = {r.id: r.gold_label for r in dataset.records}
         stage1, stage2 = _build_providers(cfg, gold)
-        pool, _ = pipe.pool()
-        clus, _ = pipe.clustering()
-        pts, _ = pipe.points()
         points = triage.sweep_thresholds(
             dataset,
-            pool,
-            clus,
-            pts,
+            *pipe.exemplars(),
             _run_config(cfg),
             stage1,
             stage2,
@@ -692,7 +679,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, corpus.DatasetError, OSError) as exc:
+    except (ConfigError, corpus.DatasetError, OSError, ResponseCacheError,
+            EmbeddingError, ProjectionError, clustering_mod.ClusteringError,
+            PoolError, PromptError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ProviderError, RunError, PubMedError) as exc:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -37,6 +38,10 @@ class TransientProviderError(ProviderError):
 
 class UnparseableResponse(ValueError):
     """Model output carried no usable decision."""
+
+
+class ResponseCacheError(RuntimeError):
+    """A complete line of the persisted response cache cannot be read."""
 
 
 @dataclass(frozen=True)
@@ -238,8 +243,10 @@ def parse_decision(text: str, expects_confidence: bool) -> Decision:
 class ResponseCache:
     """Completion cache keyed by (prompt digest, model, temperature).
 
-    Optionally persisted as append-only JSONL so warm reruns and
-    threshold sweeps replay earlier calls for free.
+    Optionally persisted as append-only JSONL so warm reruns replay
+    earlier calls for free.  A torn last line (a write cut short) is
+    truncated away on load and reported on stderr; a corrupt complete
+    line raises ResponseCacheError naming the file and line.
     """
 
     def __init__(self, path: str | None = None):
@@ -256,20 +263,29 @@ class ResponseCache:
     def _ensure_loaded(self) -> None:
         if self._loaded:
             return
+        if os.path.exists(self.path):
+            with open(self.path, "rb+") as fh:
+                kept = 0
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.endswith(b"\n"):
+                        # A write cut short: drop it so the next append
+                        # starts a fresh line; its call is simply re-sent.
+                        fh.truncate(kept)
+                        print(f"response cache {self.path}: dropped a torn last "
+                              f"line ({len(line)} bytes)", file=sys.stderr)
+                        break
+                    kept += len(line)
+                    if not line.strip():
+                        continue
+                    try:
+                        row = json.loads(line)
+                        key = row.pop("key")
+                        self._mem[key] = LlmResponse(**row)
+                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                        raise ResponseCacheError(
+                            f"{self.path}:{lineno}: corrupt response cache line: {exc!r}"
+                        ) from None
         self._loaded = True
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                self._mem[row["key"]] = LlmResponse(
-                    text=row["text"],
-                    prompt_tokens=row["prompt_tokens"],
-                    completion_tokens=row["completion_tokens"],
-                    model_id=row["model_id"],
-                )
 
     def get(self, key: str) -> LlmResponse | None:
         with self._lock:

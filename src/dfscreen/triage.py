@@ -6,12 +6,18 @@ strictly below the threshold are re-screened by the strong model with
 the very same prompt; its answer overrides.  Unparseable stage-1 output
 counts as zero confidence so it always escalates; unparseable stage-2
 output fails safe to exclude and is flagged for audit.
+
+This module is the one place that turns a review into prompts
+(``prompter``, also behind the CLI's dry run) and runs them (one thread
+pool and failure budget for the cascade and the single-model baselines).
+A threshold sweep is scored from a single cascade run.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -29,7 +35,7 @@ from .gateway import (
     parse_decision,
 )
 from .projection import Point2D
-from .prompting import Strategy, render, static_instances
+from .prompting import RenderedPrompt, Strategy, render, static_instances
 
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_PARALLELISM = 8
@@ -132,15 +138,105 @@ def should_route(stage1: Decision | None, threshold: float) -> bool:
     return effective_confidence(stage1) < threshold
 
 
-def _exemplar_instances(
-    record: StudyRecord,
-    dataset_by_id: dict[str, StudyRecord],
-    pool: ExemplarPool,
-    clustering: Clustering,
-    points: dict[str, Point2D],
-) -> list[tuple[StudyRecord, str]]:
-    chosen = select_instances(record, pool, clustering, points)
-    return [(dataset_by_id[e.record_id], e.label) for e in chosen]
+def prompter(
+    strategy: Strategy,
+    criteria: str,
+    dataset: ReviewDataset,
+    seed: int,
+    exemplars: tuple[ExemplarPool, Clustering, dict[str, Point2D]] | None = None,
+) -> Callable[[StudyRecord], RenderedPrompt]:
+    """The prompt each record of ``dataset`` is screened with.
+
+    ``dfsl`` selects per-record instances from ``exemplars`` (pool,
+    clustering, points); ``fs`` draws its fixed set once, seeded, for the
+    whole review; ``zs`` and ``cot`` carry no instances.  Prompts are
+    rendered on demand, one record at a time.
+    """
+    by_id = dataset.by_id()
+    shared = static_instances(dataset, seed) if strategy is Strategy.FEW_SHOT else None
+
+    def prompt(record: StudyRecord) -> RenderedPrompt:
+        instances = shared
+        if strategy is Strategy.DYNAMIC_FEW_SHOT:
+            chosen = select_instances(record, *exemplars)
+            instances = [(by_id[e.record_id], e.label) for e in chosen]
+        return render(strategy, criteria, record, instances)
+
+    return prompt
+
+
+def _screen_all(
+    dataset: ReviewDataset,
+    prompt_for: Callable[[StudyRecord], RenderedPrompt],
+    ledger: CostLedger,
+    stage1_provider,
+    stage2_provider,
+    threshold: float,
+    temperature: float,
+    parallelism: int,
+    cache: ResponseCache | None,
+    failures: list | None,
+    sleep,
+) -> list[ScreeningResult]:
+    """Screen every record on a thread pool. Results come back id-sorted.
+
+    With ``stage2_provider`` None the stage-1 answer is final; an
+    unparseable final answer fails safe to exclude and is flagged.
+    Individual provider failures are isolated (collected into
+    ``failures`` when a list is passed); more than 10% failed records
+    aborts with a RunError since the run is no longer representative.
+    Any other error cancels the records not yet started and propagates.
+    """
+
+    def ask(provider, prompt: RenderedPrompt, tags: dict):
+        resp = complete(prompt.text, provider, ledger, temperature=temperature,
+                        cache=cache, tags=tags, sleep=sleep)
+        try:
+            return resp, parse_decision(resp.text, prompt.strategy.expects_confidence)
+        except UnparseableResponse:
+            return resp, None
+
+    def screen_one(record: StudyRecord) -> ScreeningResult:
+        prompt = prompt_for(record)
+        tags = {"record_id": record.id}
+        resp1, d1 = ask(stage1_provider, prompt, tags)
+        routed = stage2_provider is not None and should_route(d1, threshold)
+        resp2, d2 = ask(stage2_provider, prompt, tags) if routed else (None, None)
+        answer = d2 if routed else d1
+        return ScreeningResult(
+            record_id=record.id,
+            stage1=d1,
+            routed=routed,
+            stage2=d2,
+            final=EXCLUDE if answer is None else answer.label,
+            stage1_prompt_tokens=resp1.prompt_tokens,
+            stage1_completion_tokens=resp1.completion_tokens,
+            stage2_prompt_tokens=resp2.prompt_tokens if routed else 0,
+            stage2_completion_tokens=resp2.completion_tokens if routed else 0,
+            unparsed_final=answer is None,
+        )
+
+    results: list[ScreeningResult] = []
+    failed: list[tuple[str, str]] = []
+    executor = ThreadPoolExecutor(max_workers=parallelism)
+    try:
+        futures = {r.id: executor.submit(screen_one, r) for r in dataset.records}
+        for rid, fut in futures.items():
+            try:
+                results.append(fut.result())
+            except ProviderError as exc:
+                failed.append((rid, str(exc)))
+    finally:
+        executor.shutdown(cancel_futures=True)
+    if failures is not None:
+        failures.extend(failed)
+    if len(dataset) > 0 and len(failed) / len(dataset) > 0.10:
+        raise RunError(
+            f"{len(failed)} of {len(dataset)} records failed "
+            f"({len(failed) / len(dataset):.0%}); first: {failed[0]}"
+        )
+    results.sort(key=lambda r: r.record_id)
+    return results
 
 
 def run_two_stage(
@@ -164,84 +260,14 @@ def run_two_stage(
     """
     if cfg.strategy is not Strategy.DYNAMIC_FEW_SHOT:
         raise ValueError("the cascade needs the confidence-reporting strategy")
-    ledger = CostLedger(
-        {
-            stage1_provider.model_id: cfg.stage1_pricing,
-            stage2_provider.model_id: cfg.stage2_pricing,
-        }
+    ledger = CostLedger({stage1_provider.model_id: cfg.stage1_pricing,
+                         stage2_provider.model_id: cfg.stage2_pricing})
+    prompt_for = prompter(cfg.strategy, criteria, dataset, cfg.seed,
+                          (pool, clustering, points))
+    results = _screen_all(
+        dataset, prompt_for, ledger, stage1_provider, stage2_provider,
+        cfg.threshold, cfg.temperature, cfg.parallelism, cache, failures, sleep,
     )
-    by_id = dataset.by_id()
-
-    def screen_one(record: StudyRecord) -> ScreeningResult:
-        instances = _exemplar_instances(record, by_id, pool, clustering, points)
-        prompt = render(cfg.strategy, criteria, record, instances)
-        tags = {"record_id": record.id}
-        resp1 = complete(
-            prompt.text,
-            stage1_provider,
-            ledger,
-            temperature=cfg.temperature,
-            cache=cache,
-            tags=tags,
-            sleep=sleep,
-        )
-        try:
-            d1 = parse_decision(resp1.text, expects_confidence=True)
-        except UnparseableResponse:
-            d1 = None
-        routed = should_route(d1, cfg.threshold)
-        d2 = None
-        unparsed_final = False
-        s2_pt = s2_ct = 0
-        if routed:
-            resp2 = complete(
-                prompt.text,
-                stage2_provider,
-                ledger,
-                temperature=cfg.temperature,
-                cache=cache,
-                tags=tags,
-                sleep=sleep,
-            )
-            s2_pt, s2_ct = resp2.prompt_tokens, resp2.completion_tokens
-            try:
-                d2 = parse_decision(resp2.text, expects_confidence=True)
-                final = d2.label
-            except UnparseableResponse:
-                final = EXCLUDE
-                unparsed_final = True
-        else:
-            final = d1.label
-        return ScreeningResult(
-            record_id=record.id,
-            stage1=d1,
-            routed=routed,
-            stage2=d2,
-            final=final,
-            stage1_prompt_tokens=resp1.prompt_tokens,
-            stage1_completion_tokens=resp1.completion_tokens,
-            stage2_prompt_tokens=s2_pt,
-            stage2_completion_tokens=s2_ct,
-            unparsed_final=unparsed_final,
-        )
-
-    results: list[ScreeningResult] = []
-    failed: list[tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool_exec:
-        futures = {r.id: pool_exec.submit(screen_one, r) for r in dataset.records}
-        for rid, fut in futures.items():
-            try:
-                results.append(fut.result())
-            except ProviderError as exc:
-                failed.append((rid, str(exc)))
-    if failures is not None:
-        failures.extend(failed)
-    if len(dataset) > 0 and len(failed) / len(dataset) > 0.10:
-        raise RunError(
-            f"{len(failed)} of {len(dataset)} records failed "
-            f"({len(failed) / len(dataset):.0%}); first: {failed[0]}"
-        )
-    results.sort(key=lambda r: r.record_id)
     return results, ledger
 
 
@@ -260,63 +286,16 @@ def run_single_stage(
 ) -> tuple[list[ScreeningResult], CostLedger]:
     """Baseline runs: one model, no routing, no confidence field.
 
-    The static few-shot strategy draws its fixed demonstration set here,
+    The static few-shot strategy draws its fixed demonstration set once,
     seeded, shared by every target in the dataset.
     """
     if strategy is Strategy.DYNAMIC_FEW_SHOT:
         raise ValueError("use run_two_stage for the confidence strategy")
     ledger = CostLedger({provider.model_id: pricing})
-    shared_instances = None
-    if strategy is Strategy.FEW_SHOT:
-        shared_instances = static_instances(dataset, seed)
-
-    def screen_one(record: StudyRecord) -> ScreeningResult:
-        prompt = render(strategy, criteria, record, shared_instances)
-        resp = complete(
-            prompt.text,
-            provider,
-            ledger,
-            temperature=temperature,
-            cache=cache,
-            tags={"record_id": record.id},
-            sleep=sleep,
-        )
-        try:
-            decision = parse_decision(resp.text, expects_confidence=False)
-            final = decision.label
-            unparsed = False
-        except UnparseableResponse:
-            decision = None
-            final = EXCLUDE
-            unparsed = True
-        return ScreeningResult(
-            record_id=record.id,
-            stage1=decision,
-            routed=False,
-            stage2=None,
-            final=final,
-            stage1_prompt_tokens=resp.prompt_tokens,
-            stage1_completion_tokens=resp.completion_tokens,
-            unparsed_final=unparsed,
-        )
-
-    results: list[ScreeningResult] = []
-    failed: list[tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=parallelism) as pool_exec:
-        futures = {r.id: pool_exec.submit(screen_one, r) for r in dataset.records}
-        for rid, fut in futures.items():
-            try:
-                results.append(fut.result())
-            except ProviderError as exc:
-                failed.append((rid, str(exc)))
-    if failures is not None:
-        failures.extend(failed)
-    if len(dataset) > 0 and len(failed) / len(dataset) > 0.10:
-        raise RunError(
-            f"{len(failed)} of {len(dataset)} records failed "
-            f"({len(failed) / len(dataset):.0%}); first: {failed[0]}"
-        )
-    results.sort(key=lambda r: r.record_id)
+    results = _screen_all(
+        dataset, prompter(strategy, criteria, dataset, seed), ledger, provider, None,
+        0.0, temperature, parallelism, cache, failures, sleep,
+    )
     return results, ledger
 
 
@@ -346,11 +325,14 @@ def sweep_thresholds(
     thresholds: list[float],
     cache: ResponseCache | None = None,
 ) -> list[SweepPoint]:
-    """Re-run the cascade per threshold against a shared response cache.
+    """Score the cascade at each threshold from one run, at the highest.
 
-    Stage-1 answers replay from cache after the first pass, and stage-2
-    prompts coincide across thresholds, so a sweep costs little more
-    than a single run.  Needs gold labels to score F1.
+    A record routed at a lower threshold is routed there too (confidence
+    < th <= max) with the same stage-2 prompt, so each point is exact:
+    routed records take the run's final answer, the rest their stage-1
+    label.  A sweep costs one cascade run plus the stage-2 calls the
+    highest threshold adds.  Needs gold labels, and every record: a
+    provider failure on any record raises RunError.
     """
     from .evaluation import confusion, metrics
 
@@ -360,33 +342,27 @@ def sweep_thresholds(
     gold = {r.id: r.gold_label for r in dataset.records}
     if any(v is None for v in gold.values()):
         raise ValueError("threshold sweep needs gold labels on every record")
-    if cache is None:
-        cache = ResponseCache()
+    if not thresholds:
+        return []
+    failures: list[tuple[str, str]] = []
+    results, _ = run_two_stage(
+        dataset, pool, clustering, points, replace(cfg, threshold=max(thresholds)),
+        stage1_provider, stage2_provider, criteria, cache=cache, failures=failures,
+    )
+    if failures:
+        raise RunError(
+            f"sweep needs every record; {len(failures)} of {len(dataset)} "
+            f"failed: {sorted(rid for rid, _ in failures)}"
+        )
     out = []
     for th in thresholds:
-        run_cfg = replace(cfg, threshold=th)
-        results, _ = run_two_stage(
-            dataset,
-            pool,
-            clustering,
-            points,
-            run_cfg,
-            stage1_provider,
-            stage2_provider,
-            criteria,
-            cache=cache,
-        )
-        finals = {r.record_id: r.final for r in results}
-        m = metrics(confusion(finals, gold))
-        routed = tuple(sorted(r.record_id for r in results if r.routed))
-        out.append(
-            SweepPoint(
-                threshold=th,
-                f1=m["f1"],
-                routed_ratio=routed_ratio(results),
-                routed_ids=routed,
-            )
-        )
+        routed = {r.record_id for r in results if should_route(r.stage1, th)}
+        finals = {
+            r.record_id: r.final if r.record_id in routed else r.stage1.label
+            for r in results
+        }
+        f1 = metrics(confusion(finals, gold))["f1"]
+        out.append(SweepPoint(th, f1, len(routed) / len(results), tuple(sorted(routed))))
     return out
 
 

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from dfscreen import cli, synth
-from dfscreen.corpus import write_dataset_jsonl
+from dfscreen.corpus import EXCLUDE, write_dataset_jsonl
+from dfscreen.gateway import ProviderError
 from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
@@ -51,6 +52,31 @@ def build_workspace(root, seed=0):
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2)
     return config_path
+
+
+def single_review_workspace(root, dataset):
+    """One review, one worker thread, oracle provider; returns the config path."""
+    os.makedirs(root, exist_ok=True)
+    write_dataset_jsonl(dataset, os.path.join(root, "data.jsonl"))
+    with open(os.path.join(root, "criteria.txt"), "w", encoding="utf-8") as fh:
+        fh.write(synth.synth_criteria(dataset.review_id) + "\n")
+    config = {
+        "reviews": {
+            dataset.review_id: {"dataset": "data.jsonl", "criteria": "criteria.txt", "k": 3}
+        },
+        "embedding": {"kind": "hashed_tf", "dim": 32},
+        "parallelism": 1,
+        "cache_dir": "cache",
+    }
+    config_path = os.path.join(root, "config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    return config_path
+
+
+def slurp(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +231,107 @@ class TestScreen:
         assert rc == cli.EXIT_PROVIDER
         assert "provider failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["dfsl", "fs", "zs"])
+    def test_dry_run_renders_the_prompts_screen_sends(
+        self, ws, tmp_path, monkeypatch, strategy
+    ):
+        rendered, sent = [], []
+        real_render, real_complete = cli.triage.render, cli.triage.complete
+
+        def render(*args, **kwargs):
+            prompt = real_render(*args, **kwargs)
+            rendered.append(prompt.text)
+            return prompt
+
+        def complete(prompt_text, *args, **kwargs):
+            sent.append(prompt_text)
+            return real_complete(prompt_text, *args, **kwargs)
+
+        monkeypatch.setattr(cli.triage, "render", render)
+        monkeypatch.setattr(cli.triage, "complete", complete)
+        out = str(tmp_path / "run")
+        argv = ["screen", "--config", ws, "--out", out, "--strategy", strategy]
+        assert cli.main(argv + ["--dry-run"]) == cli.EXIT_OK
+        planned = list(rendered)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(planned) == len(set(planned)) == sum(s.curated for s in SHAPES)
+        assert set(planned) == set(sent)
+
+
+class TestPipelineErrors:
+    @pytest.fixture
+    def all_exclude(self, tmp_path):
+        dataset = synth.synth_review("ALLEX", 24, 0, k=3, seed=5)
+        assert all(r.gold_label == EXCLUDE for r in dataset.records)
+        return single_review_workspace(str(tmp_path / "ws"), dataset)
+
+    @pytest.mark.parametrize(
+        "command", [["screen"], ["screen", "--dry-run"], ["sweep"]],
+        ids=["screen", "dry-run", "sweep"],
+    )
+    def test_unconstructible_pool_is_exit_2(self, all_exclude, tmp_path, capsys, command):
+        argv = command + ["--config", all_exclude, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "config error: pool unconstructible" in capsys.readouterr().err
+
+    def test_truncated_projection_artifact_is_exit_2(self, tmp_path, capsys):
+        config_path = build_workspace(str(tmp_path / "ws"))
+        assert cli.main(["project", "--config", config_path]) == cli.EXIT_OK
+        cache_dir = cli.PipelineConfig.load(config_path).cache_dir
+        artifact = os.path.join(
+            cache_dir, sorted(f for f in os.listdir(cache_dir) if f.startswith("project-"))[0]
+        )
+        data = slurp(artifact)
+        with open(artifact, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        capsys.readouterr()
+        assert cli.main(["cluster", "--config", config_path]) == cli.EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+
+class TestResponseLog:
+    @pytest.fixture
+    def one_review(self, tmp_path):
+        dataset = synth.synth_review("TORN", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        cold = str(tmp_path / "cold")
+        assert cli.main(["screen", "--config", config_path, "--out", cold]) == cli.EXIT_OK
+        log = os.path.join(str(tmp_path / "ws"), "cache", "responses.jsonl")
+        return config_path, cold, log
+
+    def test_torn_tail_at_every_byte_is_dropped_and_resent(
+        self, one_review, tmp_path, capsys
+    ):
+        config_path, cold, log = one_review
+        full = slurp(log)
+        head = full[: full.rindex(b"\n", 0, len(full) - 1) + 1]
+        last = full[len(head):]
+        out = str(tmp_path / "warm")
+        for cut in range(len(last)):
+            with open(log, "wb") as fh:
+                fh.write(head + last[:cut])
+            capsys.readouterr()
+            assert cli.main(["screen", "--config", config_path, "--out", out]) == cli.EXIT_OK
+            assert ("dropped a torn last line" in capsys.readouterr().err) == (cut > 0)
+            with open(os.path.join(out, "manifest.json")) as fh:
+                ledger = json.load(fh)["ledger"]
+            assert sum(e["call_count"] for e in ledger.values()) == 1
+            assert slurp(os.path.join(out, "results_TORN.jsonl")) == slurp(
+                os.path.join(cold, "results_TORN.jsonl")
+            )
+            assert slurp(log) == full
+
+    def test_corrupt_line_is_exit_2(self, one_review, tmp_path, capsys):
+        config_path, _, log = one_review
+        lines = slurp(log).split(b"\n")
+        lines[1] = b"{not json"
+        with open(log, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        capsys.readouterr()
+        rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{log}:2: corrupt response cache line" in capsys.readouterr().err
+
 
 class TestReproducibility:
     def test_warm_runs_are_byte_identical(self, tmp_path):
@@ -274,6 +401,22 @@ class TestSweep:
             assert pairs == sorted(pairs)
             ratios = [r for _, r in pairs]
             assert ratios == sorted(ratios)
+
+    def test_failed_record_is_exit_3(self, ws, tmp_path, monkeypatch, capsys):
+        dataset, _, _ = cli._pipeline_for(cli.PipelineConfig.load(ws), "REV-B").curated()
+        victim = dataset.records[0].id
+        real_complete = cli.triage.complete
+
+        def flaky(prompt_text, provider, ledger, **kwargs):
+            if kwargs["tags"]["record_id"] == victim:
+                raise ProviderError("upstream down")
+            return real_complete(prompt_text, provider, ledger, **kwargs)
+
+        monkeypatch.setattr(cli.triage, "complete", flaky)
+        rc = cli.main(["sweep", "--config", ws, "--out", str(tmp_path / "sweep")])
+        assert rc == cli.EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert "provider failure" in err and victim in err
 
     def test_bad_threshold_list(self, ws, tmp_path):
         rc = cli.main(

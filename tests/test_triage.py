@@ -4,9 +4,12 @@ import json
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dfscreen import synth
+from dfscreen import synth, triage
 from dfscreen.corpus import EXCLUDE, INCLUDE, strip_labels
+from dfscreen.evaluation import confusion, metrics
 from dfscreen.gateway import (
     Decision,
     ModelPricing,
@@ -21,6 +24,7 @@ from dfscreen.triage import (
     RunConfig,
     RunError,
     ScreeningResult,
+    SweepPoint,
     effective_confidence,
     read_results_jsonl,
     routed_ratio,
@@ -426,6 +430,100 @@ class TestSweep:
                 dataset, pool, clustering, points, make_cfg(),
                 MappedProvider("s1"), MappedProvider("s2"), "C.", [0.5, 1.2],
             )
+
+
+    def test_sweep_sends_each_prompt_once(self, small_pipeline, monkeypatch):
+        dataset, points, clustering, pool = small_pipeline
+        n = len(dataset)
+        s1 = MappedProvider("s1", table=self.confidence_ladder(dataset))
+        s2 = MappedProvider("s2", default=answer(EXCLUDE, 0.99))
+        calls = []
+        real_complete = triage.complete
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["tags"]["record_id"])
+            return real_complete(*args, **kwargs)
+
+        monkeypatch.setattr(triage, "complete", counting)
+        sweep = sweep_thresholds(
+            dataset, pool, clustering, points, make_cfg(), s1, s2, "C.",
+            [0.25, 0.5, 0.0, 0.5],
+        )
+        routed_at_max = len(sweep[1].routed_ids)
+        assert routed_at_max == 30
+        assert len(calls) == n + routed_at_max
+        assert len(s1.calls) == n and len(s2.calls) == routed_at_max
+
+    def test_failed_record_raises_run_error(self, small_pipeline):
+        dataset, points, clustering, pool = small_pipeline
+        bad = dataset.records[0].id
+        s1 = MappedProvider(
+            "s1", default=answer(EXCLUDE, 0.99), errors={bad: ProviderError("boom")}
+        )
+        with pytest.raises(RunError, match=bad):
+            sweep_thresholds(
+                dataset, pool, clustering, points, make_cfg(),
+                s1, MappedProvider("s2"), "C.", [0.5],
+            )
+
+    def test_empty_threshold_list(self, small_pipeline):
+        dataset, points, clustering, pool = small_pipeline
+        s1 = MappedProvider("s1")
+        assert sweep_thresholds(
+            dataset, pool, clustering, points, make_cfg(),
+            s1, MappedProvider("s2"), "C.", [],
+        ) == []
+        assert s1.calls == []
+
+
+@pytest.fixture(scope="module")
+def sweep_pipeline():
+    dataset = synth.synth_review("SWEEP", 16, 5, k=2, seed=4)
+    points, clustering, pool = build_pipeline(dataset, k=2, seed=1)
+    return dataset, points, clustering, pool
+
+
+LABELS = st.sampled_from([INCLUDE, EXCLUDE])
+CONFIDENCES = st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+STAGE1_REPLIES = st.one_of(
+    st.just("no verdict here"),
+    st.builds(answer, LABELS),
+    st.builds(answer, LABELS, CONFIDENCES),
+)
+STAGE2_REPLIES = st.just("???") | st.builds(answer, LABELS, CONFIDENCES)
+
+
+@given(data=st.data())
+def test_one_pass_sweep_equals_a_run_per_threshold(sweep_pipeline, data):
+    dataset, points, clustering, pool = sweep_pipeline
+    ids = [r.id for r in dataset.records]
+    table1 = data.draw(st.fixed_dictionaries({rid: STAGE1_REPLIES for rid in ids}))
+    table2 = data.draw(st.fixed_dictionaries({rid: STAGE2_REPLIES for rid in ids}))
+    drawn = data.draw(st.lists(CONFIDENCES, min_size=1, max_size=4))
+    thresholds = data.draw(st.permutations(drawn + drawn[:1] + [0.0, 1.0]))
+    cfg = make_cfg(parallelism=2)
+    sweep = sweep_thresholds(
+        dataset, pool, clustering, points, cfg,
+        MappedProvider("s1", table=table1), MappedProvider("s2", table=table2),
+        "C.", thresholds,
+    )
+    expected = []
+    for th in thresholds:
+        results, _ = run_two_stage(
+            dataset, pool, clustering, points, make_cfg(threshold=th, parallelism=2),
+            MappedProvider("s1", table=table1), MappedProvider("s2", table=table2),
+            "C.",
+        )
+        finals = {r.record_id: r.final for r in results}
+        expected.append(
+            SweepPoint(
+                threshold=th,
+                f1=metrics(confusion(finals, gold_of(dataset)))["f1"],
+                routed_ratio=routed_ratio(results),
+                routed_ids=tuple(sorted(r.record_id for r in results if r.routed)),
+            )
+        )
+    assert sweep == expected
 
 
 class TestSerialization:
