@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+from typing import Callable
 
 
 def canonical_json(obj) -> str:
@@ -48,16 +49,27 @@ class ArtifactCache:
         with open(self.path(key), encoding="utf-8") as fh:
             return fh.read()
 
-    def write_text(self, key: str, text: str) -> str:
-        """Atomic write; concurrent writers of the same key are safe."""
+    def write_atomic(self, key: str, write: Callable[[str], None]) -> str:
+        """Run ``write(path)`` on a fresh temp file, then rename it to the key.
+
+        A writer that fails part way leaves nothing at the key, and
+        concurrent writers of the same key are safe.
+        """
         target = self.path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{key}.")
+        os.close(fd)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write(tmp)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
         return target
+
+    def write_text(self, key: str, text: str) -> str:
+        def write(path: str) -> None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+        return self.write_atomic(key, write)

@@ -191,8 +191,9 @@ class ReviewPipeline:
             else:
                 raw = corpus.load_dataset(dataset_path, self.review_id)
                 dataset, report = corpus.curate(raw)
-                corpus.write_dataset_jsonl(dataset, self.cache.path(key) + ".tmp")
-                os.replace(self.cache.path(key) + ".tmp", self.cache.path(key))
+                self.cache.write_atomic(
+                    key, lambda path: corpus.write_dataset_jsonl(dataset, path)
+                )
             self._curated = (dataset, report, key)
         return self._curated
 
@@ -215,7 +216,9 @@ class ReviewPipeline:
                 vecs = client.embed_batch([r.text for r in dataset.records], ids)
                 from .embedding import write_vectors_jsonl
 
-                write_vectors_jsonl(ids, vecs, self.cache.path(key))
+                self.cache.write_atomic(
+                    key, lambda path: write_vectors_jsonl(ids, vecs, path)
+                )
             self._vectors = (ids, vecs, key)
         return self._vectors
 
@@ -240,7 +243,7 @@ class ReviewPipeline:
                     )
                 else:
                     pts = project_2d(ids, vectors=vecs, method="pca")
-                write_points_jsonl(pts, self.cache.path(key))
+                self.cache.write_atomic(key, lambda path: write_points_jsonl(pts, path))
             self._points = (pts, key)
         return self._points
 

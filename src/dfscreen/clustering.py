@@ -78,11 +78,16 @@ def choose_k(n: int, override: int | None = None) -> int:
     return max(K_MIN, min(K_MAX, k))
 
 
-def nearest_centroid(point: np.ndarray, centroids: np.ndarray) -> int:
-    """Index of the closest centroid, ties going to the lowest index."""
-    deltas = centroids - point
-    dists = np.einsum("ij,ij->i", deltas, deltas)
-    return int(np.argmin(dists))
+def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> int | np.ndarray:
+    """Index of the closest centroid, ties going to the lowest index.
+
+    ``points`` is one point of shape (2,), giving an int, or an (n, 2)
+    array, giving the n labels from one n x k distance matrix.
+    """
+    deltas = centroids - points[..., np.newaxis, :]
+    dists = np.einsum("...ij,...ij->...i", deltas, deltas)
+    labels = np.argmin(dists, axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 def _init_plusplus(coords: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
@@ -98,14 +103,10 @@ def _init_plusplus(coords: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
             # point works, pick uniformly.
             idx = rng.randrange(n)
         else:
+            # First index whose running sum exceeds r; cumsum adds in
+            # order, so the sums are those of a sequential loop.
             r = rng.random() * total
-            cum = 0.0
-            idx = n - 1
-            for i in range(n):
-                cum += float(d2[i])
-                if r < cum:
-                    idx = i
-                    break
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         centroids[c] = coords[idx]
         new_d2 = np.einsum("ij,ij->i", coords - centroids[c], coords - centroids[c])
         d2 = np.minimum(d2, new_d2)
@@ -128,7 +129,7 @@ def kmeans(points: dict[str, Point2D], k: int, seed: int) -> Clustering:
     rng = SplitMix64(seed)
     centroids = _init_plusplus(coords, k, rng)
 
-    labels = np.array([nearest_centroid(p, centroids) for p in coords])
+    labels = nearest_centroid(coords, centroids)
     prev_inertia = math.inf
     for _ in range(MAX_ITERATIONS):
         # Update step.
@@ -142,7 +143,7 @@ def kmeans(points: dict[str, Point2D], k: int, seed: int) -> Clustering:
                 centroids[c] = coords[worst]
                 labels[worst] = c
         # Assignment step.
-        new_labels = np.array([nearest_centroid(p, centroids) for p in coords])
+        new_labels = nearest_centroid(coords, centroids)
         deltas = coords - centroids[new_labels]
         inertia = float(np.einsum("ij,ij->i", deltas, deltas).sum())
         # A genuine increase means the update logic is broken; the slack

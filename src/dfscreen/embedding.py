@@ -9,25 +9,30 @@ Three providers:
 * ``hashed_tf`` builds hashed term-frequency vectors locally. It needs no
   network and is fully deterministic, which makes it the right backend
   for tests and the synthetic benchmark corpus.
-
-Vectors are cached on disk keyed by a fingerprint of (provider, model,
-text) so repeated runs don't re-embed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import requests
 
 from .rng import fnv1a64
 
 _TOKEN = re.compile(r"[a-z0-9]+")
+
+
+def __getattr__(name):
+    # ``requests`` is imported on first use: offline runs never need it.
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EmbeddingError(RuntimeError):
@@ -59,11 +64,16 @@ class EmbeddingProviderConfig:
         return f"{self.kind}:{self.model}:{self.dim}"
 
 
+@lru_cache(maxsize=1 << 16)
+def _token_hash(token: str) -> int:
+    return fnv1a64(token)
+
+
 def hashed_tf_vector(text: str, dim: int) -> np.ndarray:
     """Hashed term-frequency vector, L2-normalized. Zero vector if no tokens."""
     vec = np.zeros(dim, dtype=np.float64)
     for tok in _TOKEN.findall(text.lower()):
-        vec[fnv1a64(tok) % dim] += 1.0
+        vec[_token_hash(tok) % dim] += 1.0
     norm = math.sqrt(float(vec @ vec))
     if norm > 0:
         vec /= norm
@@ -85,71 +95,28 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class EmbeddingClient:
-    """Embeds batches of texts with disk caching."""
+    """Embeds batches of texts with the configured provider."""
 
     config: EmbeddingProviderConfig
-    cache_path: str | None = None
-    _cache: dict[str, list[float]] = field(default_factory=dict, repr=False)
-    _loaded: bool = field(default=False, repr=False)
     _import_table: dict[str, list[float]] | None = field(default=None, repr=False)
-
-    def _cache_key(self, text: str) -> str:
-        return format(fnv1a64(f"{self.config.fingerprint()}\x00{text}"), "016x")
-
-    def _load_cache(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        if not self.cache_path or not os.path.exists(self.cache_path):
-            return
-        with open(self.cache_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                self._cache[row["key"]] = row["vector"]
-
-    def _append_cache(self, key: str, vector: list[float]) -> None:
-        self._cache[key] = vector
-        if self.cache_path:
-            with open(self.cache_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"key": key, "vector": vector}) + "\n")
 
     def embed_batch(
         self, texts: list[str], ids: list[str] | None = None
     ) -> list[np.ndarray]:
-        """Vectors for ``texts``, one per input, cache consulted first.
+        """Vectors for ``texts``, one per input.
 
         ``ids`` is required for the file_import provider, which looks
         vectors up by record id rather than by text.
         """
-        self._load_cache()
         if self.config.kind == "file_import":
             return self._import_vectors(texts, ids)
-        out: list[np.ndarray | None] = [None] * len(texts)
-        misses: list[int] = []
-        for i, text in enumerate(texts):
-            hit = self._cache.get(self._cache_key(text))
-            if hit is not None:
-                out[i] = np.asarray(hit, dtype=np.float64)
-            else:
-                misses.append(i)
-        if misses:
-            fresh = self._compute([texts[i] for i in misses])
-            for i, vec in zip(misses, fresh):
-                self._append_cache(self._cache_key(texts[i]), [float(x) for x in vec])
-                out[i] = np.asarray(vec, dtype=np.float64)
-        dims = {len(v) for v in out}
-        if len(dims) > 1:
-            raise EmbeddingError(f"inconsistent vector dimensions in batch: {sorted(dims)}")
-        return out
-
-    def _compute(self, texts: list[str]) -> list[np.ndarray]:
         if self.config.kind == "hashed_tf":
             return [hashed_tf_vector(t, self.config.dim) for t in texts]
         return self._remote(texts)
 
     def _remote(self, texts: list[str]) -> list[np.ndarray]:
+        import requests
+
         payload = {"model": self.config.model, "input": texts}
         try:
             resp = requests.post(self.config.url, json=payload, timeout=self.config.timeout)
@@ -166,6 +133,9 @@ class EmbeddingClient:
             raise EmbeddingError(
                 f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} texts"
             )
+        dims = {len(v) for v in vectors}
+        if len(dims) > 1:
+            raise EmbeddingError(f"inconsistent vector dimensions in batch: {sorted(dims)}")
         return vectors
 
     def _import_vectors(

@@ -22,10 +22,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-import requests
-
 from .corpus import EXCLUDE, INCLUDE
 from .rng import derive_rng
+
+
+def __getattr__(name):
+    # ``requests`` is imported on first use: offline runs never need it.
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ProviderError(RuntimeError):
@@ -424,6 +431,8 @@ class HttpChatProvider:
         self.timeout = timeout
 
     def send(self, prompt_text, temperature, max_tokens, tags):
+        import requests
+
         payload = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": prompt_text}],

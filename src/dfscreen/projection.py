@@ -1,9 +1,11 @@
 """Reduction of embedding vectors to two dimensions.
 
 The default route is exact PCA: covariance with the 1/(n-1) divisor,
-eigendecomposition by cyclic Jacobi rotations, top two components.
-Jacobi is slower than a LAPACK call but has no backend variation, so the
-same input bytes give the same projected coordinates on every machine.
+LAPACK symmetric eigendecomposition (``numpy.linalg.eigh``), top two
+components, each with its largest-magnitude coordinate made positive.
+The same input bytes give the same projected coordinates on the same
+machine with the same numpy/BLAS/LAPACK; another BLAS or LAPACK may move
+the coordinates in their last bits.
 An import route loads coordinates computed elsewhere (e.g. UMAP run in a
 notebook) from JSONL.
 """
@@ -29,55 +31,10 @@ class Point2D(NamedTuple):
     y: float
 
 
-def jacobi_eigh(
-    matrix: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a symmetric matrix via cyclic Jacobi.
-
-    Returns (values, vectors) with vectors in columns, unsorted. Iterates
-    sweeps over the upper triangle until every off-diagonal magnitude is
-    at or below ``tol``.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ProjectionError(f"matrix must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ProjectionError("matrix must be symmetric")
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= tol:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = (1.0 if theta >= 0 else -1.0) / (
-                    abs(theta) + np.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return np.diag(a).copy(), v
-
-
 def _top_components(cov: np.ndarray, count: int) -> np.ndarray:
-    values, vectors = jacobi_eigh(cov)
-    # Ties in eigenvalue fall back to the original axis order so the
-    # projection never depends on convergence accidents.
+    values, vectors = np.linalg.eigh(cov)
+    # Largest eigenvalue first. Exact ties keep eigh's column order,
+    # which is fixed for a given LAPACK build.
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     chosen = []
     for idx in order[:count]:

@@ -15,8 +15,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable
 
-import requests
-
 from .corpus import ReviewDataset, StudyRecord
 
 EFETCH_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils/efetch.fcgi"
@@ -24,6 +22,15 @@ MAX_IDS_PER_REQUEST = 200
 RATE_LIMIT_ANON = 3  # requests per second without an API key
 RATE_LIMIT_KEYED = 10
 RETRY_STATUS = {429, 500, 502, 503, 504}
+
+
+def __getattr__(name):
+    # ``requests`` is imported on first use: offline runs never need it.
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PubMedError(RuntimeError):
@@ -53,6 +60,8 @@ class PubMedClient:
 
     def __post_init__(self):
         if self.transport is None:
+            import requests
+
             self.transport = lambda url, params, timeout: requests.get(
                 url, params=params, timeout=timeout
             )
@@ -73,6 +82,8 @@ class PubMedClient:
             self._last_request = now
 
     def _request(self, ids: list[str]) -> str:
+        import requests
+
         params = {
             "db": "pubmed",
             "id": ",".join(ids),

@@ -3,10 +3,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from dfscreen import cli, synth
+import dfscreen
+from dfscreen import cli, corpus, embedding, synth
 from dfscreen.corpus import EXCLUDE, write_dataset_jsonl
 from dfscreen.gateway import ProviderError
 from dfscreen.synth import ReviewShape
@@ -287,6 +290,68 @@ class TestPipelineErrors:
         capsys.readouterr()
         assert cli.main(["cluster", "--config", config_path]) == cli.EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+
+class TestArtifactWrites:
+    @pytest.mark.parametrize(
+        "owner,writer,stage",
+        [
+            (corpus, "write_dataset_jsonl", "curate-"),
+            (embedding, "write_vectors_jsonl", "embed-"),
+            (cli, "write_points_jsonl", "project-"),
+        ],
+        ids=["curate", "embed", "project"],
+    )
+    def test_failed_write_leaves_nothing_at_the_key(
+        self, tmp_path, monkeypatch, capsys, owner, writer, stage
+    ):
+        dataset = synth.synth_review("TORN", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        cache_dir = str(tmp_path / "ws" / "cache")
+        real = getattr(owner, writer)
+
+        def torn(*args):
+            # Write the artifact, cut it in half, then fail like a full disk.
+            real(*args)
+            path = args[-1]
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) // 2)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(owner, writer, torn)
+        argv = ["screen", "--config", config_path, "--out"]
+        assert cli.main(argv + [str(tmp_path / "failed")]) == cli.EXIT_CONFIG
+        assert "no space left on device" in capsys.readouterr().err
+        assert [f for f in os.listdir(cache_dir) if stage in f] == []
+        monkeypatch.undo()
+
+        assert cli.main(argv + [str(tmp_path / "rerun")]) == cli.EXIT_OK
+        clean_config = single_review_workspace(str(tmp_path / "clean"), dataset)
+        clean = str(tmp_path / "clean_run")
+        assert cli.main(["screen", "--config", clean_config, "--out", clean]) == cli.EXIT_OK
+        for name in ("results_TORN.jsonl", "manifest.json"):
+            assert slurp(os.path.join(tmp_path, "rerun", name)) == slurp(
+                os.path.join(clean, name)
+            )
+
+
+def test_offline_screen_never_imports_requests(tmp_path):
+    dataset = synth.synth_review("OFFLINE", 12, 4, k=3, seed=3)
+    config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+    code = (
+        "import sys\n"
+        "from dfscreen import cli\n"
+        "assert 'requests' not in sys.modules, 'imported by dfscreen.cli'\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert 'requests' not in sys.modules, 'imported by screen'\n"
+    )
+    src = os.path.dirname(os.path.dirname(dfscreen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestResponseLog:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dfscreen import clustering
 from dfscreen.clustering import (
     Clustering,
     ClusteringError,
@@ -26,6 +28,45 @@ def blob(cx, cy, count, seed, spread=0.5, prefix="p"):
                                 cy + (rng.random() - 0.5) * spread)
         for i in range(count)
     }
+
+
+def reference_nearest(point, centroids):
+    """One point at a time, as a plain distance scan."""
+    deltas = centroids - point
+    return int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
+
+
+def reference_init_plusplus(coords, k, rng):
+    """k-means++ seeding with the cumulative draw as a sequential loop."""
+    n = coords.shape[0]
+    centroids = np.empty((k, 2), dtype=np.float64)
+    centroids[0] = coords[rng.randrange(n)]
+    d2 = np.einsum("ij,ij->i", coords - centroids[0], coords - centroids[0])
+    for c in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = rng.randrange(n)
+        else:
+            r = rng.random() * total
+            cum = 0.0
+            idx = n - 1
+            for i in range(n):
+                cum += float(d2[i])
+                if r < cum:
+                    idx = i
+                    break
+        centroids[c] = coords[idx]
+        new_d2 = np.einsum("ij,ij->i", coords - centroids[c], coords - centroids[c])
+        d2 = np.minimum(d2, new_d2)
+    return centroids
+
+
+def reference_kmeans(points, k, seed):
+    """kmeans with per-point assignment and the looped k-means++ draw."""
+    per_point = lambda pts, cents: np.array([reference_nearest(p, cents) for p in pts])
+    with mock.patch.object(clustering, "nearest_centroid", per_point), \
+            mock.patch.object(clustering, "_init_plusplus", reference_init_plusplus):
+        return kmeans(points, k, seed)
 
 
 class TestChooseK:
@@ -89,6 +130,15 @@ class TestNearestCentroid:
     def test_tie_goes_to_lowest_index(self):
         centroids = np.array([[-1.0, 0.0], [1.0, 0.0]])
         assert nearest_centroid(np.array([0.0, 5.0]), centroids) == 0
+
+    def test_array_of_points_gives_per_point_labels(self):
+        rng = SplitMix64(5)
+        points = np.array([[round(rng.random() * 4, 1), round(rng.random() * 4, 1)]
+                           for _ in range(50)])
+        centroids = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 2.0], [4.0, 0.0], [1.0, 3.0]])
+        labels = nearest_centroid(points, centroids)
+        assert labels.shape == (50,)
+        assert labels.tolist() == [reference_nearest(p, centroids) for p in points]
 
 
 class TestKmeans:
@@ -175,3 +225,41 @@ class TestKmeans:
         assert restored.assignment == result.assignment
         assert restored.centroids == result.centroids
         assert restored.inertia == result.inertia
+
+
+class ScriptedRng:
+    """randrange always 0, random a fixed value: pins the k-means++ draw."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, n):
+        return 0
+
+    def random(self):
+        return self.value
+
+
+def test_plusplus_draw_on_a_running_sum_boundary():
+    # Squared distances to the first point are [0, 1, 0, 1], so r = 0.5 * 2
+    # equals the running sums at indices 1 and 2; the draw must take the
+    # first index whose running sum exceeds r, index 3, as the loop does.
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    got = clustering._init_plusplus(coords, 2, ScriptedRng(0.5))
+    assert got.tolist() == reference_init_plusplus(coords, 2, ScriptedRng(0.5)).tolist()
+    assert got[1].tolist() == [-1.0, 0.0]
+
+
+@given(
+    st.integers(3, 10),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=10, max_size=60),
+    st.integers(0, 2**32),
+)
+def test_kmeans_equals_per_point_reference(k, decimals, coords, seed):
+    # Points on a coarse grid with 1-5 decimals: ties in distance,
+    # duplicate points and empty clusters are common, which is where a
+    # vectorised assignment could drift from the per-point loop.
+    scale = 10.0**decimals
+    points = {f"p{i:03d}": Point2D(x / scale, y / scale) for i, (x, y) in enumerate(coords)}
+    assert kmeans(points, k, seed).to_json() == reference_kmeans(points, k, seed).to_json()

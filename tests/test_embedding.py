@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dfscreen import embedding
 from dfscreen.embedding import (
     EmbeddingClient,
     EmbeddingError,
@@ -14,6 +16,7 @@ from dfscreen.embedding import (
     hashed_tf_vector,
     write_vectors_jsonl,
 )
+from dfscreen.rng import fnv1a64
 
 
 class TestHashedTf:
@@ -45,6 +48,36 @@ class TestHashedTf:
         a = hashed_tf_vector("cardiac cohort", 64)
         b = hashed_tf_vector("renal biopsy", 64)
         assert not np.array_equal(a, b)
+
+
+    @given(
+        st.text(alphabet="abcXYZ019 .,-é\n", max_size=60),
+        st.sampled_from([2, 16, 64]),
+    )
+    def test_memoised_hashing_matches_direct_fnv(self, text, dim):
+        expected = np.zeros(dim, dtype=np.float64)
+        for tok in embedding._TOKEN.findall(text.lower()):
+            expected[fnv1a64(tok) % dim] += 1.0
+        norm = math.sqrt(float(expected @ expected))
+        if norm > 0:
+            expected /= norm
+        assert hashed_tf_vector(text, dim).tobytes() == expected.tobytes()
+
+    def test_each_distinct_token_hashed_once(self, monkeypatch):
+        calls = []
+
+        def counting(token):
+            calls.append(token)
+            return fnv1a64(token)
+
+        monkeypatch.setattr(embedding, "fnv1a64", counting)
+        embedding._token_hash.cache_clear()
+        try:
+            hashed_tf_vector("renal renal biopsy", 16)
+            hashed_tf_vector("biopsy cohort", 16)
+        finally:
+            embedding._token_hash.cache_clear()
+        assert calls == ["renal", "biopsy", "cohort"]
 
 
 class TestCosine:
@@ -91,25 +124,6 @@ class TestClient:
         vecs = client.embed_batch(["alpha beta", "gamma"])
         assert len(vecs) == 2
         assert all(v.shape == (16,) for v in vecs)
-
-    def test_disk_cache_round_trip(self, tmp_path):
-        cache = str(tmp_path / "emb.jsonl")
-        cfg = EmbeddingProviderConfig(kind="hashed_tf", dim=8)
-        first = EmbeddingClient(cfg, cache_path=cache).embed_batch(["text one"])
-        second = EmbeddingClient(cfg, cache_path=cache).embed_batch(["text one"])
-        assert np.array_equal(first[0], second[0])
-        rows = [json.loads(l) for l in open(cache) if l.strip()]
-        assert len(rows) == 1
-
-    def test_cache_is_fingerprint_scoped(self, tmp_path):
-        cache = str(tmp_path / "emb.jsonl")
-        a = EmbeddingClient(
-            EmbeddingProviderConfig(kind="hashed_tf", dim=8), cache_path=cache
-        ).embed_batch(["same text"])
-        b = EmbeddingClient(
-            EmbeddingProviderConfig(kind="hashed_tf", dim=16), cache_path=cache
-        ).embed_batch(["same text"])
-        assert a[0].shape == (8,) and b[0].shape == (16,)
 
     def test_file_import(self, tmp_path):
         path = str(tmp_path / "vectors.jsonl")

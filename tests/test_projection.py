@@ -9,7 +9,7 @@ from dfscreen.projection import (
     DegenerateDataError,
     Point2D,
     ProjectionError,
-    jacobi_eigh,
+    _top_components,
     project_2d,
     project_pca,
     read_points_jsonl,
@@ -18,52 +18,36 @@ from dfscreen.projection import (
 from dfscreen.rng import SplitMix64
 
 
-def random_symmetric(n, seed):
-    rng = SplitMix64(seed)
-    a = np.array([[rng.random() - 0.5 for _ in range(n)] for _ in range(n)])
-    return (a + a.T) / 2.0
+def assert_unit_sign_canonical(components):
+    for col in components.T:
+        assert np.isclose(col @ col, 1.0, atol=1e-12)
+        assert col[int(np.argmax(np.abs(col)))] > 0
 
 
-class TestJacobi:
-    @pytest.mark.parametrize("n,seed", [(2, 1), (3, 2), (5, 3), (8, 4), (12, 5)])
-    def test_matches_lapack_eigenvalues(self, n, seed):
-        a = random_symmetric(n, seed)
-        values, _ = jacobi_eigh(a)
-        expected = np.linalg.eigvalsh(a)
-        assert np.allclose(sorted(values), sorted(expected), atol=1e-8)
+class TestTopComponents:
+    def test_diagonal_matrix_gives_axes_by_value(self):
+        components = _top_components(np.diag([3.0, 1.0, 2.0]), 2)
+        assert_unit_sign_canonical(components)
+        assert np.array_equal(components, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
 
-    def test_eigenpairs_satisfy_definition(self):
-        a = random_symmetric(6, 99)
-        values, vectors = jacobi_eigh(a)
-        for i in range(6):
-            v = vectors[:, i]
-            assert np.allclose(a @ v, values[i] * v, atol=1e-8)
-            assert np.isclose(v @ v, 1.0, atol=1e-10)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repeated_top_eigenvalue(self, seed):
+        # Q diag(2, 2, 1, 0.5) Q^T: the top two components may be any
+        # orthonormal basis of the value-2 eigenspace, but each must be a
+        # unit, sign-canonical eigenvector.
+        rng = SplitMix64(seed)
+        q, _ = np.linalg.qr(np.array([[rng.random() - 0.5 for _ in range(4)] for _ in range(4)]))
+        cov = q @ np.diag([2.0, 2.0, 1.0, 0.5]) @ q.T
+        cov = (cov + cov.T) / 2.0
+        components = _top_components(cov, 2)
+        assert_unit_sign_canonical(components)
+        assert np.allclose(cov @ components, 2.0 * components, atol=1e-12)
+        assert np.isclose(components[:, 0] @ components[:, 1], 0.0, atol=1e-12)
 
-    def test_vectors_orthogonal(self):
-        a = random_symmetric(7, 123)
-        _, vectors = jacobi_eigh(a)
-        gram = vectors.T @ vectors
-        assert np.allclose(gram, np.eye(7), atol=1e-9)
-
-    def test_diagonal_matrix_unchanged(self):
-        d = np.diag([3.0, 1.0, 2.0])
-        values, vectors = jacobi_eigh(d)
-        assert np.allclose(sorted(values), [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(vectors), np.eye(3), atol=1e-12)
-
-    def test_one_by_one(self):
-        values, vectors = jacobi_eigh(np.array([[4.2]]))
-        assert values[0] == 4.2
-        assert vectors[0, 0] == 1.0
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ProjectionError, match="symmetric"):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ProjectionError, match="square"):
-            jacobi_eigh(np.zeros((2, 3)))
+    def test_isotropic_matrix(self):
+        components = _top_components(np.eye(3) * 0.5, 2)
+        assert_unit_sign_canonical(components)
+        assert np.isclose(components[:, 0] @ components[:, 1], 0.0, atol=1e-12)
 
 
 class TestProjectPca:
@@ -130,6 +114,17 @@ class TestProjectPca:
         a = project_pca(vectors)
         b = project_pca([v.copy() for v in vectors])
         assert a == b
+
+    @pytest.mark.parametrize("seed", [41, 43, 47])
+    def test_spans_the_svd_subspace(self, seed):
+        rng = SplitMix64(seed)
+        scales = [7.0, 4.0, 2.0, 1.0, 0.5]
+        x = np.array([[rng.random() * s for s in scales] for _ in range(60)])
+        points = project_pca(list(x))
+        projected = np.array([[p.x, p.y] for p in points])
+        u, _, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        basis, _ = np.linalg.qr(projected)
+        assert np.allclose(basis @ basis.T, u[:, :2] @ u[:, :2].T, atol=1e-10)
 
     def test_too_few_vectors(self):
         with pytest.raises(DegenerateDataError, match="degenerate data"):
