@@ -24,6 +24,53 @@ def assert_unit_sign_canonical(components):
         assert col[int(np.argmax(np.abs(col)))] > 0
 
 
+def random_symmetric(n, seed):
+    rng = SplitMix64(seed)
+    a = np.array([[rng.random() - 0.5 for _ in range(n)] for _ in range(n)])
+    return (a + a.T) / 2.0
+
+
+class TestJacobi:
+    """Eigenpairs from `_top_components` on random symmetric matrices.
+
+    The class keeps the name of the rotation solver that PCA used before
+    LAPACK's; the checks hold for any symmetric eigensolver.
+    """
+
+    @pytest.mark.parametrize("n,seed", [(2, 1), (3, 2), (5, 3), (8, 4), (12, 5)])
+    def test_matches_lapack_eigenvalues(self, n, seed):
+        a = random_symmetric(n, seed)
+        components = _top_components(a, n)
+        values = np.diag(components.T @ a @ components)
+        expected = sorted(np.linalg.eigvalsh(a), reverse=True)
+        assert np.allclose(values, expected, atol=1e-8)
+
+    def test_eigenpairs_satisfy_definition(self):
+        a = random_symmetric(6, 99)
+        components = _top_components(a, 6)
+        for i in range(6):
+            v = components[:, i]
+            assert np.allclose(a @ v, (v @ a @ v) * v, atol=1e-8)
+            assert np.isclose(v @ v, 1.0, atol=1e-10)
+
+    def test_vectors_orthogonal(self):
+        a = random_symmetric(7, 123)
+        components = _top_components(a, 7)
+        gram = components.T @ components
+        assert np.allclose(gram, np.eye(7), atol=1e-9)
+
+    def test_diagonal_matrix_unchanged(self):
+        d = np.diag([3.0, 1.0, 2.0])
+        components = _top_components(d, 3)
+        assert np.allclose(np.diag(components.T @ d @ components), [3.0, 2.0, 1.0])
+        assert np.allclose(np.abs(components), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
+
+    def test_one_by_one(self):
+        components = _top_components(np.array([[4.2]]), 1)
+        assert components.shape == (1, 1)
+        assert components[0, 0] == 1.0
+
+
 class TestTopComponents:
     def test_diagonal_matrix_gives_axes_by_value(self):
         components = _top_components(np.diag([3.0, 1.0, 2.0]), 2)
