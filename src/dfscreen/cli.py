@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import closing
 
 from . import clustering as clustering_mod
 from . import corpus, evaluation, triage
@@ -197,12 +198,16 @@ class ReviewPipeline:
             self._curated = (dataset, report, key)
         return self._curated
 
+    def _embed_key(self) -> str:
+        _, _, curate_key = self.curated()
+        return content_key(
+            "embed", {"provider": self.cfg.embedding.fingerprint()}, [curate_key]
+        )
+
     def vectors(self):
         if self._vectors is None:
-            dataset, _, curate_key = self.curated()
-            key = content_key(
-                "embed", {"provider": self.cfg.embedding.fingerprint()}, [curate_key]
-            )
+            dataset, _, _ = self.curated()
+            key = self._embed_key()
             ids = [r.id for r in dataset.records]
             if self.cache.has(key):
                 client = EmbeddingClient(
@@ -224,7 +229,7 @@ class ReviewPipeline:
 
     def points(self):
         if self._points is None:
-            ids, vecs, embed_key = self.vectors()
+            embed_key = self._embed_key()
             method = self.cfg.projection["method"]
             params = {"method": method}
             if method == "import":
@@ -235,6 +240,7 @@ class ReviewPipeline:
             if self.cache.has(key):
                 pts = read_points_jsonl(self.cache.path(key))
             else:
+                ids, vecs, _ = self.vectors()
                 if method == "import":
                     pts = project_2d(
                         ids,
@@ -477,7 +483,6 @@ def cmd_screen(args) -> int:
         return _dry_run_screen(cfg)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    response_cache = ResponseCache(os.path.join(cfg.cache_dir, "responses.jsonl"))
     os.makedirs(cfg.cache_dir, exist_ok=True)
     merged = CostLedger()
     manifest = {
@@ -487,25 +492,27 @@ def cmd_screen(args) -> int:
         "threshold": cfg.threshold,
         "reviews": {},
     }
-    for rid in sorted(cfg.reviews):
-        failures: list = []
-        pipe, dataset, results, ledger = _screen_review(
-            cfg, rid, response_cache, failures
-        )
-        merged.merge(ledger)
-        results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
-        triage.write_results_jsonl(results, results_path)
-        manifest["reviews"][rid] = {
-            "screen_key": pipe.screen_key(),
-            "records": len(dataset),
-            "results": os.path.basename(results_path),
-            "routed": sum(1 for r in results if r.routed),
-            "failed": sorted(rid_ for rid_, _ in failures),
-        }
-        print(
-            f"{rid}: screened {len(results)} records, "
-            f"routed {manifest['reviews'][rid]['routed']}"
-        )
+    log = os.path.join(cfg.cache_dir, "responses.jsonl")
+    with closing(ResponseCache(log)) as response_cache:
+        for rid in sorted(cfg.reviews):
+            failures: list = []
+            pipe, dataset, results, ledger = _screen_review(
+                cfg, rid, response_cache, failures
+            )
+            merged.merge(ledger)
+            results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
+            triage.write_results_jsonl(results, results_path)
+            manifest["reviews"][rid] = {
+                "screen_key": pipe.screen_key(),
+                "records": len(dataset),
+                "results": os.path.basename(results_path),
+                "routed": sum(1 for r in results if r.routed),
+                "failed": sorted(rid_ for rid_, _ in failures),
+            }
+            print(
+                f"{rid}: screened {len(results)} records, "
+                f"routed {manifest['reviews'][rid]['routed']}"
+            )
     manifest["ledger"] = merged.to_dict()
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -572,29 +579,30 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs the dfsl strategy")
     os.makedirs(args.out, exist_ok=True)
     os.makedirs(cfg.cache_dir, exist_ok=True)
-    response_cache = ResponseCache(os.path.join(cfg.cache_dir, "responses.jsonl"))
     out_rows = []
-    for rid in sorted(cfg.reviews):
-        pipe = _pipeline_for(cfg, rid)
-        dataset, _, _ = pipe.curated()
-        gold = {r.id: r.gold_label for r in dataset.records}
-        stage1, stage2 = _build_providers(cfg, gold)
-        points = triage.sweep_thresholds(
-            dataset,
-            *pipe.exemplars(),
-            _run_config(cfg),
-            stage1,
-            stage2,
-            pipe.criteria(),
-            thresholds,
-            cache=response_cache,
-        )
-        for pt in points:
-            out_rows.append((rid, pt.threshold, pt.f1, pt.routed_ratio))
-            print(
-                f"{rid} @ {pt.threshold:.2f}: F1={pt.f1:.4f} "
-                f"routed={pt.routed_ratio:.2%}"
+    log = os.path.join(cfg.cache_dir, "responses.jsonl")
+    with closing(ResponseCache(log)) as response_cache:
+        for rid in sorted(cfg.reviews):
+            pipe = _pipeline_for(cfg, rid)
+            dataset, _, _ = pipe.curated()
+            gold = {r.id: r.gold_label for r in dataset.records}
+            stage1, stage2 = _build_providers(cfg, gold)
+            points = triage.sweep_thresholds(
+                dataset,
+                *pipe.exemplars(),
+                _run_config(cfg),
+                stage1,
+                stage2,
+                pipe.criteria(),
+                thresholds,
+                cache=response_cache,
             )
+            for pt in points:
+                out_rows.append((rid, pt.threshold, pt.f1, pt.routed_ratio))
+                print(
+                    f"{rid} @ {pt.threshold:.2f}: F1={pt.f1:.4f} "
+                    f"routed={pt.routed_ratio:.2%}"
+                )
     sweep_path = os.path.join(args.out, "sweep.csv")
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("review_id,threshold,f1,routed_ratio\n")

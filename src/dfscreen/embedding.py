@@ -174,6 +174,4 @@ def write_vectors_jsonl(ids: list[str], vectors: list[np.ndarray], path: str) ->
     """Persist vectors in the format the file_import provider reads."""
     with open(path, "w", encoding="utf-8") as fh:
         for rid, vec in zip(ids, vectors):
-            fh.write(
-                json.dumps({"id": rid, "vector": [float(x) for x in vec]}) + "\n"
-            )
+            fh.write(json.dumps({"id": rid, "vector": vec.tolist()}) + "\n")

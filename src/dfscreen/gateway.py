@@ -251,9 +251,11 @@ class ResponseCache:
     """Completion cache keyed by (prompt digest, model, temperature).
 
     Optionally persisted as append-only JSONL so warm reruns replay
-    earlier calls for free.  A torn last line (a write cut short) is
-    truncated away on load and reported on stderr; a corrupt complete
-    line raises ResponseCacheError naming the file and line.
+    earlier calls for free: each new response is one ``write`` of one
+    line to the log, kept open for appending until ``close``.  A torn
+    last line (a write cut short) is truncated away on load and reported
+    on stderr; a corrupt complete line raises ResponseCacheError naming
+    the file and line.
     """
 
     def __init__(self, path: str | None = None):
@@ -261,6 +263,7 @@ class ResponseCache:
         self._mem: dict[str, LlmResponse] = {}
         self._lock = threading.Lock()
         self._loaded = path is None
+        self._log = None  # the log, opened for appending by the first put
 
     @staticmethod
     def key(prompt_text: str, model_id: str, temperature: float) -> str:
@@ -300,21 +303,36 @@ class ResponseCache:
             return self._mem.get(key)
 
     def put(self, key: str, response: LlmResponse) -> None:
+        line = None
+        if self.path:
+            row = {
+                "key": key,
+                "text": response.text,
+                "prompt_tokens": response.prompt_tokens,
+                "completion_tokens": response.completion_tokens,
+                "model_id": response.model_id,
+            }
+            line = (json.dumps(row) + "\n").encode("utf-8")
         with self._lock:
             self._ensure_loaded()
             if key in self._mem:
                 return
             self._mem[key] = response
-            if self.path:
-                row = {
-                    "key": key,
-                    "text": response.text,
-                    "prompt_tokens": response.prompt_tokens,
-                    "completion_tokens": response.completion_tokens,
-                    "model_id": response.model_id,
-                }
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(row) + "\n")
+            if line is not None:
+                if self._log is None:
+                    # Opened after _ensure_loaded has cut any torn tail.
+                    self._log = open(self.path, "ab", buffering=0)
+                # One write unless it comes up short (a full disk): the
+                # rest is retried, so that error is raised, not swallowed.
+                while line:
+                    line = line[self._log.write(line):]
+
+    def close(self) -> None:
+        """Close the log; a later ``put`` opens it again."""
+        with self._lock:
+            if self._log is not None:
+                self._log.close()
+                self._log = None
 
     def __len__(self) -> int:
         with self._lock:

@@ -8,17 +8,21 @@ counts as zero confidence so it always escalates; unparseable stage-2
 output fails safe to exclude and is flagged for audit.
 
 This module is the one place that turns a review into prompts
-(``prompter``, also behind the CLI's dry run) and runs them (one thread
-pool and failure budget for the cascade and the single-model baselines).
-A threshold sweep is scored from a single cascade run.
+(``prompter``, also behind the CLI's dry run) and runs them (one
+executor and failure budget for the cascade and the single-model
+baselines).  The executor's workers drain the records: up to
+``parallelism`` of them, the calling thread included, each take the
+next record until none is left, so ``parallelism=1`` runs everything on
+the calling thread and never more than ``parallelism`` provider calls
+are in flight.  A threshold sweep is scored from a single cascade run.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .clustering import Clustering
@@ -178,14 +182,19 @@ def _screen_all(
     failures: list | None,
     sleep,
 ) -> list[ScreeningResult]:
-    """Screen every record on a thread pool. Results come back id-sorted.
+    """Screen every record; at most ``parallelism`` at a time.
+
+    Up to ``parallelism`` workers, the calling thread among them, take
+    records in dataset order until none is left, so ``parallelism=1``
+    starts no thread.  Results come back id-sorted.
 
     With ``stage2_provider`` None the stage-1 answer is final; an
     unparseable final answer fails safe to exclude and is flagged.
     Individual provider failures are isolated (collected into
     ``failures`` when a list is passed); more than 10% failed records
     aborts with a RunError since the run is no longer representative.
-    Any other error cancels the records not yet started and propagates.
+    Any other error stops the workers from starting another record and
+    is re-raised once they have finished the ones in hand.
     """
 
     def ask(provider, prompt: RenderedPrompt, tags: dict):
@@ -216,18 +225,47 @@ def _screen_all(
             unparsed_final=answer is None,
         )
 
+    records = dataset.records
+    outcomes: list = [None] * len(records)
+    indices = iter(range(len(records)))
+    claim = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with claim:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                outcomes[i] = screen_one(records[i])
+            except ProviderError as exc:
+                outcomes[i] = exc
+            except BaseException as exc:  # re-raised by the caller after the join
+                outcomes[i] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(parallelism, len(records)) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        # Every index is claimed unless something failed; either way the
+        # helpers finish the record in hand and start no other.
+        stop.set()
+        for t in helpers:
+            t.join()
     results: list[ScreeningResult] = []
     failed: list[tuple[str, str]] = []
-    executor = ThreadPoolExecutor(max_workers=parallelism)
-    try:
-        futures = {r.id: executor.submit(screen_one, r) for r in dataset.records}
-        for rid, fut in futures.items():
-            try:
-                results.append(fut.result())
-            except ProviderError as exc:
-                failed.append((rid, str(exc)))
-    finally:
-        executor.shutdown(cancel_futures=True)
+    for record, outcome in zip(records, outcomes):
+        if isinstance(outcome, ProviderError):
+            failed.append((record.id, str(outcome)))
+        elif isinstance(outcome, BaseException):
+            raise outcome
+        else:
+            results.append(outcome)
     if failures is not None:
         failures.extend(failed)
     if len(dataset) > 0 and len(failed) / len(dataset) > 0.10:

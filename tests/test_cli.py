@@ -11,7 +11,7 @@ import pytest
 import dfscreen
 from dfscreen import cli, corpus, embedding, synth
 from dfscreen.corpus import EXCLUDE, write_dataset_jsonl
-from dfscreen.gateway import ProviderError
+from dfscreen.gateway import ProviderError, ResponseCache
 from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
@@ -396,6 +396,60 @@ class TestResponseLog:
         rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_CONFIG
         assert f"{log}:2: corrupt response cache line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,fail", [("screen", False), ("sweep", False),
+                                              ("screen", True)],
+                             ids=["screen", "sweep", "failed-screen"])
+    def test_commands_close_the_log(self, ws, tmp_path, monkeypatch, command, fail):
+        caches = []
+
+        class Tracked(ResponseCache):
+            closed = False
+
+            def __init__(self, path):
+                super().__init__(path)
+                caches.append(self)
+
+            def close(self):
+                super().close()
+                self.closed = True
+
+        def explode(*args, **kwargs):
+            raise RunError("9 of 80 records failed")
+
+        monkeypatch.setattr(cli, "ResponseCache", Tracked)
+        if fail:
+            monkeypatch.setattr(cli.triage, "run_two_stage", explode)
+        rc = cli.main([command, "--config", ws, "--out", str(tmp_path / "out")])
+        assert rc == (cli.EXIT_PROVIDER if fail else cli.EXIT_OK)
+        assert len(caches) == 1 and caches[0].closed
+
+
+class TestWarmPipeline:
+    def test_warm_screen_never_reads_vectors(self, tmp_path, monkeypatch):
+        config_path = build_workspace(str(tmp_path / "ws"))
+        cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+        assert cli.main(["screen", "--config", config_path, "--out", cold]) == cli.EXIT_OK
+        real = embedding.EmbeddingClient.embed_batch
+
+        def refuse(self, texts, ids=None):
+            raise embedding.EmbeddingError(f"{self.config.kind} vectors requested")
+
+        monkeypatch.setattr(embedding.EmbeddingClient, "embed_batch", refuse)
+        assert cli.main(["screen", "--config", config_path, "--out", warm]) == cli.EXIT_OK
+        for shape in SHAPES:
+            name = f"results_{shape.review_id}.jsonl"
+            assert slurp(os.path.join(warm, name)) == slurp(os.path.join(cold, name))
+
+        kinds = []
+
+        def record(self, texts, ids=None):
+            kinds.append(self.config.kind)
+            return real(self, texts, ids)
+
+        monkeypatch.setattr(embedding.EmbeddingClient, "embed_batch", record)
+        assert cli.main(["embed", "--config", config_path]) == cli.EXIT_OK
+        assert kinds == ["file_import"] * len(SHAPES)
 
 
 class TestReproducibility:

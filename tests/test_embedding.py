@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -136,6 +139,25 @@ class TestClient:
         vecs = client.embed_batch(["ignored", "ignored"], ids=["b", "a"])
         assert np.array_equal(vecs[0], np.array([3.0, 4.0]))
         assert np.array_equal(vecs[1], np.array([1.0, 2.0]))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(width=64),
+                st.sampled_from([-0.0, 5e-324, -2.225e-308, 1.7976931348623157e308,
+                                 -1e300]),
+            ),
+            max_size=20,
+        )
+    )
+    def test_vector_rows_match_per_element_floats(self, values):
+        vec = np.array(values, dtype=np.float64)
+        expected = json.dumps({"id": "r", "vector": [float(x) for x in vec]}) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "vectors.jsonl")
+            write_vectors_jsonl(["r"], [vec], path)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == expected
 
     def test_file_import_requires_ids(self, tmp_path):
         path = str(tmp_path / "vectors.jsonl")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 
 import pytest
 import requests
@@ -350,6 +352,73 @@ class TestResponseCache:
         cache = ResponseCache(str(tmp_path / "nope.jsonl"))
         assert cache.get("k") is None
         assert len(cache) == 0
+
+    def test_concurrent_puts_write_whole_lines(self, tmp_path):
+        path = str(tmp_path / "responses.jsonl")
+        cache = ResponseCache(path)
+
+        def response(t, i):
+            return LlmResponse(f"answer {t}/{i} " + "x" * (i % 50), i, t, f"m{t}")
+
+        def fill(t):
+            for i in range(200):
+                cache.put(f"k{t}-{i}", response(t, i))
+
+        # Tiny switch interval: threads preempt each other between bytecodes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(t,)) for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        cache.close()
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == 1601
+        assert len({json.loads(line)["key"] for line in lines[:-1]}) == 1600
+        again = ResponseCache(path)
+        assert len(again) == 1600
+        for t in range(8):
+            for i in range(200):
+                assert again.get(f"k{t}-{i}") == response(t, i)
+
+    def test_repeated_key_writes_nothing(self, tmp_path):
+        path = str(tmp_path / "responses.jsonl")
+        resp = LlmResponse(text="x", prompt_tokens=1, completion_tokens=1, model_id="m")
+        first = ResponseCache(path)
+        first.put("k", resp)
+        first.close()
+        with open(path, "rb") as fh:
+            before = fh.read()
+        again = ResponseCache(path)
+        again.put("k", LlmResponse(text="y", prompt_tokens=2, completion_tokens=2,
+                                   model_id="m"))
+        again.close()
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert again.get("k") == resp
+
+    def test_reopened_log_appends_after_existing_lines(self, tmp_path):
+        path = str(tmp_path / "responses.jsonl")
+        r1 = LlmResponse(text="one", prompt_tokens=1, completion_tokens=1, model_id="m")
+        r2 = LlmResponse(text="two", prompt_tokens=2, completion_tokens=2, model_id="m")
+        first = ResponseCache(path)
+        first.put("k1", r1)
+        first.close()
+        first.close()  # closing twice is harmless
+        second = ResponseCache(path)
+        second.put("k2", r2)
+        second.close()
+        with open(path, encoding="utf-8") as fh:
+            keys = [json.loads(line)["key"] for line in fh]
+        assert keys == ["k1", "k2"]
+        third = ResponseCache(path)
+        assert (third.get("k1"), third.get("k2"), len(third)) == (r1, r2, 2)
 
 
 class FakeHttpResponse:

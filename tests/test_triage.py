@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dfscreen import synth, triage
-from dfscreen.corpus import EXCLUDE, INCLUDE, strip_labels
+from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset, strip_labels
 from dfscreen.evaluation import confusion, metrics
 from dfscreen.gateway import (
     Decision,
@@ -345,6 +349,132 @@ class TestSingleStage:
             run_single_stage(
                 small_dataset, Strategy.DYNAMIC_FEW_SHOT, MappedProvider("m"), "C."
             )
+
+
+@dataclass
+class SlowFailure(MappedProvider):
+    """Fails the records in ``slow`` only after a pause, so they fail last."""
+
+    slow: tuple = ()
+
+    def send(self, prompt_text, temperature, max_tokens, tags):
+        if tags["record_id"] in self.slow:
+            time.sleep(0.05)
+        return super().send(prompt_text, temperature, max_tokens, tags)
+
+
+class TestExecutor:
+    def run(self, pipeline, s1, s2=None, parallelism=8, failures=None):
+        dataset, points, clustering, pool = pipeline
+        s2 = s2 or MappedProvider("s2", default=answer(EXCLUDE, 0.99))
+        return run_two_stage(
+            dataset, pool, clustering, points, make_cfg(parallelism=parallelism),
+            s1, s2, "C.", failures=failures,
+        )
+
+    def test_error_stops_the_run_before_the_next_record(
+        self, small_pipeline, monkeypatch
+    ):
+        dataset = small_pipeline[0]
+        third = dataset.records[2].id
+        real_render = triage.render
+
+        def render(strategy, criteria, record, instances):
+            if record.id == third:
+                raise ValueError("no prompt for the third record")
+            return real_render(strategy, criteria, record, instances)
+
+        monkeypatch.setattr(triage, "render", render)
+        s1 = MappedProvider("s1", default=answer(EXCLUDE, 0.99))
+        with pytest.raises(ValueError, match="third record"):
+            self.run(small_pipeline, s1, parallelism=1)
+        assert [rid for rid, _ in s1.calls] == [r.id for r in dataset.records[:2]]
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_failures_listed_in_dataset_order(self, small_pipeline, parallelism):
+        dataset = small_pipeline[0]
+        ids = [r.id for r in dataset.records]
+        doomed = [ids[i] for i in (3, 17, 18, 40, 59)]  # 5/60, within budget
+        s1 = SlowFailure(
+            "s1",
+            default=answer(EXCLUDE, 0.99),
+            errors={rid: ProviderError(f"down: {rid}") for rid in doomed},
+            slow=(doomed[0],),
+        )
+        failures = []
+        results, _ = self.run(small_pipeline, s1, parallelism=parallelism,
+                              failures=failures)
+        assert failures == [(rid, f"down: {rid}") for rid in doomed]
+        assert [r.record_id for r in results] == sorted(set(ids) - set(doomed))
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_run_error_names_the_first_failure_in_dataset_order(
+        self, small_pipeline, parallelism
+    ):
+        ids = [r.id for r in small_pipeline[0].records]
+        doomed = [ids[i] for i in (5, 9, 21, 22, 30, 44, 58)]  # 7/60 > 10%
+        s1 = SlowFailure(
+            "s1",
+            default=answer(EXCLUDE, 0.99),
+            errors={rid: ProviderError("down") for rid in doomed},
+            slow=(doomed[0],),
+        )
+        failures = []
+        with pytest.raises(RunError) as info:
+            self.run(small_pipeline, s1, parallelism=parallelism, failures=failures)
+        assert str(info.value) == (
+            f"7 of 60 records failed (12%); first: ({doomed[0]!r}, 'down')"
+        )
+        assert [rid for rid, _ in failures] == doomed
+
+    def test_parallelism_one_runs_on_the_calling_thread(self, small_pipeline):
+        seen = set()
+
+        class Recording(MappedProvider):
+            def send(self, prompt_text, temperature, max_tokens, tags):
+                seen.add(threading.get_ident())
+                return super().send(prompt_text, temperature, max_tokens, tags)
+
+        s1 = Recording("s1", default=answer(INCLUDE, 0.5))  # every record routes
+        s2 = Recording("s2", default=answer(INCLUDE, 0.99))
+        results, _ = self.run(small_pipeline, s1, s2, parallelism=1)
+        assert len(s1.calls) == len(s2.calls) == len(results) == 60
+        assert seen == {threading.get_ident()}
+
+    def test_empty_dataset(self):
+        provider = MappedProvider("base", default="exclude")
+        failures = []
+        results, ledger = run_single_stage(
+            ReviewDataset("EMPTY", []), Strategy.ZERO_SHOT, provider, "C.",
+            failures=failures,
+        )
+        assert results == [] and failures == [] and provider.calls == []
+        assert ledger.models() == []
+
+    def test_more_workers_than_records(self, tiny):
+        dataset = tiny[0]
+        provider = MappedProvider("base", default="exclude")
+        results, _ = run_single_stage(
+            dataset, Strategy.ZERO_SHOT, provider, "C.", parallelism=64
+        )
+        assert [r.record_id for r in results] == sorted(r.id for r in dataset.records)
+        assert len(provider.calls) == len(dataset)
+
+    def test_every_record_screened_once_under_contention(self, small_pipeline):
+        # Tiny switch interval: workers preempt each other between bytecodes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            s1 = MappedProvider("s1", default=answer(INCLUDE, 0.5))
+            s2 = MappedProvider("s2", default=answer(INCLUDE, 0.99))
+            results, ledger = self.run(small_pipeline, s1, s2, parallelism=8)
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [r.id for r in small_pipeline[0].records]
+        assert Counter(rid for rid, _ in s1.calls) == Counter(ids)
+        assert Counter(rid for rid, _ in s2.calls) == Counter(ids)
+        assert [r.record_id for r in results] == sorted(ids)
+        assert ledger.entry("s1").call_count == ledger.entry("s2").call_count == 60
 
 
 class TestRoutedRatio:
