@@ -40,25 +40,14 @@ class Clustering:
         return sorted(rid for rid, c in self.assignment.items() if c == cluster)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "centroids": [[c.x, c.y] for c in self.centroids],
-                "assignment": self.assignment,
-                "inertia": self.inertia,
-            },
-            sort_keys=True,
-        )
+        # Centroids are named tuples, so they serialise as [x, y] pairs.
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Clustering":
-        obj = json.loads(text)
-        return cls(
-            k=obj["k"],
-            centroids=[Point2D(float(x), float(y)) for x, y in obj["centroids"]],
-            assignment={str(k): int(v) for k, v in obj["assignment"].items()},
-            inertia=float(obj["inertia"]),
-        )
+        clustering = cls(**json.loads(text))
+        clustering.centroids = [Point2D(*c) for c in clustering.centroids]
+        return clustering
 
 
 def choose_k(n: int, override: int | None = None) -> int:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .corpus import INCLUDE
 
@@ -227,22 +228,6 @@ def paired_t_test(
 
 # --- Reports ----------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "review_id",
-    "tp",
-    "fp",
-    "fn",
-    "tn",
-    "precision",
-    "recall",
-    "f1",
-    "accuracy",
-    "routed_ratio",
-    "usd_stage1",
-    "usd_stage2",
-]
-
-
 @dataclass(frozen=True)
 class ReviewMetrics:
     review_id: str
@@ -257,6 +242,11 @@ class ReviewMetrics:
     routed_ratio: float
     usd_stage1: float
     usd_stage2: float
+
+
+# The report.csv header, and the parser of each column, in field order.
+CSV_COLUMNS = [f.name for f in fields(ReviewMetrics)]
+_COLUMN_TYPES = list(get_type_hints(ReviewMetrics).values())
 
 
 @dataclass
@@ -301,20 +291,8 @@ def evaluate_run(
     cm = confusion(finals, gold)
     m = metrics(cm)
     routed = sum(1 for r in results if r.routed) / len(results)
-    return ReviewMetrics(
-        review_id=review_id,
-        tp=cm.tp,
-        fp=cm.fp,
-        fn=cm.fn,
-        tn=cm.tn,
-        precision=m["precision"],
-        recall=m["recall"],
-        f1=m["f1"],
-        accuracy=m["accuracy"],
-        routed_ratio=routed,
-        usd_stage1=usd_stage1,
-        usd_stage2=usd_stage2,
-    )
+    return ReviewMetrics(review_id=review_id, **vars(cm), **m, routed_ratio=routed,
+                         usd_stage1=usd_stage1, usd_stage2=usd_stage2)
 
 
 def write_report(
@@ -330,23 +308,7 @@ def write_report(
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.review_id,
-                    r.tp,
-                    r.fp,
-                    r.fn,
-                    r.tn,
-                    repr(r.precision),
-                    repr(r.recall),
-                    repr(r.f1),
-                    repr(r.accuracy),
-                    repr(r.routed_ratio),
-                    repr(r.usd_stage1),
-                    repr(r.usd_stage2),
-                ]
-            )
+        writer.writerows(vars(r).values() for r in report.rows)
     if json_path is None:
         return
     summary = {
@@ -356,14 +318,7 @@ def write_report(
         "usd_total": sum(r.usd_stage1 + r.usd_stage2 for r in report.rows),
     }
     if t_test is not None:
-        summary["paired_t_test"] = {
-            "t_statistic": t_test.t_statistic,
-            "df": t_test.df,
-            "p_value": t_test.p_value,
-            "two_sided": t_test.two_sided,
-            "lower_tail_p": t_test.lower_tail_p,
-            "upper_tail_p": t_test.upper_tail_p,
-        }
+        summary["paired_t_test"] = vars(t_test)
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -372,28 +327,21 @@ def write_report(
 def read_report_csv(path: str) -> MetricsReport:
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_COLUMNS:
+            raise EvaluationError(f"{path}: unexpected columns {header}")
+        try:
+            for values in reader:
+                if not values:
+                    continue
+                if len(values) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(values)} values, {len(CSV_COLUMNS)} columns")
+                rows.append(ReviewMetrics(*(t(v) for t, v in zip(_COLUMN_TYPES, values))))
+        except (ValueError, csv.Error) as exc:
             raise EvaluationError(
-                f"{path}: unexpected columns {reader.fieldnames}"
-            )
-        for row in reader:
-            rows.append(
-                ReviewMetrics(
-                    review_id=row["review_id"],
-                    tp=int(row["tp"]),
-                    fp=int(row["fp"]),
-                    fn=int(row["fn"]),
-                    tn=int(row["tn"]),
-                    precision=float(row["precision"]),
-                    recall=float(row["recall"]),
-                    f1=float(row["f1"]),
-                    accuracy=float(row["accuracy"]),
-                    routed_ratio=float(row["routed_ratio"]),
-                    usd_stage1=float(row["usd_stage1"]),
-                    usd_stage2=float(row["usd_stage2"]),
-                )
-            )
+                f"{path}:{reader.line_num}: unreadable row: {exc}"
+            ) from None
     return MetricsReport(rows=rows)
 
 

@@ -13,7 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .clustering import Clustering
+import numpy as np
+
+from .clustering import Clustering, nearest_centroid
 from .corpus import EXCLUDE, INCLUDE, ReviewDataset
 from .projection import Point2D
 
@@ -137,13 +139,8 @@ def select_instances(
             raise PoolError(
                 f"cannot place target {target_id!r}: not clustered and no point"
             )
-        p = points[target_id]
-        best = None
-        for c, centroid in enumerate(clustering.centroids):
-            d = math.hypot(p.x - centroid.x, p.y - centroid.y)
-            if best is None or d < best[0]:
-                best = (d, c)
-        cluster = best[1]
+        cluster = nearest_centroid(np.array(points[target_id]),
+                                   np.array(clustering.centroids))
     return pool.select_for_cluster(target_id, cluster)
 
 

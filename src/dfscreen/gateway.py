@@ -3,10 +3,13 @@
 Everything that talks to a language model goes through ``complete``:
 retries with exponential backoff, token accounting (provider-reported
 usage when present, a character-count estimate otherwise), a response
-cache keyed by prompt/model/temperature, and a thread-safe cost ledger.
-Providers are small objects exposing ``send``; the HTTP one speaks the
-chat-completions wire shape, the scripted and oracle ones exist for
-tests and benchmark runs that must cost nothing.
+cache keyed by prompt/provider/temperature, and a thread-safe cost ledger.
+Providers are small objects exposing ``model_id`` and ``send``; the HTTP
+one speaks the chat-completions wire shape, the scripted and oracle ones
+exist for tests and benchmark runs that must cost nothing.  A provider's
+``identity``, when it has one, names everything besides the prompt and
+temperature that decides its answers (endpoint, oracle profile and
+seed); the response cache keys on it, and on ``model_id`` otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
@@ -113,10 +116,6 @@ class CostLedger:
         self._pricing: dict[str, ModelPricing] = dict(pricing or {})
         self._lock = threading.Lock()
 
-    def set_pricing(self, model_id: str, pricing: ModelPricing) -> None:
-        with self._lock:
-            self._pricing[model_id] = pricing
-
     def record(
         self,
         model_id: str,
@@ -136,10 +135,7 @@ class CostLedger:
 
     def entry(self, model_id: str) -> LedgerEntry:
         with self._lock:
-            e = self._entries.get(model_id, LedgerEntry())
-            return LedgerEntry(
-                e.prompt_tokens, e.completion_tokens, e.call_count, e.cache_hits
-            )
+            return replace(self._entries.get(model_id, LedgerEntry()))
 
     def models(self) -> list[str]:
         with self._lock:
@@ -163,10 +159,8 @@ class CostLedger:
             e = other.entry(model_id)
             with self._lock:
                 mine = self._entries.setdefault(model_id, LedgerEntry())
-                mine.prompt_tokens += e.prompt_tokens
-                mine.completion_tokens += e.completion_tokens
-                mine.call_count += e.call_count
-                mine.cache_hits += e.cache_hits
+                for name, count in vars(e).items():
+                    setattr(mine, name, getattr(mine, name) + count)
         with other._lock:
             pricing = dict(other._pricing)
         for model_id, p in pricing.items():
@@ -174,17 +168,8 @@ class CostLedger:
                 self._pricing.setdefault(model_id, p)
 
     def to_dict(self) -> dict:
-        out = {}
-        for model_id in self.models():
-            e = self.entry(model_id)
-            out[model_id] = {
-                "prompt_tokens": e.prompt_tokens,
-                "completion_tokens": e.completion_tokens,
-                "call_count": e.call_count,
-                "cache_hits": e.cache_hits,
-                "usd": self.usd_for(model_id),
-            }
-        return out
+        return {m: {**vars(self.entry(m)), "usd": self.usd_for(m)}
+                for m in self.models()}
 
 
 def estimate_tokens(text: str) -> int:
@@ -248,7 +233,7 @@ def parse_decision(text: str, expects_confidence: bool) -> Decision:
 
 
 class ResponseCache:
-    """Completion cache keyed by (prompt digest, model, temperature).
+    """Completion cache keyed by (prompt digest, provider, temperature).
 
     Optionally persisted as append-only JSONL so warm reruns replay
     earlier calls for free: each new response is one ``write`` of one
@@ -305,14 +290,7 @@ class ResponseCache:
     def put(self, key: str, response: LlmResponse) -> None:
         line = None
         if self.path:
-            row = {
-                "key": key,
-                "text": response.text,
-                "prompt_tokens": response.prompt_tokens,
-                "completion_tokens": response.completion_tokens,
-                "model_id": response.model_id,
-            }
-            line = (json.dumps(row) + "\n").encode("utf-8")
+            line = (json.dumps({"key": key, **vars(response)}) + "\n").encode("utf-8")
         with self._lock:
             self._ensure_loaded()
             if key in self._mem:
@@ -362,7 +340,8 @@ def complete(
     """
     key = None
     if cache is not None:
-        key = ResponseCache.key(prompt_text, provider.model_id, temperature)
+        identity = getattr(provider, "identity", provider.model_id)
+        key = ResponseCache.key(prompt_text, identity, temperature)
         hit = cache.get(key)
         if hit is not None:
             ledger.record_cache_hit(provider.model_id)
@@ -445,8 +424,9 @@ class HttpChatProvider:
     ):
         self.model_id = model_id
         self.url = url
-        self.api_key = api_key
+        self.api_key = api_key  # never part of the identity
         self.timeout = timeout
+        self.identity = f"{model_id}@{url}"
 
     def send(self, prompt_text, temperature, max_tokens, tags):
         import requests
@@ -520,6 +500,7 @@ class OracleProvider:
         self.gold = gold
         self.profile = profile
         self.seed = seed
+        self.identity = f"{model_id}@{astuple(profile)}:{seed}"
 
     def send(self, prompt_text, temperature, max_tokens, tags):
         record_id = (tags or {}).get("record_id")

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 from .clustering import Clustering
 from .corpus import EXCLUDE, ReviewDataset, StudyRecord
+from .evaluation import EvaluationError, confusion, metrics
 from .exemplar_pool import ExemplarPool, select_instances
 from .gateway import (
     CostLedger,
@@ -86,43 +87,15 @@ class ScreeningResult:
     unparsed_final: bool = False
 
     def to_dict(self) -> dict:
-        def dec(d: Decision | None):
-            if d is None:
-                return None
-            return {"label": d.label, "confidence": d.confidence}
-
-        return {
-            "record_id": self.record_id,
-            "stage1": dec(self.stage1),
-            "routed": self.routed,
-            "stage2": dec(self.stage2),
-            "final": self.final,
-            "stage1_prompt_tokens": self.stage1_prompt_tokens,
-            "stage1_completion_tokens": self.stage1_completion_tokens,
-            "stage2_prompt_tokens": self.stage2_prompt_tokens,
-            "stage2_completion_tokens": self.stage2_completion_tokens,
-            "unparsed_final": self.unparsed_final,
-        }
+        """The ``results_*.jsonl`` row: every field, decisions as dicts."""
+        return {name: dict(vars(v)) if isinstance(v, Decision) else v
+                for name, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, row: dict) -> "ScreeningResult":
-        def dec(obj):
-            if obj is None:
-                return None
-            return Decision(label=obj["label"], confidence=obj.get("confidence"))
-
-        return cls(
-            record_id=row["record_id"],
-            stage1=dec(row["stage1"]),
-            routed=row["routed"],
-            stage2=dec(row["stage2"]),
-            final=row["final"],
-            stage1_prompt_tokens=row.get("stage1_prompt_tokens", 0),
-            stage1_completion_tokens=row.get("stage1_completion_tokens", 0),
-            stage2_prompt_tokens=row.get("stage2_prompt_tokens", 0),
-            stage2_completion_tokens=row.get("stage2_completion_tokens", 0),
-            unparsed_final=row.get("unparsed_final", False),
-        )
+        """Inverse of ``to_dict``; a field an older file lacks takes its default."""
+        return cls(**{name: Decision(**v) if isinstance(v, dict) else v
+                      for name, v in row.items()})
 
 
 def effective_confidence(stage1: Decision | None) -> float:
@@ -372,8 +345,6 @@ def sweep_thresholds(
     highest threshold adds.  Needs gold labels, and every record: a
     provider failure on any record raises RunError.
     """
-    from .evaluation import confusion, metrics
-
     for th in thresholds:
         if not 0.0 <= th <= 1.0:
             raise ValueError(f"threshold {th} outside [0,1]")
@@ -412,8 +383,14 @@ def write_results_jsonl(results: list[ScreeningResult], path: str) -> None:
 
 def read_results_jsonl(path: str) -> list[ScreeningResult]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 out.append(ScreeningResult.from_dict(json.loads(line)))
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise EvaluationError(
+                    f"{path}:{lineno}: unreadable result row: {exc}"
+                ) from None
     return out

@@ -11,7 +11,7 @@ import pytest
 import dfscreen
 from dfscreen import cli, corpus, embedding, synth
 from dfscreen.corpus import EXCLUDE, write_dataset_jsonl
-from dfscreen.gateway import ProviderError, ResponseCache
+from dfscreen.gateway import OracleProvider, ProviderError, ResponseCache
 from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
@@ -425,6 +425,42 @@ class TestResponseLog:
         assert len(caches) == 1 and caches[0].closed
 
 
+class TestResponseCacheKey:
+    def test_oracle_profile_change_misses_the_cache(self, tmp_path, monkeypatch):
+        root = tmp_path / "ws"
+        config_path = build_workspace(str(root))
+        assert cli.main(["screen", "--config", config_path,
+                         "--out", str(tmp_path / "cold")]) == cli.EXIT_OK
+        with open(config_path) as fh:
+            config = json.load(fh)
+        config["provider"]["profile"]["p_hi"] = 0.2
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        config["cache_dir"] = "fresh_cache"
+        fresh_config = str(root / "fresh.json")
+        with open(fresh_config, "w") as fh:
+            json.dump(config, fh)
+
+        sent = []
+        real_send = OracleProvider.send
+
+        def counted(self, prompt_text, temperature, max_tokens, tags):
+            sent.append(self.model_id)
+            return real_send(self, prompt_text, temperature, max_tokens, tags)
+
+        monkeypatch.setattr(OracleProvider, "send", counted)
+        warm, fresh = str(tmp_path / "warm"), str(tmp_path / "fresh")
+        assert cli.main(["screen", "--config", config_path, "--out", warm]) == cli.EXIT_OK
+        stage1_model = cli.PipelineConfig.load(config_path).stage1["model"]
+        with open(os.path.join(warm, "manifest.json")) as fh:
+            records = sum(r["records"] for r in json.load(fh)["reviews"].values())
+        assert sent.count(stage1_model) == records
+        assert cli.main(["screen", "--config", fresh_config, "--out", fresh]) == cli.EXIT_OK
+        for shape in SHAPES:
+            name = f"results_{shape.review_id}.jsonl"
+            assert slurp(os.path.join(warm, name)) == slurp(os.path.join(fresh, name))
+
+
 class TestWarmPipeline:
     def test_warm_screen_never_reads_vectors(self, tmp_path, monkeypatch):
         config_path = build_workspace(str(tmp_path / "ws"))
@@ -502,6 +538,18 @@ class TestEvaluate:
         assert rc == cli.EXIT_EVALUATION
         assert "evaluation error" in capsys.readouterr().err
 
+    def test_results_cut_mid_line_is_exit_4(self, ws, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cli.main(["screen", "--config", ws, "--out", out]) == cli.EXIT_OK
+        path = os.path.join(out, "results_REV-B.jsonl")
+        lines = slurp(path).splitlines(keepends=True)
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", ws, "--results", out])
+        assert rc == cli.EXIT_EVALUATION
+        assert f"{path}:{len(lines)}: unreadable result row" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_table(self, ws, tmp_path, capsys):
@@ -554,6 +602,22 @@ class TestCompare:
         rc = cli.main(["compare", "--run-a", report, "--run-b", report])
         assert rc == cli.EXIT_EVALUATION
         assert "runs identical" in capsys.readouterr().err
+
+    def test_bad_integer_in_report_is_exit_4(self, ws, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cli.main(["screen", "--config", ws, "--out", out]) == cli.EXIT_OK
+        assert cli.main(["evaluate", "--config", ws, "--results", out]) == cli.EXIT_OK
+        report = os.path.join(out, "report.csv")
+        with open(report, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][rows[0].index("tp")] = "x"
+        bad = str(tmp_path / "bad.csv")
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        rc = cli.main(["compare", "--run-a", report, "--run-b", bad])
+        assert rc == cli.EXIT_EVALUATION
+        assert f"{bad}:3: unreadable row" in capsys.readouterr().err
 
     def test_compare_two_runs(self, ws, tmp_path, capsys):
         out_a = str(tmp_path / "cascade")

@@ -525,6 +525,25 @@ class TestHttpChatProvider:
         with pytest.raises(ProviderError, match="malformed"):
             provider.send("p", temperature=0.0, max_tokens=None, tags=None)
 
+    def test_same_model_at_two_urls_shares_no_cache_entry(self, monkeypatch):
+        posted = []
+
+        def fake_post(url, **kwargs):
+            posted.append(url)
+            return FakeHttpResponse(body=self.chat_body(f"exclude, says {url}"))
+
+        monkeypatch.setattr(gateway.requests, "post", fake_post)
+        cache = ResponseCache()
+        a = gateway.HttpChatProvider("m", "http://a.test", api_key="sk-a")
+        b = gateway.HttpChatProvider("m", "http://b.test", api_key="sk-a")
+        assert complete("p", a, CostLedger(), cache=cache).text == "exclude, says http://a.test"
+        assert complete("p", b, CostLedger(), cache=cache).text == "exclude, says http://b.test"
+        assert posted == ["http://a.test", "http://b.test"] and len(cache) == 2
+        # The API key is a credential, not part of what answers.
+        rekeyed = gateway.HttpChatProvider("m", "http://a.test", api_key="sk-other")
+        assert complete("p", rekeyed, CostLedger(), cache=cache).text.endswith("a.test")
+        assert len(posted) == 2 and "sk-" not in a.identity
+
 
 class TestOracleProvider:
     def gold(self, n=200):
