@@ -27,14 +27,12 @@ from .exemplar_pool import ExemplarPool, PoolError, build_pool
 from .gateway import (
     CostLedger,
     HttpChatProvider,
-    LedgerEntry,
     ModelPricing,
     OracleProfile,
     OracleProvider,
     ProviderError,
     ResponseCache,
     ResponseCacheError,
-    estimate_cost,
     estimate_tokens,
 )
 from .projection import (
@@ -455,11 +453,10 @@ def _dry_run_screen(cfg: PipelineConfig) -> int:
         )
         calls = len(dataset) * stages
         completion_tokens = len(dataset) * DRY_RUN_COMPLETION_TOKENS
-        entry = LedgerEntry(prompt_tokens, completion_tokens)
-        cost = estimate_cost(entry, cfg.stage1["pricing"])
+        cost = cfg.stage1["pricing"].cost(prompt_tokens, completion_tokens)
         if stages == 2:
             # Upper bound assumes every record routes.
-            cost += estimate_cost(entry, cfg.stage2["pricing"])
+            cost += cfg.stage2["pricing"].cost(prompt_tokens, completion_tokens)
         total_calls += calls
         usd_upper += cost
         print(f"{rid}: {len(dataset)} records, up to {calls} calls, <= ${cost:.2f}")

@@ -130,23 +130,6 @@ def curate(dataset: ReviewDataset) -> tuple[ReviewDataset, CurationReport]:
     return ReviewDataset(dataset.review_id, kept), report
 
 
-def inclusion_rate(datasets: list[ReviewDataset], pooled: bool = True) -> float:
-    """Fraction of gold includes, either pooled or averaged per review."""
-    if not datasets:
-        raise ValueError("no datasets")
-    if pooled:
-        total = sum(len(d) for d in datasets)
-        if total == 0:
-            raise ValueError("no records")
-        return sum(d.include_count() for d in datasets) / total
-    rates = []
-    for d in datasets:
-        if len(d) == 0:
-            raise ValueError(f"empty dataset {d.review_id}")
-        rates.append(d.include_count() / len(d))
-    return sum(rates) / len(rates)
-
-
 _REQUIRED_FIELDS = ("id", "title", "abstract")
 
 

@@ -148,19 +148,12 @@ def build_pool(
     dataset: ReviewDataset,
     clustering: Clustering,
     points: dict[str, Point2D],
-    labeled_ids: set[str] | None = None,
 ) -> ExemplarPool:
     """Rank every labeled record against every cluster centroid.
 
-    ``labeled_ids`` restricts which records may serve as exemplars;
-    by default any record carrying a gold label is eligible.
+    Any record carrying a gold label may serve as an exemplar.
     """
-    candidates = [
-        r
-        for r in dataset.records
-        if r.gold_label in (INCLUDE, EXCLUDE)
-        and (labeled_ids is None or r.id in labeled_ids)
-    ]
+    candidates = [r for r in dataset.records if r.gold_label in (INCLUDE, EXCLUDE)]
     if not candidates:
         raise PoolError("pool unconstructible: no labeled records")
     for rec in candidates:

@@ -10,6 +10,7 @@ exist for tests and benchmark runs that must cost nothing.  A provider's
 ``identity``, when it has one, names everything besides the prompt and
 temperature that decides its answers (endpoint, oracle profile and
 seed); the response cache keys on it, and on ``model_id`` otherwise.
+A provider marked ``in_process`` answers without waiting (the oracle).
 """
 
 from __future__ import annotations
@@ -175,10 +176,6 @@ class CostLedger:
 def estimate_tokens(text: str) -> int:
     """Character-count fallback when a provider reports no usage."""
     return math.ceil(len(text) / 4)
-
-
-def estimate_cost(entry: LedgerEntry, pricing: ModelPricing) -> float:
-    return pricing.cost(entry.prompt_tokens, entry.completion_tokens)
 
 
 _DECISION_WORDS = ("include", "exclude")
@@ -486,8 +483,11 @@ class OracleProvider:
     pure function of (seed, model_id, record_id), so identical requests
     give identical answers no matter the call order or thread count.
     Confidence values are emitted unrounded: rounding could push a value
-    across the routing threshold.
+    across the routing threshold.  It never waits, so the cascade screens
+    with it on the calling thread (``in_process``).
     """
+
+    in_process = True
 
     def __init__(
         self,

@@ -52,12 +52,6 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices drawn from range(n), in draw order."""
         if k > n:

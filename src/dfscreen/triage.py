@@ -14,7 +14,10 @@ baselines).  The executor's workers drain the records: up to
 ``parallelism`` of them, the calling thread included, each take the
 next record until none is left, so ``parallelism=1`` runs everything on
 the calling thread and never more than ``parallelism`` provider calls
-are in flight.  A threshold sweep is scored from a single cascade run.
+are in flight.  When every provider of the run is ``in_process`` (the
+oracle), there is no wait to overlap and the calling thread screens
+alone: more threads would only contend for the interpreter lock.  A
+threshold sweep is scored from a single cascade run.
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ def _screen_all(
 
     Up to ``parallelism`` workers, the calling thread among them, take
     records in dataset order until none is left, so ``parallelism=1``
-    starts no thread.  Results come back id-sorted.
+    starts no thread, and neither do providers that are all
+    ``in_process``.  Results come back id-sorted.
 
     With ``stage2_provider`` None the stage-1 answer is final; an
     unparseable final answer fails safe to exclude and is flagged.
@@ -218,6 +222,9 @@ def _screen_all(
                 outcomes[i] = exc
                 stop.set()
 
+    if all(getattr(p, "in_process", False)
+           for p in (stage1_provider, stage2_provider) if p is not None):
+        parallelism = 1
     helpers = [threading.Thread(target=work)
                for _ in range(min(parallelism, len(records)) - 1)]
     for t in helpers:

@@ -12,7 +12,6 @@ from dfscreen.corpus import (
     ReviewDataset,
     StudyRecord,
     curate,
-    inclusion_rate,
     load_dataset,
     load_dataset_csv,
     load_dataset_jsonl,
@@ -129,22 +128,6 @@ class TestCurationReport:
             report.curated
             == report.retrieved - report.removed_missing - report.removed_duplicate
         )
-
-
-class TestInclusionRate:
-    def test_pooled(self):
-        a = ReviewDataset("A", [rec(1, label=INCLUDE), rec(2, label=EXCLUDE)])
-        b = ReviewDataset("B", [rec(3, label=EXCLUDE), rec(4, label=EXCLUDE)])
-        assert inclusion_rate([a, b], pooled=True) == pytest.approx(0.25)
-
-    def test_per_review_mean(self):
-        a = ReviewDataset("A", [rec(1, label=INCLUDE), rec(2, label=EXCLUDE)])
-        b = ReviewDataset("B", [rec(3, label=EXCLUDE), rec(4, label=EXCLUDE)])
-        assert inclusion_rate([a, b], pooled=False) == pytest.approx(0.25)
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            inclusion_rate([])
 
 
 class TestLoading:

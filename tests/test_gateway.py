@@ -14,7 +14,6 @@ from dfscreen import gateway
 from dfscreen.gateway import (
     CostLedger,
     Decision,
-    LedgerEntry,
     LlmResponse,
     ModelPricing,
     OracleProfile,
@@ -24,7 +23,6 @@ from dfscreen.gateway import (
     TransientProviderError,
     UnparseableResponse,
     complete,
-    estimate_cost,
     estimate_tokens,
     oracle_provider,
     parse_decision,
@@ -142,12 +140,11 @@ class TestEstimates:
         assert estimate_tokens("") == 0
 
     def test_estimate_cost_examples(self):
+        # The dry run's dollar estimate is ModelPricing.cost on estimated tokens.
         pricing = ModelPricing(2.00, 8.00)
-        assert estimate_cost(LedgerEntry(prompt_tokens=1_000_000), pricing) == 2.00
-        assert estimate_cost(LedgerEntry(completion_tokens=250_000), pricing) == 2.00
-        assert estimate_cost(
-            LedgerEntry(prompt_tokens=1_000_000, completion_tokens=125_000), pricing
-        ) == 3.00
+        assert pricing.cost(1_000_000, 0) == 2.00
+        assert pricing.cost(0, 250_000) == 2.00
+        assert pricing.cost(1_000_000, 125_000) == 3.00
 
     def test_stage1_pricing_sums_exactly(self):
         pricing = ModelPricing(0.40, 1.60)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dfscreen
 from dfscreen.projection import (
     DegenerateDataError,
     Point2D,
@@ -226,3 +231,31 @@ def test_points_file_round_trip(tmp_path_factory, coords):
     path = str(tmp_path_factory.mktemp("pts") / "points.jsonl")
     write_points_jsonl(points, path)
     assert read_points_jsonl(path) == points
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="needs /proc/self/task and at least two cores",
+)
+@pytest.mark.parametrize("caller_value, one_thread", [(None, True), ("2", False)])
+def test_blas_runs_on_one_thread_unless_the_caller_says_otherwise(
+    caller_value, one_thread
+):
+    code = (
+        "import os\n"
+        "import dfscreen\n"
+        "import numpy as np\n"
+        "a = np.arange(3000 * 64, dtype=float).reshape(3000, 64)\n"
+        "a.T @ a\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(dfscreen.__file__))
+    if caller_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_value
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads = int(proc.stdout)
+    assert (threads == 1) if one_thread else (threads > 1)

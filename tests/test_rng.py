@@ -69,15 +69,6 @@ def test_sample_indices_distinct():
     assert len(set(out)) == 5
 
 
-def test_shuffle_is_permutation():
-    rng = SplitMix64(13)
-    items = list(range(50))
-    shuffled = items[:]
-    rng.shuffle(shuffled)
-    assert sorted(shuffled) == items
-    assert shuffled != items  # astronomically unlikely to be identity
-
-
 def test_fnv1a64_reference_vectors():
     # Standard FNV-1a test values.
     assert fnv1a64("") == 0xCBF29CE484222325

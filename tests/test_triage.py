@@ -61,6 +61,17 @@ class MappedProvider:
         return text, estimate_tokens(prompt_text), estimate_tokens(text)
 
 
+class Delegate:
+    """Forwards to a provider but lacks its ``in_process`` marker."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_id = inner.model_id
+
+    def send(self, prompt_text, temperature, max_tokens, tags):
+        return self.inner.send(prompt_text, temperature, max_tokens, tags)
+
+
 def answer(label, confidence=None):
     obj = {"decision": label}
     if confidence is not None:
@@ -176,6 +187,22 @@ class TestTwoStage:
             )
             outs.append(results)
         assert outs[0] == outs[1]
+
+    def test_deterministic_across_workers(self, small_pipeline):
+        # Without the in_process marker the oracle's answers are screened
+        # by 8 workers; they must equal a one-worker run and a direct one.
+        dataset, points, clustering, pool = small_pipeline
+        gold = gold_of(dataset)
+        outs = []
+        for workers, wrap in ((1, Delegate), (8, Delegate), (8, lambda p: p)):
+            cfg = make_cfg(parallelism=workers)
+            s1 = oracle_provider(gold, OracleProfile(0.95, 0.75, 0.8), 0, model_id="s1")
+            s2 = oracle_provider(gold, OracleProfile(0.97, 0.95, 0.95), 0, model_id="s2")
+            results, _ = run_two_stage(
+                dataset, pool, clustering, points, cfg, wrap(s1), wrap(s2), "Criteria."
+            )
+            outs.append(results)
+        assert outs[0] == outs[1] == outs[2]
 
     def test_ledger_matches_result_tokens(self, small_pipeline):
         results, ledger = self.run_oracle(small_pipeline)
@@ -440,6 +467,54 @@ class TestExecutor:
         results, _ = self.run(small_pipeline, s1, s2, parallelism=1)
         assert len(s1.calls) == len(s2.calls) == len(results) == 60
         assert seen == {threading.get_ident()}
+
+    def test_in_process_providers_run_on_the_calling_thread(self, small_pipeline):
+        dataset = small_pipeline[0]
+        gold = gold_of(dataset)
+        seen = set()
+
+        def recording(provider):
+            send = provider.send
+
+            def record(prompt_text, temperature, max_tokens, tags):
+                seen.add(threading.get_ident())
+                return send(prompt_text, temperature, max_tokens, tags)
+
+            provider.send = record
+            return provider
+
+        s1 = recording(oracle_provider(gold, OracleProfile(0.9, 0.7, 0.5), 0, "s1"))
+        s2 = recording(oracle_provider(gold, OracleProfile(0.97, 0.95, 0.95), 0, "s2"))
+        assert s1.in_process and s2.in_process
+        results, ledger = self.run(small_pipeline, s1, s2, parallelism=8)
+        assert len(results) == 60 and ledger.entry("s2").call_count > 0
+        assert seen == {threading.get_ident()}
+
+    def test_waiting_provider_spreads_within_parallelism(self, small_pipeline):
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, most at once
+        seen = set()
+
+        class Waiting(MappedProvider):
+            def send(self, prompt_text, temperature, max_tokens, tags):
+                with lock:
+                    seen.add(threading.get_ident())
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight)
+                try:
+                    time.sleep(0.002)
+                    return super().send(prompt_text, temperature, max_tokens, tags)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        s1 = Waiting("s1", default=answer(INCLUDE, 0.5))  # every record routes
+        s2 = Waiting("s2", default=answer(INCLUDE, 0.99))
+        assert not hasattr(s1, "in_process")
+        results, _ = self.run(small_pipeline, s1, s2, parallelism=4)
+        assert len(s1.calls) == len(s2.calls) == len(results) == 60
+        assert len(seen) > 1
+        assert 1 < in_flight[1] <= 4
 
     def test_empty_dataset(self):
         provider = MappedProvider("base", default="exclude")
