@@ -4,7 +4,10 @@ One JSON config describes an experiment: datasets and criteria per
 review, embedding backend, clustering overrides, strategy, threshold,
 models and pricing, seed, cache directory.  Commands run individual
 stages or the whole cascade; intermediates land in a content-addressed
-cache so reruns only redo what changed.
+cache so reruns only redo what changed.  Every command but ``curate``
+walks the reviews in id order with one ReviewPipeline each; its single
+stage helper reads a stage's artifact back or builds and writes it, and
+each stage runs once per pipeline.
 
 Exit codes: 0 success, 2 config error, 3 provider failure,
 4 evaluation mismatch.
@@ -13,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 provider failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +24,7 @@ import sys
 from contextlib import closing
 
 from . import clustering as clustering_mod
-from . import corpus, evaluation, triage
+from . import corpus, embedding, evaluation, triage
 from .cache import ArtifactCache, canonical_json, content_key, sha256_hex
 from .embedding import EmbeddingClient, EmbeddingError, EmbeddingProviderConfig
 from .exemplar_pool import ExemplarPool, PoolError, build_pool
@@ -52,6 +56,10 @@ EXIT_PROVIDER = 3
 EXIT_EVALUATION = 4
 
 DRY_RUN_COMPLETION_TOKENS = 64  # nominal per-call output allowance
+# The stage commands, and the ReviewPipeline method each one runs.
+STAGE_METHODS = {
+    "embed": "vectors", "project": "points", "cluster": "clustering", "pool": "pool"
+}
 
 
 class ConfigError(ValueError):
@@ -66,23 +74,40 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(raw: dict, key: str, kind: type, default):
+    try:
+        return kind(raw.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from None
+
+
 class PipelineConfig:
-    """Validated view over the experiment config file."""
+    """Validated view over the experiment config file; bad values raise ConfigError."""
 
     def __init__(self, raw: dict, base_dir: str = "."):
-        self.raw = raw
+        self.raw = _mapping(raw, "config")
         self.base_dir = base_dir
         reviews = raw.get("reviews")
         if not isinstance(reviews, dict) or not reviews:
             raise ConfigError("config needs a nonempty 'reviews' mapping")
         self.reviews: dict[str, dict] = {}
         for rid, entry in reviews.items():
+            _mapping(entry, f"review {rid}")
             if "dataset" not in entry or "criteria" not in entry:
                 raise ConfigError(f"review {rid}: needs 'dataset' and 'criteria' paths")
+            k = entry.get("k")
+            if k is not None and not isinstance(k, int):
+                raise ConfigError(f"review {rid}: k must be an integer, got {k!r}")
             self.reviews[rid] = {
                 "dataset": self._resolve(entry["dataset"]),
                 "criteria": self._resolve(entry["criteria"]),
-                "k": entry.get("k"),
+                "k": k,
             }
         emb = raw.get("embedding", {"kind": "hashed_tf", "dim": 64})
         try:
@@ -98,35 +123,41 @@ class PipelineConfig:
         proj = raw.get("projection", "pca")
         if isinstance(proj, str):
             proj = {"method": proj}
-        if proj.get("method") not in ("pca", "import"):
+        if _mapping(proj, "projection").get("method") not in ("pca", "import"):
             raise ConfigError(f"unknown projection method {proj.get('method')!r}")
+        if proj["method"] == "import":
+            proj = {**proj, "path": self._resolve(proj.get("path"))}
         self.projection = proj
         try:
             self.strategy = Strategy(raw.get("strategy", "dfsl"))
         except ValueError:
             raise ConfigError(f"unknown strategy {raw.get('strategy')!r}") from None
-        self.threshold = float(raw.get("threshold", triage.DEFAULT_THRESHOLD))
+        self.threshold = _number(raw, "threshold", float, triage.DEFAULT_THRESHOLD)
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold {self.threshold} outside [0,1]")
-        self.seed = int(raw.get("seed", 0))
-        self.temperature = float(raw.get("temperature", 0.0))
-        self.parallelism = int(raw.get("parallelism", triage.DEFAULT_PARALLELISM))
+        self.seed = _number(raw, "seed", int, 0)
+        self.temperature = _number(raw, "temperature", float, 0.0)
+        self.parallelism = _number(raw, "parallelism", int, triage.DEFAULT_PARALLELISM)
+        if self.parallelism < 1:
+            raise ConfigError(f"parallelism {self.parallelism} is below 1")
         self.stage1 = self._model_cfg(raw, "stage1", "mini", 0.40, 1.60)
         self.stage2 = self._model_cfg(raw, "stage2", "large", 2.00, 8.00)
-        self.provider = raw.get("provider", {"kind": "oracle"})
+        self.provider = _mapping(raw.get("provider", {"kind": "oracle"}), "provider")
         if self.provider.get("kind") not in ("oracle", "http"):
             raise ConfigError(f"unknown provider kind {self.provider.get('kind')!r}")
         self.cache_dir = self._resolve(raw.get("cache_dir", "cache"))
 
     def _resolve(self, path: str) -> str:
+        if not isinstance(path, str):
+            raise ConfigError(f"expected a path, got {path!r}")
         if os.path.isabs(path):
             return path
         return os.path.normpath(os.path.join(self.base_dir, path))
 
     @staticmethod
     def _model_cfg(raw, key, default_model, in_price, out_price) -> dict:
-        entry = raw.get(key, {})
-        pricing = entry.get("pricing", {})
+        entry = _mapping(raw.get(key, {}), key)
+        pricing = _mapping(entry.get("pricing", {}), f"{key} pricing")
         try:
             return {
                 "model": entry.get("model", default_model),
@@ -137,7 +168,7 @@ class PipelineConfig:
                 "url": entry.get("url"),
                 "api_key_env": entry.get("api_key_env"),
             }
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key} config: {exc}") from None
 
     def config_hash(self) -> str:
@@ -155,9 +186,23 @@ class PipelineConfig:
         return cls(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _once(stage):
+    """Run a stage method at most once per pipeline; later calls reuse its result."""
+
+    @functools.wraps(stage)
+    def run(self):
+        if stage.__name__ not in self._done:
+            self._done[stage.__name__] = stage(self)
+        return self._done[stage.__name__]
+
+    return run
+
+
 class ReviewPipeline:
     """Lazy stage runner for one review, backed by the artifact cache.
 
+    Each stage runs at most once per pipeline, through ``_artifact``: it
+    reads the stage's artifact back if cached, else builds and writes it.
     Every stage's cache key folds in its parameters and its input's key,
     so a changed dataset, embedding config, or seed invalidates exactly
     the stages downstream of the change.
@@ -168,33 +213,55 @@ class ReviewPipeline:
         self.review_id = review_id
         self.entry = cfg.reviews[review_id]
         self.cache = cache
-        self._curated = None
-        self._vectors = None
-        self._points = None
-        self._clustering = None
-        self._pool = None
+        self._done: dict = {}
+
+    def _artifact(self, key: str, build, read, write=None):
+        """(value, key): the artifact at ``key`` read back, or built and written.
+
+        ``read(path)``/``write(value, path)`` handle a file format; without
+        ``write`` the artifact is ``to_json()`` text and ``read(text)`` loads it.
+        """
+        if self.cache.has(key):
+            if write is None:
+                return read(self.cache.read_text(key)), key
+            return read(self.cache.path(key)), key
+        value = build()
+        if write is None:
+            self.cache.write_text(key, value.to_json())
+        else:
+            self.cache.write_atomic(key, lambda path: write(value, path))
+        return value, key
 
     def criteria(self) -> str:
         with open(self.entry["criteria"], encoding="utf-8") as fh:
             return fh.read().strip()
 
+    @_once
     def curated(self):
-        if self._curated is None:
-            dataset_path = self.entry["dataset"]
-            key = content_key(
-                "curate", {"dataset_sha256": _file_sha256(dataset_path)}, []
+        """(dataset, curation report, key); the report is None on a cache hit."""
+        source = self.entry["dataset"]
+        key = content_key("curate", {"dataset_sha256": _file_sha256(source)}, [])
+        (dataset, report), _ = self._artifact(
+            key,
+            lambda: corpus.curate(corpus.load_dataset(source, self.review_id)),
+            lambda path: (corpus.load_dataset_jsonl(path, self.review_id), None),
+            lambda built, path: corpus.write_dataset_jsonl(built[0], path),
+        )
+        return dataset, report, key
+
+    def gold(self, scoring: bool = False) -> dict[str, str | None]:
+        """Gold label per curated record id, None where a record has none.
+
+        Commands that score against the labels pass ``scoring``: a missing
+        label is then an EvaluationError.
+        """
+        dataset, _, _ = self.curated()
+        gold = {r.id: r.gold_label for r in dataset.records}
+        if scoring and any(v is None for v in gold.values()):
+            raise evaluation.EvaluationError(
+                f"review {self.review_id}: gold labels missing"
             )
-            if self.cache.has(key):
-                dataset = corpus.load_dataset_jsonl(self.cache.path(key), self.review_id)
-                report = None
-            else:
-                raw = corpus.load_dataset(dataset_path, self.review_id)
-                dataset, report = corpus.curate(raw)
-                self.cache.write_atomic(
-                    key, lambda path: corpus.write_dataset_jsonl(dataset, path)
-                )
-            self._curated = (dataset, report, key)
-        return self._curated
+        return gold
 
     def _embed_key(self) -> str:
         _, _, curate_key = self.curated()
@@ -202,83 +269,59 @@ class ReviewPipeline:
             "embed", {"provider": self.cfg.embedding.fingerprint()}, [curate_key]
         )
 
+    @_once
     def vectors(self):
-        if self._vectors is None:
-            dataset, _, _ = self.curated()
-            key = self._embed_key()
-            ids = [r.id for r in dataset.records]
-            if self.cache.has(key):
-                client = EmbeddingClient(
-                    EmbeddingProviderConfig(
-                        kind="file_import", path=self.cache.path(key)
-                    )
-                )
-                vecs = client.embed_batch([r.text for r in dataset.records], ids)
-            else:
-                client = EmbeddingClient(self.cfg.embedding)
-                vecs = client.embed_batch([r.text for r in dataset.records], ids)
-                from .embedding import write_vectors_jsonl
+        dataset, _, _ = self.curated()
+        ids = [r.id for r in dataset.records]
+        texts = [r.text for r in dataset.records]
 
-                self.cache.write_atomic(
-                    key, lambda path: write_vectors_jsonl(ids, vecs, path)
-                )
-            self._vectors = (ids, vecs, key)
-        return self._vectors
+        def embed(config):
+            return EmbeddingClient(config).embed_batch(texts, ids)
 
+        return self._artifact(
+            self._embed_key(),
+            lambda: embed(self.cfg.embedding),
+            lambda path: embed(EmbeddingProviderConfig(kind="file_import", path=path)),
+            lambda built, path: embedding.write_vectors_jsonl(ids, built, path),
+        )
+
+    @_once
     def points(self):
-        if self._points is None:
-            embed_key = self._embed_key()
-            method = self.cfg.projection["method"]
-            params = {"method": method}
-            if method == "import":
-                params["source_sha256"] = _file_sha256(
-                    self.cfg._resolve(self.cfg.projection["path"])
-                )
-            key = content_key("project", params, [embed_key])
-            if self.cache.has(key):
-                pts = read_points_jsonl(self.cache.path(key))
-            else:
-                ids, vecs, _ = self.vectors()
-                if method == "import":
-                    pts = project_2d(
-                        ids,
-                        method="import",
-                        import_path=self.cfg._resolve(self.cfg.projection["path"]),
-                    )
-                else:
-                    pts = project_2d(ids, vectors=vecs, method="pca")
-                self.cache.write_atomic(key, lambda path: write_points_jsonl(pts, path))
-            self._points = (pts, key)
-        return self._points
+        method = self.cfg.projection["method"]
+        params = {"method": method}
+        source = None
+        if method == "import":
+            source = self.cfg.projection["path"]
+            params["source_sha256"] = _file_sha256(source)
+        key = content_key("project", params, [self._embed_key()])
 
+        def build():
+            ids = [r.id for r in self.curated()[0].records]
+            vecs, _ = self.vectors()
+            return project_2d(ids, vectors=vecs, method=method, import_path=source)
+
+        return self._artifact(key, build, read_points_jsonl, write_points_jsonl)
+
+    @_once
     def clustering(self):
-        if self._clustering is None:
-            pts, project_key = self.points()
-            k = clustering_mod.choose_k(len(pts), override=self.entry.get("k"))
-            key = content_key(
-                "cluster", {"k": k, "seed": self.cfg.seed}, [project_key]
-            )
-            if self.cache.has(key):
-                clus = clustering_mod.Clustering.from_json(self.cache.read_text(key))
-            else:
-                clus = clustering_mod.kmeans(pts, k, self.cfg.seed)
-                self.cache.write_text(key, clus.to_json())
-            self._clustering = (clus, key)
-        return self._clustering
+        pts, project_key = self.points()
+        k = clustering_mod.choose_k(len(pts), override=self.entry.get("k"))
+        key = content_key("cluster", {"k": k, "seed": self.cfg.seed}, [project_key])
+        return self._artifact(
+            key,
+            lambda: clustering_mod.kmeans(pts, k, self.cfg.seed),
+            clustering_mod.Clustering.from_json,
+        )
 
+    @_once
     def pool(self):
-        if self._pool is None:
-            dataset, _, _ = self.curated()
-            pts, _ = self.points()
-            clus, cluster_key = self.clustering()
-            key = content_key("pool", {}, [cluster_key])
-            if self.cache.has(key):
-                pool = ExemplarPool.from_json(self.cache.read_text(key))
-            else:
-                pool = build_pool(dataset, clus, pts)
-                self.cache.write_text(key, pool.to_json())
-            self._pool = (pool, key)
-        return self._pool
+        dataset, _, _ = self.curated()
+        pts, _ = self.points()
+        clus, cluster_key = self.clustering()
+        key = content_key("pool", {}, [cluster_key])
+        return self._artifact(
+            key, lambda: build_pool(dataset, clus, pts), ExemplarPool.from_json
+        )
 
     def exemplars(self):
         """(pool, clustering, points): what dynamic few-shot selects from."""
@@ -384,34 +427,29 @@ def _pipeline_for(cfg: PipelineConfig, rid: str) -> ReviewPipeline:
     return ReviewPipeline(cfg, rid, ArtifactCache(cfg.cache_dir))
 
 
-def _stage_command(stage: str):
-    def run(args) -> int:
-        cfg = PipelineConfig.load(args.config)
-        for rid in sorted(cfg.reviews):
-            pipe = _pipeline_for(cfg, rid)
-            if stage == "embed":
-                _, _, key = pipe.vectors()
-            elif stage == "project":
-                _, key = pipe.points()
-            elif stage == "cluster":
-                clus, key = pipe.clustering()
-                print(f"{rid}: k={clus.k} inertia={clus.inertia:.4f}")
-            else:
-                _, key = pipe.pool()
-            print(f"{rid}: {stage} -> {pipe.cache.path(key)}")
-        return EXIT_OK
-
-    return run
+def _pipelines(cfg: PipelineConfig):
+    """Yield (review id, pipeline) in review-id order, one review at a time."""
+    for rid in sorted(cfg.reviews):
+        yield rid, _pipeline_for(cfg, rid)
 
 
-def _screen_review(cfg: PipelineConfig, rid: str, response_cache, failures):
-    pipe = _pipeline_for(cfg, rid)
+def cmd_stage(args) -> int:
+    cfg = PipelineConfig.load(args.config)
+    for rid, pipe in _pipelines(cfg):
+        value, key = getattr(pipe, STAGE_METHODS[args.command])()
+        if args.command == "cluster":
+            print(f"{rid}: k={value.k} inertia={value.inertia:.4f}")
+        print(f"{rid}: {args.command} -> {pipe.cache.path(key)}")
+    return EXIT_OK
+
+
+def _screen_review(pipe: ReviewPipeline, response_cache, failures):
+    cfg = pipe.cfg
     dataset, _, _ = pipe.curated()
     criteria = pipe.criteria()
-    gold = {r.id: r.gold_label for r in dataset.records}
-    stage1, stage2 = _build_providers(cfg, gold)
+    stage1, stage2 = _build_providers(cfg, pipe.gold())
     if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT:
-        results, ledger = triage.run_two_stage(
+        return triage.run_two_stage(
             dataset,
             *pipe.exemplars(),
             _run_config(cfg),
@@ -421,28 +459,25 @@ def _screen_review(cfg: PipelineConfig, rid: str, response_cache, failures):
             cache=response_cache,
             failures=failures,
         )
-    else:
-        results, ledger = triage.run_single_stage(
-            dataset,
-            cfg.strategy,
-            stage1,
-            criteria,
-            pricing=cfg.stage1["pricing"],
-            seed=cfg.seed,
-            temperature=cfg.temperature,
-            parallelism=cfg.parallelism,
-            cache=response_cache,
-            failures=failures,
-        )
-    return pipe, dataset, results, ledger
+    return triage.run_single_stage(
+        dataset,
+        cfg.strategy,
+        stage1,
+        criteria,
+        pricing=cfg.stage1["pricing"],
+        seed=cfg.seed,
+        temperature=cfg.temperature,
+        parallelism=cfg.parallelism,
+        cache=response_cache,
+        failures=failures,
+    )
 
 
 def _dry_run_screen(cfg: PipelineConfig) -> int:
     stages = 2 if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT else 1
     total_calls = 0
     usd_upper = 0.0
-    for rid in sorted(cfg.reviews):
-        pipe = _pipeline_for(cfg, rid)
+    for rid, pipe in _pipelines(cfg):
         dataset, _, _ = pipe.curated()
         exemplars = pipe.exemplars() if stages == 2 else None
         prompt_for = triage.prompter(
@@ -491,17 +526,15 @@ def cmd_screen(args) -> int:
     }
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
     with closing(ResponseCache(log)) as response_cache:
-        for rid in sorted(cfg.reviews):
+        for rid, pipe in _pipelines(cfg):
             failures: list = []
-            pipe, dataset, results, ledger = _screen_review(
-                cfg, rid, response_cache, failures
-            )
+            results, ledger = _screen_review(pipe, response_cache, failures)
             merged.merge(ledger)
             results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
             triage.write_results_jsonl(results, results_path)
             manifest["reviews"][rid] = {
                 "screen_key": pipe.screen_key(),
-                "records": len(dataset),
+                "records": len(pipe.curated()[0]),
                 "results": os.path.basename(results_path),
                 "routed": sum(1 for r in results if r.routed),
                 "failed": sorted(rid_ for rid_, _ in failures),
@@ -519,24 +552,15 @@ def cmd_screen(args) -> int:
     return EXIT_OK
 
 
-def _gold_for(cfg: PipelineConfig, rid: str) -> dict[str, str]:
-    pipe = _pipeline_for(cfg, rid)
-    dataset, _, _ = pipe.curated()
-    gold = {r.id: r.gold_label for r in dataset.records}
-    if any(v is None for v in gold.values()):
-        raise evaluation.EvaluationError(f"review {rid}: gold labels missing")
-    return gold
-
-
 def cmd_evaluate(args) -> int:
     cfg = PipelineConfig.load(args.config)
     rows = []
-    for rid in sorted(cfg.reviews):
+    for rid, pipe in _pipelines(cfg):
         results_path = os.path.join(args.results, f"results_{rid}.jsonl")
         if not os.path.exists(results_path):
             raise evaluation.EvaluationError(f"missing results file {results_path}")
         results = triage.read_results_jsonl(results_path)
-        gold = _gold_for(cfg, rid)
+        gold = pipe.gold(scoring=True)
         usd1 = cfg.stage1["pricing"].cost(
             sum(r.stage1_prompt_tokens for r in results),
             sum(r.stage1_completion_tokens for r in results),
@@ -579,13 +603,10 @@ def cmd_sweep(args) -> int:
     out_rows = []
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
     with closing(ResponseCache(log)) as response_cache:
-        for rid in sorted(cfg.reviews):
-            pipe = _pipeline_for(cfg, rid)
-            dataset, _, _ = pipe.curated()
-            gold = {r.id: r.gold_label for r in dataset.records}
-            stage1, stage2 = _build_providers(cfg, gold)
+        for rid, pipe in _pipelines(cfg):
+            stage1, stage2 = _build_providers(cfg, pipe.gold(scoring=True))
             points = triage.sweep_thresholds(
-                dataset,
+                pipe.curated()[0],
                 *pipe.exemplars(),
                 _run_config(cfg),
                 stage1,
@@ -648,10 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fetch)
 
-    for stage in ("embed", "project", "cluster", "pool"):
+    for stage in STAGE_METHODS:
         p = sub.add_parser(stage, help=f"run the {stage} stage (and its inputs)")
         p.add_argument("--config", required=True)
-        p.set_defaults(func=_stage_command(stage))
+        p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("screen", help="run the screening cascade")
     p.add_argument("--config", required=True)

@@ -55,9 +55,6 @@ class ReviewDataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
     def by_id(self) -> dict[str, StudyRecord]:
         return {r.id: r for r in self.records}
 

@@ -26,15 +26,6 @@ from .rng import fnv1a64
 _TOKEN = re.compile(r"[a-z0-9]+")
 
 
-def __getattr__(name):
-    # ``requests`` is imported on first use: offline runs never need it.
-    if name == "requests":
-        import requests
-
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class EmbeddingError(RuntimeError):
     """Raised when a provider cannot produce a vector."""
 
@@ -78,19 +69,6 @@ def hashed_tf_vector(text: str, dim: int) -> np.ndarray:
     if norm > 0:
         vec /= norm
     return vec
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
-
-    Zero vectors have no direction; similarity against one is defined
-    as 0 so degenerate records sort last rather than crashing.
-    """
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, float(a @ b) / (na * nb)))
 
 
 @dataclass

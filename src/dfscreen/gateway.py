@@ -30,15 +30,6 @@ from .corpus import EXCLUDE, INCLUDE
 from .rng import derive_rng
 
 
-def __getattr__(name):
-    # ``requests`` is imported on first use: offline runs never need it.
-    if name == "requests":
-        import requests
-
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ProviderError(RuntimeError):
     """Terminal provider failure (bad request, exhausted retries)."""
 

@@ -24,15 +24,6 @@ RATE_LIMIT_KEYED = 10
 RETRY_STATUS = {429, 500, 502, 503, 504}
 
 
-def __getattr__(name):
-    # ``requests`` is imported on first use: offline runs never need it.
-    if name == "requests":
-        import requests
-
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class PubMedError(RuntimeError):
     """Raised when a fetch fails after retries or returns unusable XML."""
 

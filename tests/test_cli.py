@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import builtins
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +12,13 @@ import pytest
 
 import dfscreen
 from dfscreen import cli, corpus, embedding, synth
-from dfscreen.corpus import EXCLUDE, write_dataset_jsonl
-from dfscreen.gateway import OracleProvider, ProviderError, ResponseCache
+from dfscreen.corpus import EXCLUDE, ReviewDataset, write_dataset_jsonl
+from dfscreen.gateway import (
+    HttpChatProvider,
+    OracleProvider,
+    ProviderError,
+    ResponseCache,
+)
 from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
@@ -111,6 +118,46 @@ class TestConfigLoading:
         rc = cli.main(["embed", "--config", config_path])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda raw: {**raw, "parallelism": 0}, id="parallelism-0"),
+            pytest.param(lambda raw: {**raw, "parallelism": "x"}, id="parallelism-str"),
+            pytest.param(lambda raw: {**raw, "threshold": "high"}, id="threshold-str"),
+            pytest.param(lambda raw: {**raw, "seed": "a"}, id="seed-str"),
+            pytest.param(lambda raw: {**raw, "temperature": "hot"}, id="temperature-str"),
+            pytest.param(lambda raw: {**raw, "reviews": {"BAD": 3}}, id="review-int"),
+            pytest.param(
+                lambda raw: {**raw, "reviews": {"BAD": {"dataset": 3, "criteria": "c.txt"}}},
+                id="dataset-int",
+            ),
+            pytest.param(
+                lambda raw: {**raw, "reviews": {"BAD": {**raw["reviews"]["CFG"], "k": "x"}}},
+                id="k-str",
+            ),
+            pytest.param(lambda raw: {**raw, "cache_dir": 5}, id="cache_dir-int"),
+            pytest.param(
+                lambda raw: {**raw, "projection": {"method": "import"}},
+                id="import-without-path",
+            ),
+            pytest.param(lambda raw: {**raw, "projection": [1]}, id="projection-list"),
+            pytest.param(lambda raw: {**raw, "provider": "oracle"}, id="provider-str"),
+            pytest.param(lambda raw: {**raw, "stage1": "mini"}, id="stage1-str"),
+            pytest.param(lambda raw: [raw], id="top-level-list"),
+        ],
+    )
+    def test_malformed_value_is_exit_2(self, tmp_path, capsys, mutate):
+        dataset = synth.synth_review("CFG", 40, 10, k=3, seed=2)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        with open(config_path, "w") as fh:
+            json.dump(mutate(raw), fh)
+        rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_paths_resolved_against_config_dir(self, ws):
         cfg = cli.PipelineConfig.load(ws)
         for entry in cfg.reviews.values():
@@ -160,6 +207,27 @@ class TestStageCommands:
         stdout = capsys.readouterr().out
         assert "REV-A: k=3" in stdout
         assert "REV-C: k=4" in stdout
+
+
+class TestImportProjection:
+    def test_imported_pca_points_give_the_pca_pool(self, tmp_path):
+        config_path = build_workspace(str(tmp_path / "ws"))
+        pca = cli._pipeline_for(cli.PipelineConfig.load(config_path), "REV-A")
+        points, points_key = pca.points()
+        pool, _ = pca.pool()
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        # Relative to the config file, like every other path in it.
+        os.replace(pca.cache.path(points_key), str(tmp_path / "ws" / "points.jsonl"))
+        raw["projection"] = {"method": "import", "path": "points.jsonl"}
+        raw["reviews"] = {"REV-A": raw["reviews"]["REV-A"]}
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        assert cli.main(["pool", "--config", config_path]) == cli.EXIT_OK
+        imported = cli._pipeline_for(cli.PipelineConfig.load(config_path), "REV-A")
+        assert imported.points()[1] != points_key
+        assert imported.points()[0] == points
+        assert imported.pool()[0].to_json() == pool.to_json()
 
 
 class TestScreen:
@@ -290,6 +358,90 @@ class TestPipelineErrors:
         capsys.readouterr()
         assert cli.main(["cluster", "--config", config_path]) == cli.EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+
+class TestGoldLabels:
+    """Scoring commands need every gold label; the oracle needs them to answer."""
+
+    @pytest.fixture
+    def partly_unlabeled(self, tmp_path):
+        dataset = synth.synth_review("HALF", 60, 15, k=3, seed=4)
+        records = [
+            r if i % 3 else dataclasses.replace(r, gold_label=None)
+            for i, r in enumerate(dataset.records)
+        ]
+        return single_review_workspace(
+            str(tmp_path / "ws"), ReviewDataset(dataset.review_id, records)
+        )
+
+    def test_sweep_is_exit_4_before_any_call(
+        self, partly_unlabeled, tmp_path, monkeypatch, capsys
+    ):
+        with open(partly_unlabeled) as fh:
+            raw = json.load(fh)
+        raw["provider"] = {"kind": "http"}
+        raw["stage1"] = {"model": "m1", "url": "http://127.0.0.1:9/v1"}
+        raw["stage2"] = {"model": "m2", "url": "http://127.0.0.1:9/v1"}
+        with open(partly_unlabeled, "w") as fh:
+            json.dump(raw, fh)
+        sent = []
+        monkeypatch.setattr(HttpChatProvider, "send", lambda *a, **k: sent.append(a))
+        argv = ["sweep", "--config", partly_unlabeled, "--out", str(tmp_path / "sweep")]
+        assert cli.main(argv) == cli.EXIT_EVALUATION
+        assert "gold labels missing" in capsys.readouterr().err
+        assert sent == []
+
+    def test_evaluate_is_exit_4(self, partly_unlabeled, tmp_path, capsys):
+        results = tmp_path / "run"
+        results.mkdir()
+        (results / "results_HALF.jsonl").write_text("")
+        argv = ["evaluate", "--config", partly_unlabeled, "--results", str(results)]
+        assert cli.main(argv) == cli.EXIT_EVALUATION
+        assert "gold labels missing" in capsys.readouterr().err
+
+    def test_oracle_screen_is_exit_2(self, partly_unlabeled, tmp_path, capsys):
+        argv = ["screen", "--config", partly_unlabeled, "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "oracle provider needs gold labels" in capsys.readouterr().err
+
+
+class TestStageMemo:
+    def test_screen_hashes_each_dataset_once(self, tmp_path, monkeypatch):
+        config_path = build_workspace(str(tmp_path / "ws"))
+        hashed = []
+        real = cli._file_sha256
+
+        def record(path):
+            hashed.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "_file_sha256", record)
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_OK
+        reviews = cli.PipelineConfig.load(config_path).reviews
+        assert sorted(hashed) == sorted(entry["dataset"] for entry in reviews.values())
+
+    def test_warm_screen_opens_each_artifact_at_most_once(self, tmp_path, monkeypatch):
+        config_path = build_workspace(str(tmp_path / "ws"))
+        argv = ["screen", "--config", config_path, "--out"]
+        assert cli.main(argv + [str(tmp_path / "cold")]) == cli.EXIT_OK
+        cache_dir = cli.PipelineConfig.load(config_path).cache_dir
+        opened = []
+        real_open = builtins.open
+
+        def record(file, *args, **kwargs):
+            if os.path.dirname(os.path.abspath(str(file))) == cache_dir:
+                opened.append(os.path.basename(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", record)
+        assert cli.main(argv + [str(tmp_path / "warm")]) == cli.EXIT_OK
+        monkeypatch.undo()
+        artifacts = [name for name in opened if name != "responses.jsonl"]
+        assert len(artifacts) == len(set(artifacts))
+        stages = {name.split("-")[0] for name in artifacts}
+        assert stages == {"curate", "project", "cluster", "pool"}
+        assert len(artifacts) == 4 * len(SHAPES)
 
 
 class TestArtifactWrites:

@@ -15,7 +15,6 @@ from dfscreen.embedding import (
     EmbeddingClient,
     EmbeddingError,
     EmbeddingProviderConfig,
-    cosine_similarity,
     hashed_tf_vector,
     write_vectors_jsonl,
 )
@@ -81,26 +80,6 @@ class TestHashedTf:
         finally:
             embedding._token_hash.cache_clear()
         assert calls == ["renal", "biopsy", "cohort"]
-
-
-class TestCosine:
-    def test_identical_is_one(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal_is_zero(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_opposite_is_minus_one(self):
-        v = np.array([1.0, 1.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
-
-    def test_zero_vector_convention(self):
-        assert cosine_similarity(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.0
-
-    def test_clamped_despite_rounding(self):
-        v = np.array([1e-8, 1e8])
-        assert -1.0 <= cosine_similarity(v, v) <= 1.0
 
 
 class TestConfig:
@@ -193,7 +172,7 @@ class TestClient:
             sent["payload"] = json
             return FakeResp()
 
-        monkeypatch.setattr("dfscreen.embedding.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         client = EmbeddingClient(
             EmbeddingProviderConfig(
                 kind="remote_http", model="encoder-v1", url="http://emb.local/v1"
@@ -212,7 +191,7 @@ class TestClient:
                 return {"data": [{"embedding": [0.1]}]}
 
         monkeypatch.setattr(
-            "dfscreen.embedding.requests.post", lambda *a, **k: FakeResp()
+            "requests.post", lambda *a, **k: FakeResp()
         )
         client = EmbeddingClient(
             EmbeddingProviderConfig(kind="remote_http", url="http://emb.local")
@@ -225,7 +204,7 @@ class TestClient:
             status_code = 503
 
         monkeypatch.setattr(
-            "dfscreen.embedding.requests.post", lambda *a, **k: FakeResp()
+            "requests.post", lambda *a, **k: FakeResp()
         )
         client = EmbeddingClient(
             EmbeddingProviderConfig(kind="remote_http", url="http://emb.local")

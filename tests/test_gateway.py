@@ -446,7 +446,7 @@ class TestHttpChatProvider:
                 body=self.chat_body("include", {"prompt_tokens": 5, "completion_tokens": 1})
             )
 
-        monkeypatch.setattr(gateway.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         provider = gateway.HttpChatProvider("gpt-mini", "http://api.test/v1", api_key="sk-x")
         text, p_tok, c_tok = provider.send("screen this", temperature=0.0, max_tokens=64, tags=None)
         assert (text, p_tok, c_tok) == ("include", 5, 1)
@@ -465,7 +465,7 @@ class TestHttpChatProvider:
             seen["payload"] = json
             return FakeHttpResponse(body=self.chat_body("x"))
 
-        monkeypatch.setattr(gateway.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         provider = gateway.HttpChatProvider("m", "http://api.test")
         provider.send("p", temperature=0.0, max_tokens=None, tags=None)
         assert "max_tokens" not in seen["payload"]
@@ -473,7 +473,7 @@ class TestHttpChatProvider:
 
     def test_missing_usage_reports_none(self, monkeypatch):
         monkeypatch.setattr(
-            gateway.requests,
+            requests,
             "post",
             lambda *a, **k: FakeHttpResponse(body=self.chat_body("exclude")),
         )
@@ -484,7 +484,7 @@ class TestHttpChatProvider:
     @pytest.mark.parametrize("status", [429, 500, 503])
     def test_retryable_statuses(self, monkeypatch, status):
         monkeypatch.setattr(
-            gateway.requests,
+            requests,
             "post",
             lambda *a, **k: FakeHttpResponse(status_code=status),
         )
@@ -494,7 +494,7 @@ class TestHttpChatProvider:
 
     def test_client_error_is_terminal(self, monkeypatch):
         monkeypatch.setattr(
-            gateway.requests,
+            requests,
             "post",
             lambda *a, **k: FakeHttpResponse(status_code=400, text="bad request"),
         )
@@ -507,14 +507,14 @@ class TestHttpChatProvider:
         def fake_post(*a, **k):
             raise requests.Timeout("too slow")
 
-        monkeypatch.setattr(gateway.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         provider = gateway.HttpChatProvider("m", "http://api.test")
         with pytest.raises(TransientProviderError, match="timeout"):
             provider.send("p", temperature=0.0, max_tokens=None, tags=None)
 
     def test_malformed_body_is_terminal(self, monkeypatch):
         monkeypatch.setattr(
-            gateway.requests,
+            requests,
             "post",
             lambda *a, **k: FakeHttpResponse(body={"choices": []}),
         )
@@ -529,7 +529,7 @@ class TestHttpChatProvider:
             posted.append(url)
             return FakeHttpResponse(body=self.chat_body(f"exclude, says {url}"))
 
-        monkeypatch.setattr(gateway.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         cache = ResponseCache()
         a = gateway.HttpChatProvider("m", "http://a.test", api_key="sk-a")
         b = gateway.HttpChatProvider("m", "http://b.test", api_key="sk-a")

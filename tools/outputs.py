@@ -1,0 +1,111 @@
+"""Run the dfscreen command matrix against one source tree and keep every output.
+
+    python3 tools/outputs.py SRC_DIR OUT_DIR [--seed N]
+
+SRC_DIR is a tree's ``src/`` directory; OUT_DIR must not exist yet.  The
+script writes the 10-review synthetic workspace into ``OUT_DIR/ws`` and
+runs, each in a fresh interpreter that imports ``dfscreen`` from SRC_DIR:
+
+* ``screen --dry-run`` for dfsl, fs, zs and cot on a cold cache;
+* ``curate``, ``embed``, ``project``, ``cluster`` and ``pool``;
+* ``screen`` dfsl cold and warm, then fs, zs and cot;
+* ``sweep``, then ``screen`` dfsl once more;
+* ``evaluate`` of the dfsl and fs runs, and ``compare`` of their reports;
+* the four dry runs again, warm.
+
+Each command's stdout and stderr go to ``OUT_DIR/stdout/NN-name.txt``
+with its exit code on the last line and OUT_DIR written as ``<OUT>``.
+Two trees' outputs then compare with
+
+    diff -r -x responses.jsonl OUT_A OUT_B
+    diff <(sort OUT_A/ws/cache/responses.jsonl) <(sort OUT_B/ws/cache/responses.jsonl)
+
+``responses.jsonl`` is compared as a set of lines: with more than one
+worker its lines land in completion order.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+
+STRATEGIES = ("dfsl", "fs", "zs", "cot")
+SWEEP_THRESHOLDS = "0.5,0.6,0.7,0.8,0.9"
+CLI = "import sys; from dfscreen.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def command_matrix(ws: str) -> list[tuple[str, list[str]]]:
+    """(name, dfscreen argv) in the order they run."""
+    config = ["--config", os.path.join(ws, "config.json")]
+
+    def out(name):
+        return ["--out", os.path.join(ws, name)]
+
+    def dry_runs(when):
+        return [
+            (f"dry-run-{s}-{when}",
+             ["screen", *config, *out("dry"), "--dry-run", "--strategy", s])
+            for s in STRATEGIES
+        ]
+
+    def evaluate(run):
+        return ["evaluate", *config, "--results", os.path.join(ws, run)]
+
+    return [
+        *dry_runs("cold"),
+        ("curate", ["curate", *config, *out("reports")]),
+        *[(stage, [stage, *config]) for stage in ("embed", "project", "cluster", "pool")],
+        ("screen-dfsl-cold", ["screen", *config, *out("run_cold")]),
+        ("screen-dfsl-warm", ["screen", *config, *out("run_warm")]),
+        *[(f"screen-{s}", ["screen", *config, *out(f"run_{s}"), "--strategy", s])
+          for s in STRATEGIES[1:]],
+        ("sweep", ["sweep", *config, "--thresholds", SWEEP_THRESHOLDS, *out("sweep")]),
+        ("screen-dfsl-after-sweep", ["screen", *config, *out("run_after_sweep")]),
+        ("evaluate-dfsl", evaluate("run_cold")),
+        ("evaluate-fs", evaluate("run_fs")),
+        ("compare", ["compare",
+                     "--run-a", os.path.join(ws, "run_cold", "report.csv"),
+                     "--run-b", os.path.join(ws, "run_fs", "report.csv")]),
+        *dry_runs("warm"),
+    ]
+
+
+def run(src: str, out_dir: str, seed: int) -> int:
+    env = dict(os.environ, PYTHONPATH=src)
+    ws = os.path.join(out_dir, "ws")
+    logs = os.path.join(out_dir, "stdout")
+    os.makedirs(logs)
+    subprocess.run(
+        [sys.executable, "-m", "dfscreen.synth", ws, "--seed", str(seed)],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    failed = 0
+    for n, (name, argv) in enumerate(command_matrix(ws), start=1):
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI, *argv], env=env, capture_output=True, text=True
+        )
+        text = (proc.stdout + proc.stderr).replace(out_dir, "<OUT>")
+        with open(os.path.join(logs, f"{n:02d}-{name}.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"{text}exit: {proc.returncode}\n")
+        failed += proc.returncode != 0
+        print(f"{name}: exit {proc.returncode}")
+    return failed
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="the tree's src/ directory")
+    parser.add_argument("out", help="output directory; must not exist")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    out_dir = os.path.abspath(args.out)
+    if os.path.exists(out_dir):
+        parser.error(f"{out_dir} exists")
+    failed = run(os.path.abspath(args.src), out_dir, args.seed)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
