@@ -286,46 +286,52 @@ class ReviewPipeline:
         )
 
     @_once
+    def _project_key(self) -> str:
+        params = {"method": self.cfg.projection["method"]}
+        if params["method"] == "import":
+            params["source_sha256"] = _file_sha256(self.cfg.projection["path"])
+        return content_key("project", params, [self._embed_key()])
+
+    @_once
     def points(self):
         method = self.cfg.projection["method"]
-        params = {"method": method}
-        source = None
-        if method == "import":
-            source = self.cfg.projection["path"]
-            params["source_sha256"] = _file_sha256(source)
-        key = content_key("project", params, [self._embed_key()])
 
         def build():
             ids = [r.id for r in self.curated()[0].records]
-            vecs, _ = self.vectors()
-            return project_2d(ids, vectors=vecs, method=method, import_path=source)
+            vecs = self.vectors()[0] if method == "pca" else None
+            return project_2d(ids, vecs, method, self.cfg.projection.get("path"))
 
-        return self._artifact(key, build, read_points_jsonl, write_points_jsonl)
+        return self._artifact(
+            self._project_key(), build, read_points_jsonl, write_points_jsonl
+        )
 
     @_once
     def clustering(self):
-        pts, project_key = self.points()
-        k = clustering_mod.choose_k(len(pts), override=self.entry.get("k"))
-        key = content_key("cluster", {"k": k, "seed": self.cfg.seed}, [project_key])
+        # One point per curated record, so a warm run need not read the points.
+        k = clustering_mod.choose_k(len(self.curated()[0]), override=self.entry.get("k"))
+        params = {"k": k, "seed": self.cfg.seed}
+        key = content_key("cluster", params, [self._project_key()])
         return self._artifact(
             key,
-            lambda: clustering_mod.kmeans(pts, k, self.cfg.seed),
+            lambda: clustering_mod.kmeans(self.points()[0], k, self.cfg.seed),
             clustering_mod.Clustering.from_json,
         )
 
     @_once
     def pool(self):
-        dataset, _, _ = self.curated()
-        pts, _ = self.points()
         clus, cluster_key = self.clustering()
         key = content_key("pool", {}, [cluster_key])
         return self._artifact(
-            key, lambda: build_pool(dataset, clus, pts), ExemplarPool.from_json
+            key,
+            lambda: build_pool(self.curated()[0], clus, self.points()[0]),
+            ExemplarPool.from_json,
         )
 
     def exemplars(self):
-        """(pool, clustering, points): what dynamic few-shot selects from."""
-        return self.pool()[0], self.clustering()[0], self.points()[0]
+        """(pool, clustering, points); points only place unclustered records."""
+        pool, _ = self.pool()
+        unplaced = any(r.id not in pool.assignment for r in self.curated()[0].records)
+        return pool, self.clustering()[0], self.points()[0] if unplaced else {}
 
     def screen_key(self) -> str:
         _, pool_key = self.pool()
@@ -601,10 +607,12 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     os.makedirs(cfg.cache_dir, exist_ok=True)
     out_rows = []
+    pipes = list(_pipelines(cfg))
+    golds = [pipe.gold(scoring=True) for _, pipe in pipes]  # before any call
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
     with closing(ResponseCache(log)) as response_cache:
-        for rid, pipe in _pipelines(cfg):
-            stage1, stage2 = _build_providers(cfg, pipe.gold(scoring=True))
+        for (rid, pipe), gold in zip(pipes, golds):
+            stage1, stage2 = _build_providers(cfg, gold)
             points = triage.sweep_thresholds(
                 pipe.curated()[0],
                 *pipe.exemplars(),

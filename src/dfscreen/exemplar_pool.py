@@ -1,23 +1,28 @@
 """Per-cluster exemplar pools for dynamic few-shot selection.
 
-For each cluster and label we keep the full candidate list ranked by
-closeness to that cluster's centroid, in-cluster candidates ahead of
-spill-ins from other clusters.  Selection for a target record walks the
-ranked lists, skipping the target itself so a record can never appear as
-its own worked example.
+For each cluster and label we rank the candidates by closeness to that
+cluster's centroid, in-cluster candidates ahead of spill-ins from other
+clusters.  Selection for a target record walks the ranked lists, skipping
+the target itself so a record can never appear as its own worked example.
+It thus never reads past a list's 2nd include or 3rd exclude, and the pool
+keeps only that prefix; an older cache's full-length pool selects the same.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .clustering import Clustering, nearest_centroid
 from .corpus import EXCLUDE, INCLUDE, ReviewDataset
 from .projection import Point2D
+
+
+WANT = {INCLUDE: 1, EXCLUDE: 2}  # exemplars per target, include first
 
 
 class PoolError(RuntimeError):
@@ -33,13 +38,10 @@ class Exemplar:
     cluster: int
     distance: float  # to the centroid of the cluster it serves
 
-    def key(self) -> tuple:
-        return (self.record_id, self.label, self.cluster, self.distance)
-
 
 @dataclass
 class ExemplarPool:
-    """Ranked candidate lists per (cluster, label), plus the assignment map."""
+    """Reachable ranked candidates per (cluster, label), plus the assignment map."""
 
     ranked: dict[int, dict[str, list[Exemplar]]]
     assignment: dict[str, int]
@@ -70,7 +72,7 @@ class ExemplarPool:
             raise PoolError(f"no candidates ranked for cluster {cluster}")
         used = {target_id}
         chosen = []
-        for label, want in ((INCLUDE, 1), (EXCLUDE, 2)):
+        for label, want in WANT.items():
             got = 0
             for cand in self.ranked[cluster][label]:
                 if cand.record_id in used:
@@ -88,35 +90,21 @@ class ExemplarPool:
         return chosen
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "assignment": self.assignment,
-                "ranked": {
-                    str(c): {
-                        label: [list(e.key()) for e in lst]
-                        for label, lst in by_label.items()
-                    }
-                    for c, by_label in self.ranked.items()
-                },
-            },
-            sort_keys=True,
-        )
+        """The pool artifact: each exemplar is the row of its fields, in order."""
+        ranked = {
+            str(c): {lab: [astuple(e) for e in lst] for lab, lst in by_label.items()}
+            for c, by_label in self.ranked.items()
+        }
+        return json.dumps({"assignment": self.assignment, "ranked": ranked}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExemplarPool":
         obj = json.loads(text)
         ranked = {
-            int(c): {
-                label: [
-                    Exemplar(rid, label_, int(cl), float(d))
-                    for rid, label_, cl, d in rows
-                ]
-                for label, rows in by_label.items()
-            }
+            int(c): {lab: [Exemplar(*row) for row in rows] for lab, rows in by_label.items()}
             for c, by_label in obj["ranked"].items()
         }
-        assignment = {str(k): int(v) for k, v in obj["assignment"].items()}
-        return cls(ranked=ranked, assignment=assignment)
+        return cls(ranked=ranked, assignment=obj["assignment"])
 
 
 def select_instances(
@@ -151,9 +139,10 @@ def build_pool(
 ) -> ExemplarPool:
     """Rank every labeled record against every cluster centroid.
 
-    Any record carrying a gold label may serve as an exemplar.
+    Any record carrying a gold label may serve as an exemplar.  A list
+    keeps one more than ``WANT`` asks for, as the target may take a place.
     """
-    candidates = [r for r in dataset.records if r.gold_label in (INCLUDE, EXCLUDE)]
+    candidates = [r for r in dataset.records if r.gold_label in WANT]
     if not candidates:
         raise PoolError("pool unconstructible: no labeled records")
     for rec in candidates:
@@ -165,17 +154,15 @@ def build_pool(
     ranked: dict[int, dict[str, list[Exemplar]]] = {}
     for cluster in range(clustering.k):
         cx, cy = clustering.centroids[cluster]
-        scored = []
-        for rec in candidates:
-            p = points[rec.id]
-            dist = math.hypot(p.x - cx, p.y - cy)
-            in_cluster = clustering.assignment[rec.id] == cluster
-            scored.append((not in_cluster, dist, rec.id, rec.gold_label))
-        scored.sort()
-        by_label = {INCLUDE: [], EXCLUDE: []}
-        for spill, dist, rid, label in scored:
-            by_label[label].append(
+        ranked[cluster] = {}
+        for label, want in WANT.items():
+            best = heapq.nsmallest(want + 1, (
+                (clustering.assignment[rec.id] != cluster,
+                 math.hypot(points[rec.id].x - cx, points[rec.id].y - cy), rec.id)
+                for rec in candidates if rec.gold_label == label
+            ))
+            ranked[cluster][label] = [
                 Exemplar(record_id=rid, label=label, cluster=cluster, distance=dist)
-            )
-        ranked[cluster] = by_label
+                for _, dist, rid in best
+            ]
     return ExemplarPool(ranked=ranked, assignment=dict(clustering.assignment))

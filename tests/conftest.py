@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -13,8 +15,9 @@ settings.load_profile("default")
 
 from dfscreen import synth
 from dfscreen.clustering import kmeans
+from dfscreen.corpus import EXCLUDE, INCLUDE
 from dfscreen.embedding import EmbeddingClient, EmbeddingProviderConfig
-from dfscreen.exemplar_pool import build_pool
+from dfscreen.exemplar_pool import Exemplar, ExemplarPool, build_pool
 from dfscreen.projection import project_2d
 
 
@@ -27,6 +30,28 @@ def build_pipeline(dataset, k, seed=0, dim=32):
     clustering = kmeans(points, k, seed)
     pool = build_pool(dataset, clustering, points)
     return points, clustering, pool
+
+
+def full_pool(dataset, clustering, points):
+    """Reference pool: every labeled record ranked against every cluster.
+
+    Same key as ``build_pool`` (in-cluster first, then distance, then id)
+    but nothing cut, like the pools older caches hold.
+    """
+    ranked = {}
+    for cluster in range(clustering.k):
+        cx, cy = clustering.centroids[cluster]
+        scored = sorted(
+            (clustering.assignment[r.id] != cluster,
+             math.hypot(points[r.id].x - cx, points[r.id].y - cy), r.id, r.gold_label)
+            for r in dataset.records if r.gold_label in (INCLUDE, EXCLUDE)
+        )
+        ranked[cluster] = {
+            label: [Exemplar(rid, label, cluster, d) for _, d, rid, lab in scored
+                    if lab == label]
+            for label in (INCLUDE, EXCLUDE)
+        }
+    return ExemplarPool(ranked=ranked, assignment=dict(clustering.assignment))
 
 
 @pytest.fixture

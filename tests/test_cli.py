@@ -22,6 +22,8 @@ from dfscreen.gateway import (
 from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
+from conftest import full_pool
+
 SHAPES = [
     ReviewShape("REV-A", "test", 90, 20, 80, 18, 3),
     ReviewShape("REV-B", "test", 70, 15, 64, 14, 3),
@@ -230,6 +232,31 @@ class TestImportProjection:
         assert imported.pool()[0].to_json() == pool.to_json()
 
 
+    def test_import_never_embeds(self, tmp_path, monkeypatch):
+        dataset = synth.synth_review("IMP", 30, 8, k=3, seed=2)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(tmp_path / "ws" / "points.jsonl", "w") as fh:
+            for i, r in enumerate(dataset.records):
+                fh.write(json.dumps({"id": r.id, "x": float(i % 7), "y": float(i % 5)}) + "\n")
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["projection"] = {"method": "import", "path": "points.jsonl"}
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        embedded = []
+        real = embedding.EmbeddingClient.embed_batch
+
+        def record(self, texts, ids=None):
+            embedded.append(self.config.kind)
+            return real(self, texts, ids)
+
+        monkeypatch.setattr(embedding.EmbeddingClient, "embed_batch", record)
+        assert cli.main(["project", "--config", config_path]) == cli.EXIT_OK
+        assert embedded == []
+        stages = {name.split("-")[0] for name in os.listdir(tmp_path / "ws" / "cache")}
+        assert stages == {"curate", "project"}
+
+
 class TestScreen:
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         config_path = build_workspace(str(tmp_path / "ws"))
@@ -391,6 +418,29 @@ class TestGoldLabels:
         assert "gold labels missing" in capsys.readouterr().err
         assert sent == []
 
+    def test_sweep_checks_every_review_before_any_call(self, tmp_path, monkeypatch, capsys):
+        config_path = build_workspace(str(tmp_path / "ws"))
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        last = os.path.join(tmp_path, "ws", raw["reviews"]["REV-C"]["dataset"])
+        dataset = corpus.load_dataset_jsonl(last, "REV-C")
+        records = [dataclasses.replace(r, gold_label=None) if i == 5 else r
+                   for i, r in enumerate(dataset.records)]
+        write_dataset_jsonl(ReviewDataset("REV-C", records), last)
+        raw["provider"] = {"kind": "http"}
+        raw["stage1"] = {"model": "m1", "url": "http://127.0.0.1:9/v1"}
+        raw["stage2"] = {"model": "m2", "url": "http://127.0.0.1:9/v1"}
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        sent = []
+        monkeypatch.setattr(HttpChatProvider, "send", lambda *a, **k: sent.append(a))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", config_path, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_EVALUATION
+        assert "review REV-C: gold labels missing" in capsys.readouterr().err
+        assert sent == []
+        assert not (out / "sweep.csv").exists()
+
     def test_evaluate_is_exit_4(self, partly_unlabeled, tmp_path, capsys):
         results = tmp_path / "run"
         results.mkdir()
@@ -421,10 +471,12 @@ class TestStageMemo:
         reviews = cli.PipelineConfig.load(config_path).reviews
         assert sorted(hashed) == sorted(entry["dataset"] for entry in reviews.values())
 
-    def test_warm_screen_opens_each_artifact_at_most_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def warm_artifacts_opened(tmp_path, monkeypatch, argv):
+        """Cache artifacts a warm ``argv`` opens, in order, after a cold screen."""
         config_path = build_workspace(str(tmp_path / "ws"))
-        argv = ["screen", "--config", config_path, "--out"]
-        assert cli.main(argv + [str(tmp_path / "cold")]) == cli.EXIT_OK
+        cold = ["screen", "--config", config_path, "--out", str(tmp_path / "cold")]
+        assert cli.main(cold) == cli.EXIT_OK
         cache_dir = cli.PipelineConfig.load(config_path).cache_dir
         opened = []
         real_open = builtins.open
@@ -435,13 +487,25 @@ class TestStageMemo:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", record)
-        assert cli.main(argv + [str(tmp_path / "warm")]) == cli.EXIT_OK
+        rc = cli.main(argv + ["--config", config_path, "--out", str(tmp_path / "warm")])
+        assert rc == cli.EXIT_OK
         monkeypatch.undo()
-        artifacts = [name for name in opened if name != "responses.jsonl"]
+        return [name for name in opened if name != "responses.jsonl"]
+
+    def test_warm_screen_opens_each_artifact_at_most_once(self, tmp_path, monkeypatch):
+        artifacts = self.warm_artifacts_opened(tmp_path, monkeypatch, ["screen"])
         assert len(artifacts) == len(set(artifacts))
         stages = {name.split("-")[0] for name in artifacts}
-        assert stages == {"curate", "project", "cluster", "pool"}
-        assert len(artifacts) == 4 * len(SHAPES)
+        assert stages == {"curate", "cluster", "pool"}
+        assert len(artifacts) == 3 * len(SHAPES)
+
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["screen", "--dry-run"]], ids=["sweep", "dry-run"]
+    )
+    def test_warm_command_never_opens_points(self, tmp_path, monkeypatch, command):
+        artifacts = self.warm_artifacts_opened(tmp_path, monkeypatch, command)
+        assert len(artifacts) == len(set(artifacts))
+        assert {name.split("-")[0] for name in artifacts} == {"curate", "cluster", "pool"}
 
 
 class TestArtifactWrites:
@@ -638,6 +702,26 @@ class TestWarmPipeline:
         monkeypatch.setattr(embedding.EmbeddingClient, "embed_batch", record)
         assert cli.main(["embed", "--config", config_path]) == cli.EXIT_OK
         assert kinds == ["file_import"] * len(SHAPES)
+
+
+    def test_full_length_pools_replay_byte_identical(self, tmp_path):
+        config_path = build_workspace(str(tmp_path / "ws"))
+        cut, full = str(tmp_path / "cut"), str(tmp_path / "full")
+        for out in (str(tmp_path / "cold"), cut):
+            assert cli.main(["screen", "--config", config_path, "--out", out]) == cli.EXIT_OK
+        cfg = cli.PipelineConfig.load(config_path)
+        for rid, pipe in cli._pipelines(cfg):
+            clus, _ = pipe.clustering()
+            pool, pool_key = pipe.pool()
+            longer = full_pool(pipe.curated()[0], clus, pipe.points()[0])
+            assert any(len(longer.ranked[c][label]) > len(lst)
+                       for c, by_label in pool.ranked.items()
+                       for label, lst in by_label.items())
+            pipe.cache.write_text(pool_key, longer.to_json())
+        assert cli.main(["screen", "--config", config_path, "--out", full]) == cli.EXIT_OK
+        assert sorted(os.listdir(full)) == sorted(os.listdir(cut))
+        for name in os.listdir(cut):
+            assert slurp(os.path.join(full, name)) == slurp(os.path.join(cut, name))
 
 
 class TestReproducibility:

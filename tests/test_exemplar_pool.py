@@ -3,10 +3,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import full_pool
 from dfscreen.clustering import Clustering, kmeans
 from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset, StudyRecord
 from dfscreen.exemplar_pool import (
+    WANT,
     ExemplarPool,
     PoolError,
     build_pool,
@@ -224,6 +228,73 @@ class TestUnconstructible:
         pool = build_pool(dataset, clustering, points)
         with pytest.raises(PoolError, match="pool unconstructible"):
             pool.nominal(0)
+
+
+@st.composite
+def pool_fixtures(draw):
+    """Labelled records on a small integer grid (so distances tie), any k."""
+    k = draw(st.integers(1, 4))
+    grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from([INCLUDE, EXCLUDE, EXCLUDE, None]), grid,
+                  st.integers(0, k - 1)),
+        min_size=1, max_size=24,
+    ))
+    if all(label is None for label, _, _ in rows):
+        rows[0] = (EXCLUDE, *rows[0][1:])
+    records, points, assignment = [], {}, {}
+    for i, (label, (x, y), cluster) in enumerate(rows):
+        rid = f"r{draw(st.integers(0, 99)):02d}-{i}"  # ids not in dataset order
+        records.append(StudyRecord(id=rid, title="T", abstract="A", gold_label=label))
+        points[rid] = Point2D(float(x), float(y))
+        assignment[rid] = cluster
+    centroids = [Point2D(float(x), float(y))
+                 for x, y in draw(st.lists(grid, min_size=k, max_size=k))]
+    clustering = Clustering(k=k, centroids=centroids, assignment=assignment, inertia=0.0)
+    fresh = {f"fresh{i}": Point2D(float(x), float(y))
+             for i, (x, y) in enumerate(draw(st.lists(grid, max_size=4)))}
+    return ReviewDataset("HYP", records), points, clustering, fresh
+
+
+def outcome(select):
+    try:
+        return select()
+    except PoolError as exc:
+        return f"PoolError: {exc}"
+
+
+class TestReachablePrefix:
+    @given(pool_fixtures())
+    def test_cut_pool_is_the_full_ranking_prefix(self, fixture):
+        dataset, points, clustering, _ = fixture
+        pool = build_pool(dataset, clustering, points)
+        full = full_pool(dataset, clustering, points)
+        assert pool.assignment == full.assignment
+        for cluster in range(clustering.k):
+            for label, want in WANT.items():
+                assert pool.ranked[cluster][label] == full.ranked[cluster][label][:want + 1]
+
+    @given(pool_fixtures())
+    def test_cut_pool_selects_as_the_full_ranking(self, fixture):
+        dataset, points, clustering, fresh = fixture
+        pool = build_pool(dataset, clustering, points)
+        full = full_pool(dataset, clustering, points)
+        for record in dataset.records:
+            assert outcome(lambda: pool.select_instances(record.id)) == outcome(
+                lambda: full.select_instances(record.id))
+        placed = {**points, **fresh}
+        for rid in fresh:
+            assert outcome(lambda: select_instances(rid, pool, clustering, placed)) == \
+                outcome(lambda: select_instances(rid, full, clustering, placed))
+
+    def test_short_cluster_error_text_matches(self):
+        dataset, points, clustering = TestUnconstructible().base([INCLUDE, EXCLUDE, EXCLUDE])
+        pool = build_pool(dataset, clustering, points)
+        full = full_pool(dataset, clustering, points)
+        for rid in ("u0", "u1"):
+            expected = outcome(lambda: full.select_instances(rid))
+            assert expected.startswith("PoolError: pool unconstructible")
+            assert outcome(lambda: pool.select_instances(rid)) == expected
 
 
 def test_pool_json_round_trip(small_pipeline):

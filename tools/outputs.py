@@ -1,6 +1,6 @@
 """Run the dfscreen command matrix against one source tree and keep every output.
 
-    python3 tools/outputs.py SRC_DIR OUT_DIR [--seed N]
+    python3 tools/outputs.py SRC_DIR OUT_DIR [--seed N] [--against OUT_A]
 
 SRC_DIR is a tree's ``src/`` directory; OUT_DIR must not exist yet.  The
 script writes the 10-review synthetic workspace into ``OUT_DIR/ws`` and
@@ -15,18 +15,19 @@ runs, each in a fresh interpreter that imports ``dfscreen`` from SRC_DIR:
 
 Each command's stdout and stderr go to ``OUT_DIR/stdout/NN-name.txt``
 with its exit code on the last line and OUT_DIR written as ``<OUT>``.
-Two trees' outputs then compare with
 
-    diff -r -x responses.jsonl OUT_A OUT_B
-    diff <(sort OUT_A/ws/cache/responses.jsonl) <(sort OUT_B/ws/cache/responses.jsonl)
-
-``responses.jsonl`` is compared as a set of lines: with more than one
-worker its lines land in completion order.  Standard library only.
+``--against OUT_A`` then compares OUT_DIR with an earlier run's output:
+every file byte for byte, except ``responses.jsonl``, compared as a set
+of lines (with more than one worker its lines land in completion order).
+It prints each file that differs or exists on one side only, and the
+script exits 1 if any does, as it does when a command fails.  Standard
+library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import os
 import subprocess
 import sys
@@ -94,16 +95,47 @@ def run(src: str, out_dir: str, seed: int) -> int:
     return failed
 
 
+def files(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, name), root)
+            for d, _, names in os.walk(root) for name in names}
+
+
+def differing(out_a: str, out_b: str) -> list[str]:
+    """Relative paths whose contents differ between two output directories."""
+    a, b = files(out_a), files(out_b)
+    out = sorted(a ^ b)
+    for rel in sorted(a & b):
+        path_a, path_b = os.path.join(out_a, rel), os.path.join(out_b, rel)
+        if os.path.basename(rel) == "responses.jsonl":
+            with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+                same = set(fa) == set(fb)
+        else:
+            same = filecmp.cmp(path_a, path_b, shallow=False)
+        if not same:
+            out.append(rel)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="the tree's src/ directory")
     parser.add_argument("out", help="output directory; must not exist")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--against", metavar="OUT_A",
+                        help="an earlier OUT_DIR to compare the new one with")
     args = parser.parse_args(argv)
     out_dir = os.path.abspath(args.out)
     if os.path.exists(out_dir):
         parser.error(f"{out_dir} exists")
+    if args.against and not os.path.isdir(args.against):
+        parser.error(f"{args.against} is not a directory")
     failed = run(os.path.abspath(args.src), out_dir, args.seed)
+    if args.against:
+        diffs = differing(args.against, out_dir)
+        for rel in diffs:
+            print(f"differs: {rel}")
+        print(f"{len(diffs)} of {len(files(out_dir))} files differ from {args.against}")
+        failed += len(diffs)
     return 1 if failed else 0
 
 
