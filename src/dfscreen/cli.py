@@ -233,8 +233,12 @@ class ReviewPipeline:
         return value, key
 
     def criteria(self) -> str:
-        with open(self.entry["criteria"], encoding="utf-8") as fh:
-            return fh.read().strip()
+        path = self.entry["criteria"]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return fh.read().strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"criteria {path} is not UTF-8: {exc}") from None
 
     @_once
     def curated(self):
@@ -329,9 +333,9 @@ class ReviewPipeline:
 
     def exemplars(self):
         """(pool, clustering, points); points only place unclustered records."""
-        pool, _ = self.pool()
-        unplaced = any(r.id not in pool.assignment for r in self.curated()[0].records)
-        return pool, self.clustering()[0], self.points()[0] if unplaced else {}
+        clus, _ = self.clustering()
+        unplaced = any(r.id not in clus.assignment for r in self.curated()[0].records)
+        return self.pool()[0], clus, self.points()[0] if unplaced else {}
 
     def screen_key(self) -> str:
         _, pool_key = self.pool()
@@ -417,8 +421,11 @@ def cmd_curate(args) -> int:
 def cmd_fetch(args) -> int:
     pmids = []
     if args.pmid_file:
-        with open(args.pmid_file, encoding="utf-8") as fh:
-            pmids.extend(line.strip() for line in fh if line.strip())
+        try:
+            with open(args.pmid_file, encoding="utf-8") as fh:
+                pmids.extend(line.strip() for line in fh if line.strip())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"PMID file {args.pmid_file} is not UTF-8: {exc}") from None
     pmids.extend(args.pmids)
     if not pmids:
         raise ConfigError("no PMIDs given (use --pmid-file or positional ids)")
@@ -513,10 +520,6 @@ def cmd_screen(args) -> int:
         if not 0.0 <= args.threshold <= 1.0:
             raise ConfigError(f"threshold {args.threshold} outside [0,1]")
         cfg.threshold = args.threshold
-    if args.stage1:
-        cfg.stage1["model"] = args.stage1
-    if args.stage2:
-        cfg.stage2["model"] = args.stage2
     if args.dry_run:
         return _dry_run_screen(cfg)
     out_dir = args.out
@@ -687,8 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=[s.value for s in Strategy])
     p.add_argument("--threshold", type=float)
-    p.add_argument("--stage1", help="override the stage-1 model id")
-    p.add_argument("--stage2", help="override the stage-2 model id")
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_screen)
 

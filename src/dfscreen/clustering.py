@@ -36,9 +36,6 @@ class Clustering:
     assignment: dict[str, int]
     inertia: float
 
-    def members(self, cluster: int) -> list[str]:
-        return sorted(rid for rid, c in self.assignment.items() if c == cluster)
-
     def to_json(self) -> str:
         # Centroids are named tuples, so they serialise as [x, y] pairs.
         return json.dumps(vars(self), sort_keys=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 INCLUDE = "include"
 EXCLUDE = "exclude"
@@ -165,7 +165,7 @@ def _reject_dup_keys(pairs):
 def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
     """Load records from JSON lines. One object per line, exact keys checked."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -183,27 +183,30 @@ def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
 def load_dataset_csv(path: str, review_id: str) -> ReviewDataset:
     """Load records from CSV with a header row."""
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            raise DatasetError(f"{path}: duplicate column names in header")
-        for k in _REQUIRED_FIELDS:
-            if k not in header:
-                raise DatasetError(f"{path}: missing column {k!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError(f"{path}: empty file") from None
+            if len(set(header)) != len(header):
+                raise DatasetError(f"{path}: duplicate column names in header")
+            for k in _REQUIRED_FIELDS:
+                if k not in header:
+                    raise DatasetError(f"{path}: missing column {k!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DatasetError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                records.append(
+                    _record_from_mapping(dict(zip(header, row)), review_id, f"{path}:{lineno}")
                 )
-            records.append(
-                _record_from_mapping(dict(zip(header, row)), review_id, f"{path}:{lineno}")
-            )
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8: {exc}") from None
     return ReviewDataset(review_id, records)
 
 
@@ -224,10 +227,3 @@ def write_dataset_jsonl(dataset: ReviewDataset, path: str) -> None:
             if rec.gold_label is not None:
                 row["gold_label"] = rec.gold_label
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def strip_labels(dataset: ReviewDataset) -> ReviewDataset:
-    """Copy of the dataset with gold labels removed (for blind runs)."""
-    return ReviewDataset(
-        dataset.review_id, [replace(r, gold_label=None) for r in dataset.records]
-    )

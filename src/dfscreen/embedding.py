@@ -125,7 +125,7 @@ class EmbeddingClient:
             raise EmbeddingError("ids and texts length mismatch")
         if self._import_table is None:
             table: dict[str, list[float]] = {}
-            with open(self.config.path, encoding="utf-8") as fh:
+            with open(self.config.path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue

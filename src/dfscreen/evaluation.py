@@ -182,19 +182,15 @@ def t_cdf(t: float, df: int) -> float:
 class PairedTTestResult:
     t_statistic: float
     df: int
-    p_value: float
-    two_sided: bool
+    p_value: float  # two-sided
     lower_tail_p: float  # P(T <= t)
     upper_tail_p: float  # P(T >= t)
 
 
-def paired_t_test(
-    before: list[float], after: list[float], two_sided: bool = True
-) -> PairedTTestResult:
-    """Paired t-test on after - before differences, sample sd (n-1).
+def paired_t_test(before: list[float], after: list[float]) -> PairedTTestResult:
+    """Two-sided paired t-test on after - before differences, sample sd (n-1).
 
-    Both tail probabilities ride along so a report can print them
-    regardless of the sidedness chosen for p_value.
+    Both tail probabilities ride along so a report can print them.
     """
     if len(before) != len(after):
         raise EvaluationError(
@@ -212,15 +208,10 @@ def paired_t_test(
     df = n - 1
     lower = t_cdf(t, df)
     upper = 1.0 - lower
-    if two_sided:
-        p = 2.0 * min(lower, upper)
-    else:
-        p = upper  # tests whether after exceeds before
     return PairedTTestResult(
         t_statistic=t,
         df=df,
-        p_value=min(1.0, p),
-        two_sided=two_sided,
+        p_value=min(1.0, 2.0 * min(lower, upper)),
         lower_tail_p=lower,
         upper_tail_p=upper,
     )
@@ -295,12 +286,7 @@ def evaluate_run(
                          usd_stage1=usd_stage1, usd_stage2=usd_stage2)
 
 
-def write_report(
-    report: MetricsReport,
-    csv_path: str,
-    json_path: str | None = None,
-    t_test: PairedTTestResult | None = None,
-) -> None:
+def write_report(report: MetricsReport, csv_path: str, json_path: str | None = None) -> None:
     """Per-review CSV plus an optional JSON summary.
 
     Floats are written with repr so a read-back compares equal.
@@ -317,8 +303,6 @@ def write_report(
         "pooled": report.pooled(),
         "usd_total": sum(r.usd_stage1 + r.usd_stage2 for r in report.rows),
     }
-    if t_test is not None:
-        summary["paired_t_test"] = vars(t_test)
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -326,28 +310,29 @@ def write_report(
 
 def read_report_csv(path: str) -> MetricsReport:
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise EvaluationError(f"{path}: unexpected columns {header}")
-        try:
-            for values in reader:
-                if not values:
-                    continue
-                if len(values) != len(CSV_COLUMNS):
-                    raise ValueError(f"{len(values)} values, {len(CSV_COLUMNS)} columns")
-                rows.append(ReviewMetrics(*(t(v) for t, v in zip(_COLUMN_TYPES, values))))
-        except (ValueError, csv.Error) as exc:
-            raise EvaluationError(
-                f"{path}:{reader.line_num}: unreadable row: {exc}"
-            ) from None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise EvaluationError(f"{path}: unexpected columns {header}")
+            try:
+                for values in reader:
+                    if not values:
+                        continue
+                    if len(values) != len(CSV_COLUMNS):
+                        raise ValueError(f"{len(values)} values, {len(CSV_COLUMNS)} columns")
+                    rows.append(ReviewMetrics(*(t(v) for t, v in zip(_COLUMN_TYPES, values))))
+            except (ValueError, csv.Error) as exc:
+                raise EvaluationError(
+                    f"{path}:{reader.line_num}: unreadable row: {exc}"
+                ) from None
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{path} is not UTF-8: {exc}") from None
     return MetricsReport(rows=rows)
 
 
-def compare_runs(
-    report_a: MetricsReport, report_b: MetricsReport, two_sided: bool = True
-) -> dict:
+def compare_runs(report_a: MetricsReport, report_b: MetricsReport) -> dict:
     """Paired t-test over per-review F1 between two runs (b minus a)."""
     ids_a = [r.review_id for r in report_a.rows]
     ids_b = [r.review_id for r in report_b.rows]
@@ -361,7 +346,7 @@ def compare_runs(
     before = [f1_a[i] for i in order]
     after = [f1_b[i] for i in order]
     try:
-        test = paired_t_test(before, after, two_sided=two_sided)
+        test = paired_t_test(before, after)
     except EvaluationError as exc:
         if "zero variance" in str(exc):
             raise EvaluationError("runs identical: no F1 differences to test") from None

@@ -2,10 +2,12 @@
 
 For each cluster and label we rank the candidates by closeness to that
 cluster's centroid, in-cluster candidates ahead of spill-ins from other
-clusters.  Selection for a target record walks the ranked lists, skipping
-the target itself so a record can never appear as its own worked example.
-It thus never reads past a list's 2nd include or 3rd exclude, and the pool
-keeps only that prefix; an older cache's full-length pool selects the same.
+clusters.  Selection for a target record walks its cluster's ranked lists,
+skipping the target itself so a record can never appear as its own worked
+example.  It thus never reads past a list's 2nd include or 3rd exclude, and
+the pool keeps only that prefix; an older cache's full-length pool selects
+the same.  A record's cluster comes from the clustering: the pool keeps no
+copy, and ignores the one an older pool artifact carries.
 """
 
 from __future__ import annotations
@@ -41,33 +43,19 @@ class Exemplar:
 
 @dataclass
 class ExemplarPool:
-    """Reachable ranked candidates per (cluster, label), plus the assignment map."""
+    """Reachable ranked candidates per (cluster, label).
+
+    Selection is told the target's cluster; the pool does not know it.
+    """
 
     ranked: dict[int, dict[str, list[Exemplar]]]
-    assignment: dict[str, int]
 
-    def nominal(self, cluster: int) -> list[Exemplar]:
-        """The cluster's headline exemplars: best include, two best excludes."""
-        inc = self.ranked[cluster][INCLUDE][:1]
-        exc = self.ranked[cluster][EXCLUDE][:2]
-        if len(inc) < 1 or len(exc) < 2:
-            raise PoolError(
-                f"pool unconstructible: cluster {cluster} has "
-                f"{len(inc)} include and {len(exc)} exclude candidates"
-            )
-        return inc + exc
-
-    def select_instances(self, target_id: str) -> list[Exemplar]:
-        """Exemplars for one target: include first, then two excludes.
+    def select_instances(self, target_id: str, cluster: int) -> list[Exemplar]:
+        """Exemplars for one target in ``cluster``: include first, then two excludes.
 
         The target record is skipped wherever it appears, and no record
         is used twice within the selection.
         """
-        if target_id not in self.assignment:
-            raise PoolError(f"unknown target record {target_id!r}")
-        return self.select_for_cluster(target_id, self.assignment[target_id])
-
-    def select_for_cluster(self, target_id: str, cluster: int) -> list[Exemplar]:
         if cluster not in self.ranked:
             raise PoolError(f"no candidates ranked for cluster {cluster}")
         used = {target_id}
@@ -95,16 +83,17 @@ class ExemplarPool:
             str(c): {lab: [astuple(e) for e in lst] for lab, lst in by_label.items()}
             for c, by_label in self.ranked.items()
         }
-        return json.dumps({"assignment": self.assignment, "ranked": ranked}, sort_keys=True)
+        return json.dumps({"ranked": ranked}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExemplarPool":
+        """Load a pool artifact; an older one's ``"assignment"`` key is ignored."""
         obj = json.loads(text)
         ranked = {
             int(c): {lab: [Exemplar(*row) for row in rows] for lab, rows in by_label.items()}
             for c, by_label in obj["ranked"].items()
         }
-        return cls(ranked=ranked, assignment=obj["assignment"])
+        return cls(ranked)
 
 
 def select_instances(
@@ -115,21 +104,20 @@ def select_instances(
 ) -> list[Exemplar]:
     """Exemplars for ``target``, resolving its cluster as needed.
 
-    A record that was part of the clustering uses its stored assignment;
+    A record that was part of the clustering uses its assignment there;
     anything else (a fresh, unclustered record) is placed by nearest
     centroid from its projected point.
     """
     target_id = target if isinstance(target, str) else target.id
-    if target_id in pool.assignment:
-        cluster = pool.assignment[target_id]
-    else:
+    cluster = clustering.assignment.get(target_id)
+    if cluster is None:
         if target_id not in points:
             raise PoolError(
                 f"cannot place target {target_id!r}: not clustered and no point"
             )
         cluster = nearest_centroid(np.array(points[target_id]),
                                    np.array(clustering.centroids))
-    return pool.select_for_cluster(target_id, cluster)
+    return pool.select_instances(target_id, cluster)
 
 
 def build_pool(
@@ -165,4 +153,4 @@ def build_pool(
                 Exemplar(record_id=rid, label=label, cluster=cluster, distance=dist)
                 for _, dist, rid in best
             ]
-    return ExemplarPool(ranked=ranked, assignment=dict(clustering.assignment))
+    return ExemplarPool(ranked)

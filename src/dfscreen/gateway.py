@@ -300,11 +300,6 @@ class ResponseCache:
                 self._log.close()
                 self._log = None
 
-    def __len__(self) -> int:
-        with self._lock:
-            self._ensure_loaded()
-            return len(self._mem)
-
 
 MAX_ATTEMPTS = 3
 DEFAULT_TIMEOUT = 60.0

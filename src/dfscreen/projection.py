@@ -99,7 +99,7 @@ def write_points_jsonl(points: dict[str, Point2D], path: str) -> None:
 
 def read_points_jsonl(path: str) -> dict[str, Point2D]:
     table: dict[str, Point2D] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

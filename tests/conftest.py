@@ -51,7 +51,7 @@ def full_pool(dataset, clustering, points):
                     if lab == label]
             for label in (INCLUDE, EXCLUDE)
         }
-    return ExemplarPool(ranked=ranked, assignment=dict(clustering.assignment))
+    return ExemplarPool(ranked)
 
 
 @pytest.fixture

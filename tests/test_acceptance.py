@@ -26,6 +26,7 @@ from dfscreen.evaluation import (
     paired_t_test,
     t_cdf,
 )
+from dfscreen.exemplar_pool import select_instances
 from dfscreen.gateway import (
     CostLedger,
     ModelPricing,
@@ -219,7 +220,9 @@ def test_criterion_05_exemplar_pool(criterion):
         gold = {r.id: r.gold_label for r in dataset.records}
         for cluster in range(clustering.k):
             cx, cy = clustering.centroids[cluster]
-            nominal = pool.nominal(cluster)
+            # A record the clustering never saw, on the centroid, skips nothing.
+            on_centroid = {"fresh": Point2D(cx, cy)}
+            nominal = select_instances("fresh", pool, clustering, on_centroid)
             assert [e.label for e in nominal] == [INCLUDE, EXCLUDE, EXCLUDE]
             scored = {}
             for rid, label in gold.items():
@@ -236,7 +239,7 @@ def test_criterion_05_exemplar_pool(criterion):
             assert nominal[0].record_id == best_inc
             assert [nominal[1].record_id, nominal[2].record_id] == exc_sorted[:2]
         for record in dataset.records:
-            chosen = pool.select_instances(record.id)
+            chosen = select_instances(record, pool, clustering, points)
             ids = [e.record_id for e in chosen]
             assert record.id not in ids
             assert len(set(ids)) == 3

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import dfscreen
-from dfscreen import cli, corpus, embedding, synth
+from dfscreen import cli, corpus, embedding, evaluation, synth
 from dfscreen.corpus import EXCLUDE, ReviewDataset, write_dataset_jsonl
 from dfscreen.gateway import (
     HttpChatProvider,
@@ -723,6 +723,28 @@ class TestWarmPipeline:
         for name in os.listdir(cut):
             assert slurp(os.path.join(full, name)) == slurp(os.path.join(cut, name))
 
+    def test_pools_with_assignment_map_replay_byte_identical(self, tmp_path):
+        """Pool artifacts that also carry the clustering's map, as older ones do."""
+        config_path = build_workspace(str(tmp_path / "ws"))
+        plain, mapped = str(tmp_path / "plain"), str(tmp_path / "mapped")
+        for out in (str(tmp_path / "cold"), plain):
+            assert cli.main(["screen", "--config", config_path, "--out", out]) == cli.EXIT_OK
+        cfg = cli.PipelineConfig.load(config_path)
+        for _, pipe in cli._pipelines(cfg):
+            clus, _ = pipe.clustering()
+            _, pool_key = pipe.pool()
+            older = json.loads(pipe.cache.read_text(pool_key))
+            assert "assignment" not in older
+            older["assignment"] = clus.assignment
+            pipe.cache.write_text(pool_key, json.dumps(older, sort_keys=True))
+        log = os.path.join(cfg.cache_dir, "responses.jsonl")
+        logged = slurp(log)
+        assert cli.main(["screen", "--config", config_path, "--out", mapped]) == cli.EXIT_OK
+        assert slurp(log) == logged
+        assert sorted(os.listdir(mapped)) == sorted(os.listdir(plain))
+        for name in os.listdir(plain):
+            assert slurp(os.path.join(mapped, name)) == slurp(os.path.join(plain, name))
+
 
 class TestReproducibility:
     def test_warm_runs_are_byte_identical(self, tmp_path):
@@ -878,6 +900,83 @@ class TestCompare:
         stdout = capsys.readouterr().out
         assert "macro F1:" in stdout
         assert "paired t:" in stdout
+
+
+def spoil(path):
+    """Put a byte that is never UTF-8 into the second line of a file."""
+    data = slurp(path)
+    cut = data.index(b"\n") + 2
+    with open(path, "wb") as fh:
+        fh.write(data[:cut] + b"\xff" + data[cut:])
+
+
+class TestNonUtf8Input:
+    @pytest.fixture
+    def one_review(self, tmp_path):
+        dataset = synth.synth_review("BYTES", 30, 8, k=3, seed=4)
+        return dataset, single_review_workspace(str(tmp_path / "ws"), dataset)
+
+    def configure(self, config_path, **changes):
+        with open(config_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        config.update(changes)
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+
+    def write_rows(self, path, rows):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("target", [
+        "dataset-jsonl", "dataset-csv", "criteria", "points", "vectors", "pmids", "report",
+    ])
+    def test_bad_byte_exits_with_its_code_and_names_the_file(
+        self, one_review, tmp_path, capsys, target
+    ):
+        dataset, config_path = one_review
+        root = os.path.dirname(config_path)
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out")]
+        code = cli.EXIT_CONFIG
+        if target == "dataset-jsonl":
+            path = os.path.join(root, "data.jsonl")
+        elif target == "dataset-csv":
+            path = os.path.join(root, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["id", "title", "abstract", "gold_label"])
+                writer.writerows((r.id, r.title, r.abstract, r.gold_label)
+                                 for r in dataset.records)
+            review = {"dataset": "data.csv", "criteria": "criteria.txt", "k": 3}
+            self.configure(config_path, reviews={"BYTES": review})
+        elif target == "criteria":
+            path = os.path.join(root, "criteria.txt")
+        elif target == "points":
+            path = os.path.join(root, "points.jsonl")
+            self.write_rows(path, ({"id": r.id, "x": float(i), "y": float(i % 7)}
+                                   for i, r in enumerate(dataset.records)))
+            self.configure(config_path, projection={"method": "import", "path": path})
+        elif target == "vectors":
+            path = os.path.join(root, "vectors.jsonl")
+            self.write_rows(path, ({"id": r.id, "vector": [float(i), float(i % 5), 1.0]}
+                                   for i, r in enumerate(dataset.records)))
+            self.configure(config_path, embedding={"kind": "file_import", "path": path})
+        elif target == "pmids":
+            path = str(tmp_path / "pmids.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("12345\n67890\n")
+            argv = ["fetch", "--pmid-file", path, "--out", str(tmp_path / "fetched.jsonl")]
+        else:
+            path = str(tmp_path / "report.csv")
+            report = evaluation.MetricsReport([
+                evaluation.ReviewMetrics(rid, 1, 0, 0, 1, 1.0, 1.0, f1, 1.0, 0.0, 0.0, 0.0)
+                for rid, f1 in (("R1", 0.5), ("R2", 0.7))
+            ])
+            evaluation.write_report(report, path)
+            argv = ["compare", "--run-a", path, "--run-b", path]
+            code = cli.EXIT_EVALUATION
+        spoil(path)
+        assert cli.main(argv) == code
+        assert path in capsys.readouterr().err
 
 
 class TestFetchValidation:

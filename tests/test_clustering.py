@@ -210,13 +210,6 @@ class TestKmeans:
         assert len(result.centroids) == 3
         assert set(result.assignment.values()) <= {0, 1, 2}
 
-    def test_members_sorted(self):
-        points = blob(0, 0, 10, 13)
-        result = kmeans(points, 3, seed=3)
-        for c in range(3):
-            members = result.members(c)
-            assert members == sorted(members)
-
     def test_json_round_trip(self):
         points = blob(2.0, -1.0, 12, 15)
         result = kmeans(points, 3, seed=8)

@@ -15,7 +15,6 @@ from dfscreen.corpus import (
     load_dataset,
     load_dataset_csv,
     load_dataset_jsonl,
-    strip_labels,
     write_dataset_jsonl,
 )
 
@@ -187,9 +186,3 @@ class TestLoading:
         path.write_text("whatever")
         with pytest.raises(DatasetError, match="unsupported extension"):
             load_dataset(str(path), "R")
-
-
-def test_strip_labels(small_dataset):
-    blind = strip_labels(small_dataset)
-    assert all(r.gold_label is None for r in blind.records)
-    assert [r.id for r in blind.records] == [r.id for r in small_dataset.records]

@@ -47,6 +47,16 @@ def dist(p: Point2D, c: Point2D) -> float:
     return math.hypot(p.x - c.x, p.y - c.y)
 
 
+def headline(pool, clustering, cluster):
+    """Selection for a record the clustering never saw, placed on a centroid.
+
+    Nothing is skipped for it, so it gets the cluster's best include and
+    two best excludes.
+    """
+    c = clustering.centroids[cluster]
+    return select_instances("fresh", pool, clustering, {"fresh": Point2D(c.x, c.y)})
+
+
 class TestBuildPool:
     def test_nominal_contents_verified_by_scan(self):
         dataset, points, clustering = labeled_fixture()
@@ -54,7 +64,7 @@ class TestBuildPool:
         gold = {r.id: r.gold_label for r in dataset.records}
         for cluster in range(clustering.k):
             centroid = clustering.centroids[cluster]
-            nominal = pool.nominal(cluster)
+            nominal = headline(pool, clustering, cluster)
             assert [e.label for e in nominal] == [INCLUDE, EXCLUDE, EXCLUDE]
             # Walk every candidate and find the true best by hand.
             best_inc = None
@@ -139,19 +149,19 @@ class TestSelectInstances:
     def test_order_is_include_exclude_exclude(self, small_pipeline):
         dataset, points, clustering, pool = small_pipeline
         for record in dataset.records:
-            chosen = pool.select_instances(record.id)
+            chosen = select_instances(record, pool, clustering, {})
             assert [e.label for e in chosen] == [INCLUDE, EXCLUDE, EXCLUDE]
 
     def test_no_leakage_exhaustive(self, small_pipeline):
         dataset, points, clustering, pool = small_pipeline
         for record in dataset.records:
-            chosen = pool.select_instances(record.id)
+            chosen = select_instances(record, pool, clustering, {})
             assert record.id not in {e.record_id for e in chosen}
 
     def test_no_repeats_within_selection(self, small_pipeline):
-        dataset, _, _, pool = small_pipeline
+        dataset, _, clustering, pool = small_pipeline
         for record in dataset.records:
-            ids = [e.record_id for e in pool.select_instances(record.id)]
+            ids = [e.record_id for e in select_instances(record, pool, clustering, {})]
             assert len(set(ids)) == 3
 
     def test_skipping_target_promotes_next_candidate(self):
@@ -161,13 +171,13 @@ class TestSelectInstances:
             top = pool.ranked[cluster][INCLUDE][0]
             if clustering.assignment[top.record_id] != cluster:
                 continue
-            chosen = pool.select_instances(top.record_id)
+            chosen = select_instances(top.record_id, pool, clustering, {})
             assert chosen[0].record_id == pool.ranked[cluster][INCLUDE][1].record_id
 
     def test_unknown_target_rejected(self, small_pipeline):
-        _, _, _, pool = small_pipeline
-        with pytest.raises(PoolError, match="unknown target"):
-            pool.select_instances("nope")
+        _, points, clustering, pool = small_pipeline
+        with pytest.raises(PoolError, match="'nope': not clustered and no point"):
+            select_instances("nope", pool, clustering, points)
 
     def test_unclustered_target_placed_by_nearest_centroid(self):
         dataset, points, clustering = labeled_fixture()
@@ -179,7 +189,7 @@ class TestSelectInstances:
         target_points["fresh"] = Point2D(c.x, c.y)
         chosen = select_instances(target, pool, clustering, target_points)
         assert [e.label for e in chosen] == [INCLUDE, EXCLUDE, EXCLUDE]
-        assert chosen == pool.select_for_cluster("fresh", 2)
+        assert chosen == pool.select_instances("fresh", 2)
 
     def test_unclustered_target_without_point_rejected(self):
         dataset, points, clustering = labeled_fixture()
@@ -212,22 +222,22 @@ class TestUnconstructible:
         dataset, points, clustering = self.base([INCLUDE, EXCLUDE, EXCLUDE, EXCLUDE])
         pool = build_pool(dataset, clustering, points)
         with pytest.raises(PoolError, match="pool unconstructible"):
-            pool.select_instances("u0")
+            select_instances("u0", pool, clustering, points)
         # Other targets still work: the include is free for them.
-        assert len(pool.select_instances("u1")) == 3
+        assert len(select_instances("u1", pool, clustering, points)) == 3
 
     def test_two_excludes_one_is_target(self):
         dataset, points, clustering = self.base([INCLUDE, INCLUDE, EXCLUDE, EXCLUDE])
         pool = build_pool(dataset, clustering, points)
         with pytest.raises(PoolError, match="pool unconstructible"):
-            pool.select_instances("u2")
-        assert len(pool.select_instances("u0")) == 3
+            select_instances("u2", pool, clustering, points)
+        assert len(select_instances("u0", pool, clustering, points)) == 3
 
     def test_nominal_needs_two_excludes(self):
         dataset, points, clustering = self.base([INCLUDE, EXCLUDE])
         pool = build_pool(dataset, clustering, points)
         with pytest.raises(PoolError, match="pool unconstructible"):
-            pool.nominal(0)
+            headline(pool, clustering, 0)
 
 
 @st.composite
@@ -269,7 +279,7 @@ class TestReachablePrefix:
         dataset, points, clustering, _ = fixture
         pool = build_pool(dataset, clustering, points)
         full = full_pool(dataset, clustering, points)
-        assert pool.assignment == full.assignment
+        assert pool.ranked.keys() == full.ranked.keys()
         for cluster in range(clustering.k):
             for label, want in WANT.items():
                 assert pool.ranked[cluster][label] == full.ranked[cluster][label][:want + 1]
@@ -280,8 +290,8 @@ class TestReachablePrefix:
         pool = build_pool(dataset, clustering, points)
         full = full_pool(dataset, clustering, points)
         for record in dataset.records:
-            assert outcome(lambda: pool.select_instances(record.id)) == outcome(
-                lambda: full.select_instances(record.id))
+            assert outcome(lambda: select_instances(record, pool, clustering, {})) == \
+                outcome(lambda: select_instances(record, full, clustering, {}))
         placed = {**points, **fresh}
         for rid in fresh:
             assert outcome(lambda: select_instances(rid, pool, clustering, placed)) == \
@@ -292,13 +302,15 @@ class TestReachablePrefix:
         pool = build_pool(dataset, clustering, points)
         full = full_pool(dataset, clustering, points)
         for rid in ("u0", "u1"):
-            expected = outcome(lambda: full.select_instances(rid))
+            expected = outcome(lambda: select_instances(rid, full, clustering, points))
             assert expected.startswith("PoolError: pool unconstructible")
-            assert outcome(lambda: pool.select_instances(rid)) == expected
+            assert outcome(lambda: select_instances(rid, pool, clustering, points)) == expected
 
 
 def test_pool_json_round_trip(small_pipeline):
-    _, _, _, pool = small_pipeline
+    dataset, _, clustering, pool = small_pipeline
     restored = ExemplarPool.from_json(pool.to_json())
-    assert restored.assignment == pool.assignment
     assert restored.ranked == pool.ranked
+    for record in dataset.records:
+        assert select_instances(record, restored, clustering, {}) == \
+            select_instances(record, pool, clustering, {})

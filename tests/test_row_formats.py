@@ -17,11 +17,11 @@ from dfscreen.corpus import EXCLUDE, INCLUDE
 from dfscreen.evaluation import (
     EvaluationError,
     MetricsReport,
-    PairedTTestResult,
     ReviewMetrics,
     read_report_csv,
     write_report,
 )
+from dfscreen.exemplar_pool import Exemplar, ExemplarPool
 from dfscreen.gateway import CostLedger, Decision, LlmResponse, ModelPricing, ResponseCache
 from dfscreen.projection import Point2D
 from dfscreen.triage import ScreeningResult, read_results_jsonl, write_results_jsonl
@@ -94,24 +94,6 @@ def test_report_csv_rows(tmp_path):
     assert read_report_csv(path) == REPORT
 
 
-def test_report_json_paired_t_test_block(tmp_path):
-    json_path = str(tmp_path / "report.json")
-    t_test = PairedTTestResult(1 / 3, 3, 0.1, True, 5e-324, 0.9999999999999999)
-    write_report(REPORT, str(tmp_path / "report.csv"), json_path, t_test=t_test)
-    text = read_bytes(json_path).decode("utf-8")
-    block = text[text.index('  "paired_t_test"'):text.index('  "pooled"')]
-    assert block == (
-        '  "paired_t_test": {\n'
-        '    "df": 3,\n'
-        '    "lower_tail_p": 5e-324,\n'
-        '    "p_value": 0.1,\n'
-        '    "t_statistic": 0.3333333333333333,\n'
-        '    "two_sided": true,\n'
-        '    "upper_tail_p": 0.9999999999999999\n'
-        '  },\n'
-    )
-
-
 def test_response_log_row(tmp_path):
     path = str(tmp_path / "responses.jsonl")
     response = LlmResponse('{"decision": "include"}', 7, 2, "m")
@@ -154,6 +136,29 @@ def test_clustering_json():
         '"inertia": 0.1, "k": 2}'
     )
     assert Clustering.from_json(text) == clustering
+
+
+POOL = ExemplarPool({
+    1: {INCLUDE: [Exemplar("b", INCLUDE, 1, 0.5)],
+        EXCLUDE: [Exemplar("c", EXCLUDE, 1, 1 / 3), Exemplar("a", EXCLUDE, 1, 5e-324)]},
+    0: {INCLUDE: [], EXCLUDE: [Exemplar("a", EXCLUDE, 0, 2.0)]},
+})
+POOL_JSON = (
+    '{"ranked": {'
+    '"0": {"exclude": [["a", "exclude", 0, 2.0]], "include": []}, '
+    '"1": {"exclude": [["c", "exclude", 1, 0.3333333333333333], '
+    '["a", "exclude", 1, 5e-324]], "include": [["b", "include", 1, 0.5]]}}}'
+)
+
+
+def test_pool_json():
+    assert POOL.to_json() == POOL_JSON
+    assert ExemplarPool.from_json(POOL_JSON) == POOL
+
+
+def test_pool_json_with_assignment_map_loads_the_same_lists():
+    older = '{"assignment": {"a": 0, "b": 1, "c": 1}, ' + POOL_JSON[1:]
+    assert ExemplarPool.from_json(older).ranked == POOL.ranked
 
 
 @pytest.mark.parametrize("line", [

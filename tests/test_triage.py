@@ -5,14 +5,14 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dfscreen import synth, triage
-from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset, strip_labels
+from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset
 from dfscreen.evaluation import confusion, metrics
 from dfscreen.gateway import (
     Decision,
@@ -621,7 +621,8 @@ class TestSweep:
 
     def test_requires_gold(self, small_pipeline):
         dataset, points, clustering, pool = small_pipeline
-        blind = strip_labels(dataset)
+        blind = ReviewDataset(dataset.review_id,
+                              [replace(r, gold_label=None) for r in dataset.records])
         with pytest.raises(ValueError, match="gold labels"):
             sweep_thresholds(
                 blind, pool, clustering, points, make_cfg(),
