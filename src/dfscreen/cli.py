@@ -21,7 +21,11 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from contextlib import closing
+from dataclasses import replace
+from enum import Enum
+from operator import attrgetter
 
 from . import clustering as clustering_mod
 from . import corpus, embedding, evaluation, triage
@@ -80,15 +84,53 @@ def _mapping(value, what: str) -> dict:
     return value
 
 
-def _number(raw: dict, key: str, kind: type, default):
+def _typed(name: str, value, kind):
+    """``value`` as a field annotated ``kind`` holds it.
+
+    An int takes a JSON integer and a float an integer or a real, stored as
+    a float; neither takes a bool.  An enum takes one of its values.
+    """
+    if kind is int or kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            article = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{name} must be {article}, got {value!r}")
+        return kind(value)
+    return kind(value) if isinstance(kind, type) and issubclass(kind, Enum) else value
+
+
+def _read(what: str, cls, raw: dict, base=None):
+    """A ``cls`` from ``raw``, a mapping of field names to config values.
+
+    Each value is ``_typed`` by its field's annotation; the fields ``raw``
+    leaves out keep their value in ``base``, else their default.  The
+    TypeError or ValueError of a bad value or name becomes a ConfigError.
+    """
+    hints = typing.get_type_hints(cls)
     try:
-        return kind(raw.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from None
+        values = {name: _typed(name, v, hints.get(name)) for name, v in raw.items()}
+        return cls(**values) if base is None else replace(base, **values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+# Oracle behaviour per stage when the provider config names none.
+ORACLE_PROFILES = {
+    "profile": {"acc_hi": 0.95, "acc_lo": 0.75, "p_hi": 0.87},
+    "stage2_profile": {"acc_hi": 0.97, "acc_lo": 0.95, "p_hi": 0.95},
+}
 
 
 class PipelineConfig:
-    """Validated view over the experiment config file; bad values raise ConfigError."""
+    """The experiment config file, every value checked at load.
+
+    A bad value raises ConfigError.  ``run`` is the cascade's RunConfig.
+    """
+
+    strategy = property(attrgetter("run.strategy"))
+    threshold = property(attrgetter("run.threshold"))
+    seed = property(attrgetter("run.seed"))
+    temperature = property(attrgetter("run.temperature"))
+    parallelism = property(attrgetter("run.parallelism"))
 
     def __init__(self, raw: dict, base_dir: str = "."):
         self.raw = _mapping(raw, "config")
@@ -102,24 +144,17 @@ class PipelineConfig:
             if "dataset" not in entry or "criteria" not in entry:
                 raise ConfigError(f"review {rid}: needs 'dataset' and 'criteria' paths")
             k = entry.get("k")
-            if k is not None and not isinstance(k, int):
-                raise ConfigError(f"review {rid}: k must be an integer, got {k!r}")
             self.reviews[rid] = {
                 "dataset": self._resolve(entry["dataset"]),
                 "criteria": self._resolve(entry["criteria"]),
-                "k": k,
+                "k": None if k is None else _typed(f"review {rid}: k", k, int),
             }
-        emb = raw.get("embedding", {"kind": "hashed_tf", "dim": 64})
-        try:
-            self.embedding = EmbeddingProviderConfig(
-                kind=emb.get("kind", "hashed_tf"),
-                model=emb.get("model", "hashed-tf-64"),
-                url=emb.get("url"),
-                path=self._resolve(emb["path"]) if emb.get("path") else None,
-                dim=emb.get("dim", 64),
-            )
-        except Exception as exc:
-            raise ConfigError(f"embedding config: {exc}") from None
+        emb = _mapping(raw.get("embedding", {}), "embedding")
+        keys = ("kind", "model", "url", "path", "dim")  # its request timeout is not one
+        emb = {"kind": "hashed_tf", **{key: emb[key] for key in keys if key in emb}}
+        if emb.get("path"):
+            emb["path"] = self._resolve(emb["path"])
+        self.embedding = _read("embedding", EmbeddingProviderConfig, emb)
         proj = raw.get("projection", "pca")
         if isinstance(proj, str):
             proj = {"method": proj}
@@ -128,23 +163,30 @@ class PipelineConfig:
         if proj["method"] == "import":
             proj = {**proj, "path": self._resolve(proj.get("path"))}
         self.projection = proj
-        try:
-            self.strategy = Strategy(raw.get("strategy", "dfsl"))
-        except ValueError:
-            raise ConfigError(f"unknown strategy {raw.get('strategy')!r}") from None
-        self.threshold = _number(raw, "threshold", float, triage.DEFAULT_THRESHOLD)
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold {self.threshold} outside [0,1]")
-        self.seed = _number(raw, "seed", int, 0)
-        self.temperature = _number(raw, "temperature", float, 0.0)
-        self.parallelism = _number(raw, "parallelism", int, triage.DEFAULT_PARALLELISM)
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism {self.parallelism} is below 1")
-        self.stage1 = self._model_cfg(raw, "stage1", "mini", 0.40, 1.60)
-        self.stage2 = self._model_cfg(raw, "stage2", "large", 2.00, 8.00)
+        self.stage1 = self._stage(raw, "stage1", "mini", triage.DEFAULT_STAGE1_PRICING)
+        self.stage2 = self._stage(raw, "stage2", "large", triage.DEFAULT_STAGE2_PRICING)
+        settings = ("strategy", "threshold", "seed", "temperature", "parallelism")
+        self.run = _read("config", RunConfig, {
+            **{key: raw[key] for key in settings if key in raw},
+            "stage1_model": self.stage1["model"],
+            "stage2_model": self.stage2["model"],
+            "stage1_pricing": self.stage1["pricing"],
+            "stage2_pricing": self.stage2["pricing"],
+        })
         self.provider = _mapping(raw.get("provider", {"kind": "oracle"}), "provider")
-        if self.provider.get("kind") not in ("oracle", "http"):
-            raise ConfigError(f"unknown provider kind {self.provider.get('kind')!r}")
+        kind = self.provider.get("kind")
+        if kind == "oracle":
+            self.profiles = tuple(
+                _read(f"provider {key}", OracleProfile,
+                      _mapping(self.provider.get(key, default), f"provider {key}"))
+                for key, default in ORACLE_PROFILES.items()
+            )
+        elif kind == "http":
+            for key, stage in (("stage1", self.stage1), ("stage2", self.stage2)):
+                if not stage["url"]:
+                    raise ConfigError(f"http provider needs a url for {key}")
+        else:
+            raise ConfigError(f"unknown provider kind {kind!r}")
         self.cache_dir = self._resolve(raw.get("cache_dir", "cache"))
 
     def _resolve(self, path: str) -> str:
@@ -155,21 +197,15 @@ class PipelineConfig:
         return os.path.normpath(os.path.join(self.base_dir, path))
 
     @staticmethod
-    def _model_cfg(raw, key, default_model, in_price, out_price) -> dict:
+    def _stage(raw: dict, key: str, model: str, pricing: ModelPricing) -> dict:
         entry = _mapping(raw.get(key, {}), key)
-        pricing = _mapping(entry.get("pricing", {}), f"{key} pricing")
-        try:
-            return {
-                "model": entry.get("model", default_model),
-                "pricing": ModelPricing(
-                    float(pricing.get("input_usd_per_mtok", in_price)),
-                    float(pricing.get("output_usd_per_mtok", out_price)),
-                ),
-                "url": entry.get("url"),
-                "api_key_env": entry.get("api_key_env"),
-            }
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} config: {exc}") from None
+        prices = _mapping(entry.get("pricing", {}), f"{key} pricing")
+        return {
+            "model": entry.get("model", model),
+            "pricing": _read(f"{key} pricing", ModelPricing, prices, base=pricing),
+            "url": entry.get("url"),
+            "api_key_env": entry.get("api_key_env"),
+        }
 
     def config_hash(self) -> str:
         return sha256_hex(canonical_json(self.raw))
@@ -267,11 +303,13 @@ class ReviewPipeline:
             )
         return gold
 
+    @_once
     def _embed_key(self) -> str:
         _, _, curate_key = self.curated()
-        return content_key(
-            "embed", {"provider": self.cfg.embedding.fingerprint()}, [curate_key]
-        )
+        params = {"provider": self.cfg.embedding.fingerprint()}
+        if self.cfg.embedding.kind == "file_import":
+            params["source_sha256"] = _file_sha256(self.cfg.embedding.path)
+        return content_key("embed", params, [curate_key])
 
     @_once
     def vectors(self):
@@ -339,56 +377,31 @@ class ReviewPipeline:
 
     def screen_key(self) -> str:
         _, pool_key = self.pool()
+        run = self.cfg.run
         params = {
-            "strategy": self.cfg.strategy.value,
-            "threshold": self.cfg.threshold,
-            "stage1": self.cfg.stage1["model"],
-            "stage2": self.cfg.stage2["model"],
-            "temperature": self.cfg.temperature,
-            "seed": self.cfg.seed,
+            "strategy": run.strategy.value,
+            "threshold": run.threshold,
+            "stage1": run.stage1_model,
+            "stage2": run.stage2_model,
+            "temperature": run.temperature,
+            "seed": run.seed,
         }
         return content_key("screen", params, [pool_key])
 
 
 def _build_providers(cfg: PipelineConfig, gold: dict[str, str]):
-    kind = cfg.provider.get("kind", "oracle")
-    if kind == "http":
-        def make(stage):
-            if not stage.get("url"):
-                raise ConfigError(f"http provider needs a url for {stage['model']}")
-            api_key = None
-            if stage.get("api_key_env"):
-                api_key = os.environ.get(stage["api_key_env"])
-            return HttpChatProvider(stage["model"], stage["url"], api_key=api_key)
-
-        return make(cfg.stage1), make(cfg.stage2)
+    stages = (cfg.stage1, cfg.stage2)
+    if cfg.provider["kind"] == "http":
+        return tuple(
+            HttpChatProvider(stage["model"], stage["url"], api_key=(
+                os.environ.get(stage["api_key_env"]) if stage["api_key_env"] else None))
+            for stage in stages
+        )
     if any(v is None for v in gold.values()):
         raise ConfigError("oracle provider needs gold labels on every record")
-    p1 = cfg.provider.get("profile", {"acc_hi": 0.95, "acc_lo": 0.75, "p_hi": 0.87})
-    p2 = cfg.provider.get(
-        "stage2_profile", {"acc_hi": 0.97, "acc_lo": 0.95, "p_hi": 0.95}
-    )
-    try:
-        prof1, prof2 = OracleProfile(**p1), OracleProfile(**p2)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"oracle profile: {exc}") from None
-    return (
-        OracleProvider(cfg.stage1["model"], gold, prof1, cfg.seed),
-        OracleProvider(cfg.stage2["model"], gold, prof2, cfg.seed),
-    )
-
-
-def _run_config(cfg: PipelineConfig) -> RunConfig:
-    return RunConfig(
-        stage1_model=cfg.stage1["model"],
-        stage2_model=cfg.stage2["model"],
-        strategy=cfg.strategy,
-        threshold=cfg.threshold,
-        stage1_pricing=cfg.stage1["pricing"],
-        stage2_pricing=cfg.stage2["pricing"],
-        seed=cfg.seed,
-        temperature=cfg.temperature,
-        parallelism=cfg.parallelism,
+    return tuple(
+        OracleProvider(stage["model"], gold, profile, cfg.seed)
+        for stage, profile in zip(stages, cfg.profiles)
     )
 
 
@@ -462,27 +475,12 @@ def _screen_review(pipe: ReviewPipeline, response_cache, failures):
     criteria = pipe.criteria()
     stage1, stage2 = _build_providers(cfg, pipe.gold())
     if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT:
-        return triage.run_two_stage(
-            dataset,
-            *pipe.exemplars(),
-            _run_config(cfg),
-            stage1,
-            stage2,
-            criteria,
-            cache=response_cache,
-            failures=failures,
-        )
+        return triage.run_two_stage(dataset, *pipe.exemplars(), cfg.run, stage1, stage2,
+                                    criteria, cache=response_cache, failures=failures)
     return triage.run_single_stage(
-        dataset,
-        cfg.strategy,
-        stage1,
-        criteria,
-        pricing=cfg.stage1["pricing"],
-        seed=cfg.seed,
-        temperature=cfg.temperature,
-        parallelism=cfg.parallelism,
-        cache=response_cache,
-        failures=failures,
+        dataset, cfg.strategy, stage1, criteria, pricing=cfg.run.stage1_pricing,
+        seed=cfg.seed, temperature=cfg.temperature, parallelism=cfg.parallelism,
+        cache=response_cache, failures=failures,
     )
 
 
@@ -501,10 +499,10 @@ def _dry_run_screen(cfg: PipelineConfig) -> int:
         )
         calls = len(dataset) * stages
         completion_tokens = len(dataset) * DRY_RUN_COMPLETION_TOKENS
-        cost = cfg.stage1["pricing"].cost(prompt_tokens, completion_tokens)
+        cost = cfg.run.stage1_pricing.cost(prompt_tokens, completion_tokens)
         if stages == 2:
             # Upper bound assumes every record routes.
-            cost += cfg.stage2["pricing"].cost(prompt_tokens, completion_tokens)
+            cost += cfg.run.stage2_pricing.cost(prompt_tokens, completion_tokens)
         total_calls += calls
         usd_upper += cost
         print(f"{rid}: {len(dataset)} records, up to {calls} calls, <= ${cost:.2f}")
@@ -514,12 +512,9 @@ def _dry_run_screen(cfg: PipelineConfig) -> int:
 
 def cmd_screen(args) -> int:
     cfg = PipelineConfig.load(args.config)
-    if args.strategy:
-        cfg.strategy = Strategy(args.strategy)
-    if args.threshold is not None:
-        if not 0.0 <= args.threshold <= 1.0:
-            raise ConfigError(f"threshold {args.threshold} outside [0,1]")
-        cfg.threshold = args.threshold
+    flags = {"strategy": args.strategy, "threshold": args.threshold}
+    cfg.run = _read("--threshold", RunConfig,
+                    {k: v for k, v in flags.items() if v is not None}, base=cfg.run)
     if args.dry_run:
         return _dry_run_screen(cfg)
     out_dir = args.out
@@ -570,11 +565,11 @@ def cmd_evaluate(args) -> int:
             raise evaluation.EvaluationError(f"missing results file {results_path}")
         results = triage.read_results_jsonl(results_path)
         gold = pipe.gold(scoring=True)
-        usd1 = cfg.stage1["pricing"].cost(
+        usd1 = cfg.run.stage1_pricing.cost(
             sum(r.stage1_prompt_tokens for r in results),
             sum(r.stage1_completion_tokens for r in results),
         )
-        usd2 = cfg.stage2["pricing"].cost(
+        usd2 = cfg.run.stage2_pricing.cost(
             sum(r.stage2_prompt_tokens for r in results),
             sum(r.stage2_completion_tokens for r in results),
         )
@@ -603,8 +598,7 @@ def cmd_sweep(args) -> int:
     if not thresholds:
         raise ConfigError("no thresholds given")
     for t in thresholds:
-        if not 0.0 <= t <= 1.0:
-            raise ConfigError(f"threshold {t} outside [0,1]")
+        _read("--thresholds", RunConfig, {"threshold": t}, base=cfg.run)
     if cfg.strategy is not Strategy.DYNAMIC_FEW_SHOT:
         raise ConfigError("sweep needs the dfsl strategy")
     os.makedirs(args.out, exist_ok=True)
@@ -617,14 +611,8 @@ def cmd_sweep(args) -> int:
         for (rid, pipe), gold in zip(pipes, golds):
             stage1, stage2 = _build_providers(cfg, gold)
             points = triage.sweep_thresholds(
-                pipe.curated()[0],
-                *pipe.exemplars(),
-                _run_config(cfg),
-                stage1,
-                stage2,
-                pipe.criteria(),
-                thresholds,
-                cache=response_cache,
+                pipe.curated()[0], *pipe.exemplars(), cfg.run, stage1, stage2,
+                pipe.criteria(), thresholds, cache=response_cache,
             )
             for pt in points:
                 out_rows.append((rid, pt.threshold, pt.f1, pt.routed_ratio))

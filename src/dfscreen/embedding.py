@@ -52,7 +52,9 @@ class EmbeddingProviderConfig:
             raise EmbeddingError("embedding dim must be at least 2")
 
     def fingerprint(self) -> str:
-        return f"{self.kind}:{self.model}:{self.dim}"
+        """What decides the vectors besides the texts (and an imported file's bytes)."""
+        base = f"{self.kind}:{self.model}:{self.dim}"
+        return f"{base}@{self.url}" if self.kind == "remote_http" else base
 
 
 @lru_cache(maxsize=1 << 16)

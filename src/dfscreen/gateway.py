@@ -5,11 +5,12 @@ retries with exponential backoff, token accounting (provider-reported
 usage when present, a character-count estimate otherwise), a response
 cache keyed by prompt/provider/temperature, and a thread-safe cost ledger.
 Providers are small objects exposing ``model_id`` and ``send``; the HTTP
-one speaks the chat-completions wire shape, the scripted and oracle ones
-exist for tests and benchmark runs that must cost nothing.  A provider's
-``identity``, when it has one, names everything besides the prompt and
-temperature that decides its answers (endpoint, oracle profile and
-seed); the response cache keys on it, and on ``model_id`` otherwise.
+one speaks the chat-completions wire shape, and the oracle one answers
+from gold labels for tests and benchmark runs that must cost nothing.  A
+provider's ``identity``, when it has one, names everything besides the
+prompt and temperature that decides its answers (endpoint, oracle
+profile and seed); the response cache keys on it, and on ``model_id``
+otherwise.
 A provider marked ``in_process`` answers without waiting (the oracle).
 """
 
@@ -23,7 +24,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
@@ -373,28 +374,6 @@ def complete(
     return response
 
 
-@dataclass
-class ScriptedProvider:
-    """Queue-driven provider for tests: strings respond, exceptions raise."""
-
-    model_id: str
-    script: list = field(default_factory=list)
-    report_usage: bool = True
-    calls: list = field(default_factory=list)
-
-    def send(self, prompt_text, temperature, max_tokens, tags):
-        self.calls.append({"prompt": prompt_text, "temperature": temperature, "tags": tags})
-        if not self.script:
-            raise ProviderError(f"{self.model_id}: script exhausted")
-        item = self.script.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        text = str(item)
-        if self.report_usage:
-            return text, estimate_tokens(prompt_text), estimate_tokens(text)
-        return text, None, None
-
-
 class HttpChatProvider:
     """Chat-completions endpoint speaking the common JSON wire shape."""
 
@@ -507,9 +486,3 @@ class OracleProvider:
         label = truth if correct else (EXCLUDE if truth == INCLUDE else INCLUDE)
         text = json.dumps({"confidence": confidence, "decision": label})
         return text, estimate_tokens(prompt_text), estimate_tokens(text)
-
-
-def oracle_provider(
-    gold: dict[str, str], profile: OracleProfile, seed: int, model_id: str = "oracle"
-) -> OracleProvider:
-    return OracleProvider(model_id=model_id, gold=gold, profile=profile, seed=seed)

@@ -317,12 +317,6 @@ def run_single_stage(
     return results, ledger
 
 
-def routed_ratio(results: list[ScreeningResult]) -> float:
-    if not results:
-        raise ValueError("no results")
-    return sum(1 for r in results if r.routed) / len(results)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     threshold: float

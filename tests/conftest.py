@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,7 +19,42 @@ from dfscreen.clustering import kmeans
 from dfscreen.corpus import EXCLUDE, INCLUDE
 from dfscreen.embedding import EmbeddingClient, EmbeddingProviderConfig
 from dfscreen.exemplar_pool import Exemplar, ExemplarPool, build_pool
+from dfscreen.gateway import OracleProfile, OracleProvider, ProviderError, estimate_tokens
 from dfscreen.projection import project_2d
+
+
+@dataclass
+class ScriptedProvider:
+    """Queue-driven provider for tests: strings respond, exceptions raise."""
+
+    model_id: str
+    script: list = field(default_factory=list)
+    report_usage: bool = True
+    calls: list = field(default_factory=list)
+
+    def send(self, prompt_text, temperature, max_tokens, tags):
+        self.calls.append({"prompt": prompt_text, "temperature": temperature, "tags": tags})
+        if not self.script:
+            raise ProviderError(f"{self.model_id}: script exhausted")
+        item = self.script.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        text = str(item)
+        if self.report_usage:
+            return text, estimate_tokens(prompt_text), estimate_tokens(text)
+        return text, None, None
+
+
+def oracle_provider(
+    gold: dict[str, str], profile: OracleProfile, seed: int, model_id: str = "oracle"
+) -> OracleProvider:
+    return OracleProvider(model_id=model_id, gold=gold, profile=profile, seed=seed)
+
+
+def routed_ratio(results) -> float:
+    if not results:
+        raise ValueError("no results")
+    return sum(1 for r in results if r.routed) / len(results)
 
 
 def build_pipeline(dataset, k, seed=0, dim=32):

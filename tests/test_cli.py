@@ -146,6 +146,25 @@ class TestConfigLoading:
             pytest.param(lambda raw: {**raw, "provider": "oracle"}, id="provider-str"),
             pytest.param(lambda raw: {**raw, "stage1": "mini"}, id="stage1-str"),
             pytest.param(lambda raw: [raw], id="top-level-list"),
+            # A number must be a JSON number of its field's type, never a bool.
+            pytest.param(lambda raw: {**raw, "threshold": "0.5"}, id="threshold-numeric-str"),
+            pytest.param(lambda raw: {**raw, "threshold": True}, id="threshold-bool"),
+            pytest.param(lambda raw: {**raw, "temperature": "0"}, id="temperature-numeric-str"),
+            pytest.param(lambda raw: {**raw, "seed": 1.7}, id="seed-real"),
+            pytest.param(lambda raw: {**raw, "seed": True}, id="seed-bool"),
+            pytest.param(lambda raw: {**raw, "parallelism": 2.9}, id="parallelism-real"),
+            pytest.param(
+                lambda raw: {**raw, "reviews": {"BAD": {**raw["reviews"]["CFG"], "k": True}}},
+                id="k-bool",
+            ),
+            pytest.param(
+                lambda raw: {**raw, "stage1": {"pricing": {"input_usd_per_mtok": "0.40"}}},
+                id="pricing-str",
+            ),
+            pytest.param(
+                lambda raw: {**raw, "stage2": {"pricing": {"output_usd_per_mtok": True}}},
+                id="pricing-bool",
+            ),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, capsys, mutate):
@@ -158,6 +177,35 @@ class TestConfigLoading:
         rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "command,provider,stage2",
+        [
+            ("embed", {"kind": "oracle", "profile": {"acc_hi": 2, "acc_lo": 0.7, "p_hi": 0.8}},
+             {}),
+            ("screen", {"kind": "http"}, {"model": "m2"}),
+        ],
+        ids=["profile-out-of-range", "http-stage-without-url"],
+    )
+    def test_provider_checked_before_any_work(
+        self, tmp_path, capsys, command, provider, stage2
+    ):
+        dataset = synth.synth_review("CFG", 40, 10, k=3, seed=2)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw.update(provider=provider, stage1={"model": "m1", "url": "http://127.0.0.1:9/v1"},
+                   stage2=stage2)
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        argv = [command, "--config", config_path]
+        if command == "screen":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        cache_dir = tmp_path / "ws" / "cache"
+        assert not cache_dir.exists() or os.listdir(cache_dir) == []
         assert not os.path.exists(tmp_path / "out")
 
     def test_paths_resolved_against_config_dir(self, ws):
@@ -675,6 +723,53 @@ class TestResponseCacheKey:
         for shape in SHAPES:
             name = f"results_{shape.review_id}.jsonl"
             assert slurp(os.path.join(warm, name)) == slurp(os.path.join(fresh, name))
+
+
+class TestEmbedKey:
+    def test_rewritten_vectors_file_is_embedded_again(self, tmp_path, capsys):
+        dataset = synth.synth_review("VEC", 40, 10, k=3, seed=5)
+
+        def workspace(name, scale):
+            config_path = single_review_workspace(str(tmp_path / name), dataset)
+            vectors = str(tmp_path / name / "vectors.jsonl")
+            with open(config_path) as fh:
+                raw = json.load(fh)
+            raw["embedding"] = {"kind": "file_import", "path": "vectors.jsonl"}
+            with open(config_path, "w") as fh:
+                json.dump(raw, fh)
+            write_vectors(vectors, scale)
+            return config_path, vectors
+
+        def write_vectors(path, scale):
+            with open(path, "w", encoding="utf-8") as fh:
+                for i, r in enumerate(dataset.records):
+                    vector = [float(i % 7) * scale, float(i % 3), float(i) ** scale]
+                    fh.write(json.dumps({"id": r.id, "vector": vector}) + "\n")
+
+        def cluster(config_path):
+            capsys.readouterr()
+            assert cli.main(["cluster", "--config", config_path]) == cli.EXIT_OK
+            return capsys.readouterr().out.splitlines()[0]
+
+        config_path, vectors = workspace("ws", 1.0)
+        before = cluster(config_path)
+        write_vectors(vectors, 2.0)
+        after = cluster(config_path)
+        fresh_config, _ = workspace("fresh", 2.0)
+        assert after == cluster(fresh_config)
+        assert after != before
+
+    def test_remote_url_is_in_the_key(self, tmp_path):
+        dataset = synth.synth_review("URL", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        keys = set()
+        for url in ("http://127.0.0.1:9/a", "http://127.0.0.1:9/b"):
+            raw["embedding"] = {"kind": "remote_http", "model": "m", "url": url}
+            cfg = cli.PipelineConfig(raw, base_dir=str(tmp_path / "ws"))
+            keys.add(cli._pipeline_for(cfg, "URL")._embed_key())
+        assert len(keys) == 2
 
 
 class TestWarmPipeline:

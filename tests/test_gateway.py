@@ -19,14 +19,14 @@ from dfscreen.gateway import (
     OracleProfile,
     ProviderError,
     ResponseCache,
-    ScriptedProvider,
     TransientProviderError,
     UnparseableResponse,
     complete,
     estimate_tokens,
-    oracle_provider,
     parse_decision,
 )
+
+from conftest import ScriptedProvider, oracle_provider
 
 
 class TestParseDecisionPlain:

@@ -21,7 +21,6 @@ from dfscreen.gateway import (
     ProviderError,
     ResponseCache,
     estimate_tokens,
-    oracle_provider,
 )
 from dfscreen.prompting import Strategy
 from dfscreen.triage import (
@@ -31,7 +30,6 @@ from dfscreen.triage import (
     SweepPoint,
     effective_confidence,
     read_results_jsonl,
-    routed_ratio,
     run_single_stage,
     run_two_stage,
     should_route,
@@ -39,7 +37,7 @@ from dfscreen.triage import (
     write_results_jsonl,
 )
 
-from conftest import build_pipeline
+from conftest import build_pipeline, oracle_provider, routed_ratio
 
 
 @dataclass
