@@ -78,9 +78,13 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _mapping(value, what: str) -> dict:
+def _mapping(value, what: str, keys=None) -> dict:
+    """``value`` as a JSON object; given ``keys``, one that holds no other key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value).difference(keys)) if keys is not None else ()
+    if unknown:
+        raise ConfigError(f"{what}: unknown key {unknown[0]!r}")
     return value
 
 
@@ -118,6 +122,10 @@ ORACLE_PROFILES = {
     "profile": {"acc_hi": 0.95, "acc_lo": 0.75, "p_hi": 0.87},
     "stage2_profile": {"acc_hi": 0.97, "acc_lo": 0.95, "p_hi": 0.95},
 }
+# The RunConfig fields a config sets, and every top-level key it may hold.
+RUN_SETTINGS = ("strategy", "threshold", "seed", "temperature", "parallelism")
+CONFIG_KEYS = ("reviews", "embedding", "projection", "stage1", "stage2", "provider",
+               "cache_dir", *RUN_SETTINGS)
 
 
 class PipelineConfig:
@@ -133,14 +141,14 @@ class PipelineConfig:
     parallelism = property(attrgetter("run.parallelism"))
 
     def __init__(self, raw: dict, base_dir: str = "."):
-        self.raw = _mapping(raw, "config")
+        self.raw = _mapping(raw, "config", CONFIG_KEYS)
         self.base_dir = base_dir
         reviews = raw.get("reviews")
         if not isinstance(reviews, dict) or not reviews:
             raise ConfigError("config needs a nonempty 'reviews' mapping")
         self.reviews: dict[str, dict] = {}
         for rid, entry in reviews.items():
-            _mapping(entry, f"review {rid}")
+            _mapping(entry, f"review {rid}", ("dataset", "criteria", "k"))
             if "dataset" not in entry or "criteria" not in entry:
                 raise ConfigError(f"review {rid}: needs 'dataset' and 'criteria' paths")
             k = entry.get("k")
@@ -149,31 +157,31 @@ class PipelineConfig:
                 "criteria": self._resolve(entry["criteria"]),
                 "k": None if k is None else _typed(f"review {rid}: k", k, int),
             }
-        emb = _mapping(raw.get("embedding", {}), "embedding")
         keys = ("kind", "model", "url", "path", "dim")  # its request timeout is not one
-        emb = {"kind": "hashed_tf", **{key: emb[key] for key in keys if key in emb}}
+        emb = {"kind": "hashed_tf", **_mapping(raw.get("embedding", {}), "embedding", keys)}
         if emb.get("path"):
             emb["path"] = self._resolve(emb["path"])
         self.embedding = _read("embedding", EmbeddingProviderConfig, emb)
         proj = raw.get("projection", "pca")
         if isinstance(proj, str):
             proj = {"method": proj}
-        if _mapping(proj, "projection").get("method") not in ("pca", "import"):
+        _mapping(proj, "projection", ("method", "path"))
+        if proj.get("method") not in ("pca", "import"):
             raise ConfigError(f"unknown projection method {proj.get('method')!r}")
         if proj["method"] == "import":
             proj = {**proj, "path": self._resolve(proj.get("path"))}
         self.projection = proj
         self.stage1 = self._stage(raw, "stage1", "mini", triage.DEFAULT_STAGE1_PRICING)
         self.stage2 = self._stage(raw, "stage2", "large", triage.DEFAULT_STAGE2_PRICING)
-        settings = ("strategy", "threshold", "seed", "temperature", "parallelism")
         self.run = _read("config", RunConfig, {
-            **{key: raw[key] for key in settings if key in raw},
+            **{key: raw[key] for key in RUN_SETTINGS if key in raw},
             "stage1_model": self.stage1["model"],
             "stage2_model": self.stage2["model"],
             "stage1_pricing": self.stage1["pricing"],
             "stage2_pricing": self.stage2["pricing"],
         })
-        self.provider = _mapping(raw.get("provider", {"kind": "oracle"}), "provider")
+        self.provider = _mapping(raw.get("provider", {"kind": "oracle"}), "provider",
+                                 ("kind", *ORACLE_PROFILES))
         kind = self.provider.get("kind")
         if kind == "oracle":
             self.profiles = tuple(
@@ -198,7 +206,7 @@ class PipelineConfig:
 
     @staticmethod
     def _stage(raw: dict, key: str, model: str, pricing: ModelPricing) -> dict:
-        entry = _mapping(raw.get(key, {}), key)
+        entry = _mapping(raw.get(key, {}), key, ("model", "pricing", "url", "api_key_env"))
         prices = _mapping(entry.get("pricing", {}), f"{key} pricing")
         return {
             "model": entry.get("model", model),

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .projection import Point2D
 from .rng import SplitMix64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ITERATIONS = 300
 K_MIN = 3
@@ -70,6 +72,7 @@ def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> int | np.ndar
     ``points`` is one point of shape (2,), giving an int, or an (n, 2)
     array, giving the n labels from one n x k distance matrix.
     """
+    import numpy as np
     deltas = centroids - points[..., np.newaxis, :]
     dists = np.einsum("...ij,...ij->...i", deltas, deltas)
     labels = np.argmin(dists, axis=-1)
@@ -77,6 +80,7 @@ def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> int | np.ndar
 
 
 def _init_plusplus(coords: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
+    import numpy as np
     n = coords.shape[0]
     centroids = np.empty((k, 2), dtype=np.float64)
     centroids[0] = coords[rng.randrange(n)]
@@ -106,6 +110,7 @@ def kmeans(points: dict[str, Point2D], k: int, seed: int) -> Clustering:
     the result is independent of dict insertion order.  Empty clusters
     are reseeded to the point currently farthest from its centroid.
     """
+    import numpy as np
     if k < 1:
         raise ClusteringError(f"k must be positive, got {k}")
     ids = sorted(points)

@@ -152,14 +152,17 @@ def _record_from_mapping(m: dict, review_id: str, where: str) -> StudyRecord:
 
 
 def _reject_dup_keys(pairs):
-    seen = set()
-    d = {}
-    for k, v in pairs:
-        if k in seen:
-            raise ValueError(f"duplicate key {k!r}")
-        seen.add(k)
-        d[k] = v
-    return d
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"duplicate key {dup!r}")
+    return obj
+
+
+# Built once: json.loads with a hook builds a new decoder on every call.
+_ROW_DECODER = json.JSONDecoder(object_pairs_hook=_reject_dup_keys)
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
@@ -171,7 +174,8 @@ def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
                 continue
             where = f"{path}:{lineno}"
             try:
-                obj = json.loads(line, object_pairs_hook=_reject_dup_keys)
+                # utf-8-sig drops a leading BOM, as json.loads does for bytes.
+                obj = _ROW_DECODER.decode(line.decode("utf-8-sig"))
             except ValueError as exc:
                 raise DatasetError(f"{where}: {exc}") from None
             if not isinstance(obj, dict):
@@ -226,4 +230,4 @@ def write_dataset_jsonl(dataset: ReviewDataset, path: str) -> None:
             row = {"id": rec.id, "title": rec.title, "abstract": rec.abstract}
             if rec.gold_label is not None:
                 row["gold_label"] = rec.gold_label
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(_ROW_ENCODER.encode(row) + "\n")

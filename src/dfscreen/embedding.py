@@ -18,10 +18,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .rng import fnv1a64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -64,9 +66,11 @@ def _token_hash(token: str) -> int:
 
 def hashed_tf_vector(text: str, dim: int) -> np.ndarray:
     """Hashed term-frequency vector, L2-normalized. Zero vector if no tokens."""
-    vec = np.zeros(dim, dtype=np.float64)
+    import numpy as np
+    counts = [0.0] * dim  # a list, as indexing an array one item at a time is slow
     for tok in _TOKEN.findall(text.lower()):
-        vec[_token_hash(tok) % dim] += 1.0
+        counts[_token_hash(tok) % dim] += 1.0
+    vec = np.array(counts)
     norm = math.sqrt(float(vec @ vec))
     if norm > 0:
         vec /= norm
@@ -95,6 +99,7 @@ class EmbeddingClient:
         return self._remote(texts)
 
     def _remote(self, texts: list[str]) -> list[np.ndarray]:
+        import numpy as np
         import requests
 
         payload = {"model": self.config.model, "input": texts}
@@ -121,6 +126,7 @@ class EmbeddingClient:
     def _import_vectors(
         self, texts: list[str], ids: list[str] | None
     ) -> list[np.ndarray]:
+        import numpy as np
         if ids is None:
             raise EmbeddingError("file_import provider needs record ids")
         if len(ids) != len(texts):

@@ -17,8 +17,6 @@ import json
 import math
 from dataclasses import astuple, dataclass
 
-import numpy as np
-
 from .clustering import Clustering, nearest_centroid
 from .corpus import EXCLUDE, INCLUDE, ReviewDataset
 from .projection import Point2D
@@ -111,6 +109,7 @@ def select_instances(
     target_id = target if isinstance(target, str) else target.id
     cluster = clustering.assignment.get(target_id)
     if cluster is None:
+        import numpy as np
         if target_id not in points:
             raise PoolError(
                 f"cannot place target {target_id!r}: not clustered and no point"

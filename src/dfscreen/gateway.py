@@ -178,12 +178,14 @@ def _last_decision_word(text: str) -> str | None:
     return matches[-1].lower() if matches else None
 
 
+_JSON = json.JSONDecoder()
+
+
 def _first_json_object(text: str) -> dict | None:
-    decoder = json.JSONDecoder()
     idx = text.find("{")
     while idx != -1:
         try:
-            obj, _ = decoder.raw_decode(text[idx:])
+            obj, _ = _JSON.raw_decode(text, idx)
         except ValueError:
             pass
         else:
@@ -262,7 +264,7 @@ class ResponseCache:
                     if not line.strip():
                         continue
                     try:
-                        row = json.loads(line)
+                        row = _JSON.decode(line.decode("utf-8"))
                         key = row.pop("key")
                         self._mem[key] = LlmResponse(**row)
                     except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -13,9 +13,10 @@ notebook) from JSONL.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ProjectionError(ValueError):
@@ -32,6 +33,7 @@ class Point2D(NamedTuple):
 
 
 def _top_components(cov: np.ndarray, count: int) -> np.ndarray:
+    import numpy as np
     values, vectors = np.linalg.eigh(cov)
     # Largest eigenvalue first. Exact ties keep eigh's column order,
     # which is fixed for a given LAPACK build.
@@ -48,6 +50,7 @@ def _top_components(cov: np.ndarray, count: int) -> np.ndarray:
 
 def project_pca(vectors: list[np.ndarray]) -> list[Point2D]:
     """Exact 2-D PCA of the given vectors, in input order."""
+    import numpy as np
     if len(vectors) < 3:
         raise DegenerateDataError(
             f"degenerate data: need at least 3 vectors, got {len(vectors)}"

@@ -4,12 +4,15 @@ Four strategies share a common skeleton: a role statement, the review's
 eligibility criteria, the target title and abstract, and an output cue.
 The few-shot variants splice labeled demonstration instances in between;
 the dynamic variant additionally asks for JSON with a confidence score.
-Templates are module constants substituted with plain string replacement
-so literal braces in the output-format block survive untouched.
+Templates are module constants, each split once at its ``{criteria}``,
+``{title}``, ``{abstract}`` and ``{instances}`` fields and filled in one
+join: literal braces in the output-format block survive untouched, and
+text filled into one field is never searched for another.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,6 +121,11 @@ _TEMPLATES = {
     Strategy.FEW_SHOT: FEW_SHOT_TEMPLATE,
     Strategy.DYNAMIC_FEW_SHOT: DYNAMIC_FEW_SHOT_TEMPLATE,
 }
+# Each template as literal text at even places and field names at odd ones.
+_PARTS = {
+    strategy: re.split(r"\{(criteria|title|abstract|instances)\}", template)
+    for strategy, template in _TEMPLATES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -147,17 +155,16 @@ def render(
     instances: list[tuple[StudyRecord, str]] | None = None,
 ) -> RenderedPrompt:
     """Fill the strategy's template for one target record."""
+    values = {"criteria": criteria, "title": record.title, "abstract": record.abstract}
     if strategy.requires_instances:
         if not instances:
             raise PromptError(f"strategy {strategy.value} needs instances")
+        values["instances"] = render_instances(instances)
     elif instances:
         raise PromptError(f"strategy {strategy.value} does not take instances")
-    text = _TEMPLATES[strategy]
-    text = text.replace("{criteria}", criteria)
-    text = text.replace("{title}", record.title)
-    text = text.replace("{abstract}", record.abstract)
-    if strategy.requires_instances:
-        text = text.replace("{instances}", render_instances(instances))
+    parts = _PARTS[strategy][:]
+    parts[1::2] = [values[name] for name in parts[1::2]]
+    text = "".join(parts)
     ids = tuple(rec.id for rec, _ in instances) if instances else ()
     return RenderedPrompt(text=text, strategy=strategy, instance_ids=ids)
 

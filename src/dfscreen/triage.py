@@ -376,10 +376,14 @@ def sweep_thresholds(
     return out
 
 
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+_ROW_DECODER = json.JSONDecoder()
+
+
 def write_results_jsonl(results: list[ScreeningResult], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in results:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+            fh.write(_ROW_ENCODER.encode(r.to_dict()) + "\n")
 
 
 def read_results_jsonl(path: str) -> list[ScreeningResult]:
@@ -389,7 +393,8 @@ def read_results_jsonl(path: str) -> list[ScreeningResult]:
             if not line.strip():
                 continue
             try:
-                out.append(ScreeningResult.from_dict(json.loads(line)))
+                row = _ROW_DECODER.decode(line.decode("utf-8"))
+                out.append(ScreeningResult.from_dict(row))
             except (ValueError, TypeError, AttributeError) as exc:
                 raise EvaluationError(
                     f"{path}:{lineno}: unreadable result row: {exc}"

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -177,6 +178,34 @@ class TestConfigLoading:
         rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "section,mutate",
+        [
+            ("config", lambda raw: raw.update(treshold=0.1)),
+            ("review CFG", lambda raw: raw["reviews"]["CFG"].update(K=4)),
+            ("embedding", lambda raw: raw["embedding"].update(timeout=5)),
+            ("projection", lambda raw: raw.update(projection={"method": "pca", "dims": 2})),
+            ("stage1", lambda raw: raw.update(stage1={"modle": "m1"})),
+            ("stage2", lambda raw: raw.update(stage2={"model": "m2", "price": {}})),
+            ("provider", lambda raw: raw.update(provider={"kind": "oracle", "profil": {}})),
+        ],
+        ids=["top-level", "review", "embedding", "projection", "stage1", "stage2",
+             "provider"],
+    )
+    def test_unknown_key_is_exit_2(self, tmp_path, capsys, section, mutate):
+        dataset = synth.synth_review("CFG", 40, 10, k=3, seed=2)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        mutate(raw)
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: unknown key "), err
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize(
@@ -599,23 +628,59 @@ class TestArtifactWrites:
             )
 
 
-def test_offline_screen_never_imports_requests(tmp_path):
-    dataset = synth.synth_review("OFFLINE", 12, 4, k=3, seed=3)
-    config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+def run_fresh(commands, module, loaded):
+    """Run dfscreen ``commands`` in one new interpreter.
+
+    Importing ``dfscreen.cli`` must not load ``module``; after each command
+    it is loaded exactly when ``loaded`` says.
+    """
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from dfscreen import cli\n"
-        "assert 'requests' not in sys.modules, 'imported by dfscreen.cli'\n"
-        "assert cli.main(sys.argv[1:]) == 0\n"
-        "assert 'requests' not in sys.modules, 'imported by screen'\n"
+        "module, loaded = sys.argv[1], sys.argv[2] == 'loaded'\n"
+        "assert module not in sys.modules, 'imported by dfscreen.cli'\n"
+        "for argv in json.loads(sys.argv[3]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert (module in sys.modules) is loaded, argv\n"
     )
     src = os.path.dirname(os.path.dirname(dfscreen.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out")]
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
-    )
+    state = "loaded" if loaded else "absent"
+    proc = subprocess.run([sys.executable, "-c", code, module, state, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_offline_screen_never_imports_requests(tmp_path):
+    dataset = synth.synth_review("OFFLINE", 12, 4, k=3, seed=3)
+    config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+    argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out")]
+    run_fresh([argv], "requests", loaded=False)
+
+
+def test_warm_commands_never_import_numpy(tmp_path):
+    config_path = build_workspace(str(tmp_path / "ws"))
+    config = ["--config", config_path]
+    cold, warm, cheap = (str(tmp_path / name) for name in ("cold", "warm", "cheap"))
+    assert cli.main(["screen", *config, "--out", cold]) == cli.EXIT_OK
+    run_fresh([
+        ["screen", *config, "--out", warm],
+        ["evaluate", *config, "--results", warm],
+        ["sweep", *config, "--thresholds", "0.5,0.9", "--out", str(tmp_path / "sweep")],
+        ["screen", *config, "--out", str(tmp_path / "dry"), "--dry-run"],
+        ["screen", *config, "--out", cheap, "--threshold", "0"],
+        ["evaluate", *config, "--results", cheap],
+        ["compare", "--run-a", os.path.join(cheap, "report.csv"),
+         "--run-b", os.path.join(warm, "report.csv")],
+        ["curate", *config, "--out", str(tmp_path / "curated")],
+    ], "numpy", loaded=False)
+    # Built from nothing, the vectors need numpy, and the results are the same.
+    shutil.rmtree(tmp_path / "ws" / "cache")
+    recold = str(tmp_path / "recold")
+    run_fresh([["screen", *config, "--out", recold]], "numpy", loaded=True)
+    for shape in SHAPES:
+        name = f"results_{shape.review_id}.jsonl"
+        assert slurp(os.path.join(recold, name)) == slurp(os.path.join(cold, name))
 
 
 class TestResponseLog:

@@ -121,6 +121,20 @@ class TestGoldenSnapshots:
         assert "Include {all} adults." in rendered.text
         assert ' "confidence": confidence_score (0 to 1),' in rendered.text
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_placeholders_in_inputs_are_not_filled(self, strategy):
+        record = StudyRecord(
+            id="p1",
+            title="Effect of {abstract} on outcomes",
+            abstract="ABSTRACT-TEXT mentions {instances} and {criteria}.",
+        )
+        instances = INSTANCES if strategy.requires_instances else None
+        rendered = render(strategy, "crit with {title}", record, instances)
+        assert "crit with {title}\n" in rendered.text
+        assert "Title:\nEffect of {abstract} on outcomes\n" in rendered.text
+        assert "Abstract:\nABSTRACT-TEXT mentions {instances} and {criteria}.\n" in rendered.text
+        assert rendered.text.count("ABSTRACT-TEXT") == 1
+
 
 class TestRenderInstances:
     def test_block_format(self):
