@@ -80,13 +80,69 @@ _COMMON_WORDS = [
 _SUFFIXES = ["", "itis", "oma", "pathy", "plasty", "gram", "scope", "cyte"]
 
 
-def _topic_vocab(topic: int) -> list[str]:
-    stem = _TOPIC_STEMS[topic % len(_TOPIC_STEMS)]
-    return [stem + s for s in _SUFFIXES]
+# One table of every word a record can hold: each stem's suffixed words in
+# stem order, then the common words.
+_WORDS = [stem + suffix for stem in _TOPIC_STEMS for suffix in _SUFFIXES] + _COMMON_WORDS
+
+# Random draws per record: a topic, 4 topic words, 2 common words, then 30
+# pairs of a coin (topic or common vocabulary) and a word from that vocabulary.
+_DRAWS = 67
 
 
-def _words(rng: SplitMix64, vocab: list[str], count: int) -> list[str]:
-    return [vocab[rng.randrange(len(vocab))] for _ in range(count)]
+def _texts(rng: SplitMix64, n: int, k: int) -> tuple[list[str], list[str]]:
+    """Titles and abstracts of ``n`` records over ``k`` topics.
+
+    The texts are those of drawing each record in turn: ``randrange(k)``
+    for the topic, ``randrange`` over the topic's suffixed words 4 times
+    and over the common words twice for the title, then 30 times a coin
+    ``random() < 0.7`` choosing the topic's words over the common words
+    and a ``randrange`` over the chosen list for the abstract.  All
+    ``n * 67`` outputs are drawn as one array.  ``randrange(m)`` rejects
+    an output at or above the largest multiple of m below 2**64 and draws
+    again at the same place, so a rejected output is dropped from the
+    array, the rest move up one place, and one more output is drawn at
+    the end.
+    """
+    if not n:
+        return [], []
+    if k < 1:
+        raise ValueError(f"need at least one topic, got k={k}")
+    import numpy as np
+
+    u64 = np.uint64
+    n_topic, n_common = len(_SUFFIXES), len(_COMMON_WORDS)
+
+    def rejected(v, m):
+        return v > u64((1 << 64) - 1 - (1 << 64) % m)
+
+    draws = rng.next_u64_array(n * _DRAWS)
+    while True:
+        v = draws.reshape(n, _DRAWS)
+        topical = (v[:, 7::2] >> u64(11)).astype(np.float64) * 2.0**-53 < 0.7
+        reject = np.zeros(v.shape, dtype=bool)
+        reject[:, 0] = rejected(v[:, 0], k)
+        reject[:, 1:5] = rejected(v[:, 1:5], n_topic)
+        reject[:, 5:7] = rejected(v[:, 5:7], n_common)
+        reject[:, 8::2] = np.where(
+            topical, rejected(v[:, 8::2], n_topic), rejected(v[:, 8::2], n_common)
+        )
+        at = np.flatnonzero(reject)
+        if not at.size:
+            break
+        draws = np.concatenate([np.delete(draws, at[0]), rng.next_u64_array(1)])
+
+    stem = (v[:, :1] % u64(k) % u64(len(_TOPIC_STEMS))).astype(np.intp) * n_topic
+    in_topic = stem + (v % u64(n_topic)).astype(np.intp)
+    in_common = len(_TOPIC_STEMS) * n_topic + (v % u64(n_common)).astype(np.intp)
+    index = np.concatenate([
+        in_topic[:, 1:5],
+        in_common[:, 5:7],
+        np.where(topical, in_topic[:, 8::2], in_common[:, 8::2]),
+    ], axis=1)
+    rows = np.array(_WORDS, dtype=object)[index].tolist()
+    titles = [(" ".join(r[:6]) + f" cohort{i}").capitalize() for i, r in enumerate(rows)]
+    abstracts = [" ".join(r[6:]).capitalize() + "." for r in rows]
+    return titles, abstracts
 
 
 def synth_review(
@@ -105,26 +161,17 @@ def synth_review(
         raise ValueError(f"cannot place {n_includes} includes in {n} records")
     rng = derive_rng(seed, "review", review_id)
     include_at = set(rng.sample_indices(n, n_includes))
-    records = []
-    for i in range(n):
-        topic = rng.randrange(k)
-        vocab = _topic_vocab(topic)
-        title_words = _words(rng, vocab, 4) + _words(rng, _COMMON_WORDS, 2)
-        title = " ".join(title_words + [f"cohort{i}"]).capitalize()
-        body = []
-        for _ in range(30):
-            src = vocab if rng.random() < 0.7 else _COMMON_WORDS
-            body.append(src[rng.randrange(len(src))])
-        abstract = " ".join(body).capitalize() + "."
-        records.append(
-            StudyRecord(
-                id=f"{review_id}-{i:05d}",
-                title=title,
-                abstract=abstract,
-                gold_label=INCLUDE if i in include_at else EXCLUDE,
-                review_id=review_id,
-            )
+    titles, abstracts = _texts(rng, n, k)
+    records = [
+        StudyRecord(
+            id=f"{review_id}-{i:05d}",
+            title=title,
+            abstract=abstract,
+            gold_label=INCLUDE if i in include_at else EXCLUDE,
+            review_id=review_id,
         )
+        for i, (title, abstract) in enumerate(zip(titles, abstracts))
+    ]
     return ReviewDataset(review_id, records)
 
 
@@ -154,6 +201,7 @@ def synth_raw_review(shape: ReviewShape, seed: int = 0) -> ReviewDataset:
 
     rng = derive_rng(seed, "raw", shape.review_id)
     rows = list(core.records)
+    ids = [r.id for r in rows]  # kept in step with rows
 
     for i in range(n_missing):
         label = INCLUDE if i < missing_inc else EXCLUDE
@@ -164,7 +212,9 @@ def synth_raw_review(shape: ReviewShape, seed: int = 0) -> ReviewDataset:
             gold_label=label,
             review_id=shape.review_id,
         )
-        rows.insert(rng.randrange(len(rows) + 1), rec)
+        at = rng.randrange(len(rows) + 1)
+        rows.insert(at, rec)
+        ids.insert(at, rec.id)
 
     core_includes = [r for r in core.records if r.gold_label == INCLUDE]
     core_excludes = [r for r in core.records if r.gold_label == EXCLUDE]
@@ -190,9 +240,10 @@ def synth_raw_review(shape: ReviewShape, seed: int = 0) -> ReviewDataset:
                 gold_label=src.gold_label,
                 review_id=shape.review_id,
             )
-        src_pos = next(j for j, r in enumerate(rows) if r.id == src.id)
+        src_pos = ids.index(src.id)
         insert_at = src_pos + 1 + rng.randrange(len(rows) - src_pos)
         rows.insert(insert_at, dup)
+        ids.insert(insert_at, dup.id)
 
     return ReviewDataset(shape.review_id, rows)
 

@@ -683,6 +683,22 @@ def test_warm_commands_never_import_numpy(tmp_path):
         assert slurp(os.path.join(recold, name)) == slurp(os.path.join(cold, name))
 
 
+def test_synth_imports_numpy_only_to_write_records(tmp_path):
+    # The benchmark worker imports synth before every measured pass.
+    code = (
+        "import sys\n"
+        "from dfscreen import synth\n"
+        "assert 'numpy' not in sys.modules, 'imported by dfscreen.synth'\n"
+        "synth.write_workspace(sys.argv[1])\n"
+        "assert 'numpy' in sys.modules, 'records drawn without numpy'\n"
+    )
+    src = os.path.dirname(os.path.dirname(dfscreen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ws")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestResponseLog:
     @pytest.fixture
     def one_review(self, tmp_path):
