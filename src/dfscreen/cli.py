@@ -157,7 +157,7 @@ class PipelineConfig:
                 "criteria": self._resolve(entry["criteria"]),
                 "k": None if k is None else _typed(f"review {rid}: k", k, int),
             }
-        keys = ("kind", "model", "url", "path", "dim")  # its request timeout is not one
+        keys = ("kind", "model", "url", "path", "dim")
         emb = {"kind": "hashed_tf", **_mapping(raw.get("embedding", {}), "embedding", keys)}
         if emb.get("path"):
             emb["path"] = self._resolve(emb["path"])

@@ -9,9 +9,10 @@ abstract, then collapse duplicates.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, field
+
+from .jsonl import read_jsonl, write_jsonl
 
 INCLUDE = "include"
 EXCLUDE = "exclude"
@@ -130,57 +131,29 @@ def curate(dataset: ReviewDataset) -> tuple[ReviewDataset, CurationReport]:
 _REQUIRED_FIELDS = ("id", "title", "abstract")
 
 
-def _record_from_mapping(m: dict, review_id: str, where: str) -> StudyRecord:
+def _record_from_mapping(m: dict, review_id: str) -> StudyRecord:
     for k in _REQUIRED_FIELDS:
         if k not in m:
-            raise DatasetError(f"{where}: missing field {k!r}")
+            raise DatasetError(f"missing field {k!r}")
     gold = m.get("gold_label")
     if gold is not None:
         gold = str(gold).strip().lower()
         if gold == "":
             gold = None
-    try:
-        return StudyRecord(
-            id=str(m["id"]),
-            title=str(m["title"]),
-            abstract=str(m["abstract"]),
-            gold_label=gold,
-            review_id=review_id,
-        )
-    except DatasetError as exc:
-        raise DatasetError(f"{where}: {exc}") from None
-
-
-def _reject_dup_keys(pairs):
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        keys = [k for k, _ in pairs]
-        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
-        raise ValueError(f"duplicate key {dup!r}")
-    return obj
-
-
-# Built once: json.loads with a hook builds a new decoder on every call.
-_ROW_DECODER = json.JSONDecoder(object_pairs_hook=_reject_dup_keys)
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+    return StudyRecord(
+        id=str(m["id"]),
+        title=str(m["title"]),
+        abstract=str(m["abstract"]),
+        gold_label=gold,
+        review_id=review_id,
+    )
 
 
 def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
-    """Load records from JSON lines. One object per line, exact keys checked."""
-    records = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                # utf-8-sig drops a leading BOM, as json.loads does for bytes.
-                obj = _ROW_DECODER.decode(line.decode("utf-8-sig"))
-            except ValueError as exc:
-                raise DatasetError(f"{where}: {exc}") from None
-            if not isinstance(obj, dict):
-                raise DatasetError(f"{where}: expected a JSON object")
-            records.append(_record_from_mapping(obj, review_id, where))
+    """Load records from JSON lines, one object per line."""
+    records = read_jsonl(
+        path, lambda row: _record_from_mapping(row, review_id), DatasetError, "bad record row"
+    )
     return ReviewDataset(review_id, records)
 
 
@@ -206,9 +179,10 @@ def load_dataset_csv(path: str, review_id: str) -> ReviewDataset:
                     raise DatasetError(
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
-                records.append(
-                    _record_from_mapping(dict(zip(header, row)), review_id, f"{path}:{lineno}")
-                )
+                try:
+                    records.append(_record_from_mapping(dict(zip(header, row)), review_id))
+                except DatasetError as exc:
+                    raise DatasetError(f"{path}:{lineno}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path} is not UTF-8: {exc}") from None
     return ReviewDataset(review_id, records)
@@ -224,10 +198,12 @@ def load_dataset(path: str, review_id: str) -> ReviewDataset:
     raise DatasetError(f"{path}: unsupported extension (use .jsonl, .ndjson, or .csv)")
 
 
+def _record_row(rec: StudyRecord) -> dict:
+    row = {"id": rec.id, "title": rec.title, "abstract": rec.abstract}
+    if rec.gold_label is not None:
+        row["gold_label"] = rec.gold_label
+    return row
+
+
 def write_dataset_jsonl(dataset: ReviewDataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in dataset.records:
-            row = {"id": rec.id, "title": rec.title, "abstract": rec.abstract}
-            if rec.gold_label is not None:
-                row["gold_label"] = rec.gold_label
-            fh.write(_ROW_ENCODER.encode(row) + "\n")
+    write_jsonl(path, map(_record_row, dataset.records))

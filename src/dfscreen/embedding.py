@@ -13,13 +13,14 @@ Three providers:
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .gateway import DEFAULT_TIMEOUT
+from .jsonl import read_jsonl, write_jsonl
 from .rng import fnv1a64
 
 if TYPE_CHECKING:
@@ -41,7 +42,6 @@ class EmbeddingProviderConfig:
     url: str | None = None
     path: str | None = None  # file_import source
     dim: int = 64  # hashed_tf only
-    timeout: float = 60.0
 
     def __post_init__(self):
         if self.kind not in ("remote_http", "file_import", "hashed_tf"):
@@ -104,7 +104,7 @@ class EmbeddingClient:
 
         payload = {"model": self.config.model, "input": texts}
         try:
-            resp = requests.post(self.config.url, json=payload, timeout=self.config.timeout)
+            resp = requests.post(self.config.url, json=payload, timeout=DEFAULT_TIMEOUT)
         except requests.RequestException as exc:
             raise EmbeddingError(f"embedding request failed: {exc}") from None
         if resp.status_code != 200:
@@ -132,19 +132,10 @@ class EmbeddingClient:
         if len(ids) != len(texts):
             raise EmbeddingError("ids and texts length mismatch")
         if self._import_table is None:
-            table: dict[str, list[float]] = {}
-            with open(self.config.path, "rb") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        row = json.loads(line)
-                        table[str(row["id"])] = row["vector"]
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise EmbeddingError(
-                            f"{self.config.path}:{lineno}: bad vector row: {exc}"
-                        ) from None
-            self._import_table = table
+            self._import_table = dict(read_jsonl(
+                self.config.path, lambda row: (str(row["id"]), row["vector"]),
+                EmbeddingError, "bad vector row",
+            ))
         out = []
         for rid in ids:
             if rid not in self._import_table:
@@ -158,6 +149,4 @@ class EmbeddingClient:
 
 def write_vectors_jsonl(ids: list[str], vectors: list[np.ndarray], path: str) -> None:
     """Persist vectors in the format the file_import provider reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rid, vec in zip(ids, vectors):
-            fh.write(json.dumps({"id": rid, "vector": vec.tolist()}) + "\n")
+    write_jsonl(path, ({"id": rid, "vector": vec.tolist()} for rid, vec in zip(ids, vectors)))

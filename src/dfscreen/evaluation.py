@@ -5,9 +5,9 @@ Include is the positive class throughout.  Degenerate denominators
 exception, since reviews where a run predicts nothing positive are a
 real outcome that still needs a row in the report.
 
-The t-test rests on a regularized incomplete beta evaluated by
-continued fraction, written out here so the statistics carry no
-dependency beyond ``math``.
+The t-test's p-value comes from Student's t CDF at an integer df,
+summed as its exact finite series in atan(t / sqrt(df)), so the
+statistics carry no dependency beyond ``math``.
 """
 
 from __future__ import annotations
@@ -100,82 +100,27 @@ def macro_f1(per_review_f1: list[float]) -> float:
 
 # --- Student-t distribution -------------------------------------------------
 
-_BETA_TOL = 1e-12
-_BETA_MAX_ITER = 300
-_TINY = 1e-300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the continued fraction for I_x(a,b).
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_TOL:
-            return h
-    raise EvaluationError(
-        f"incomplete beta did not converge for a={a}, b={b}, x={x}"
-    )
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise EvaluationError("beta parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    # The continued fraction converges fast only on one side of the mean;
-    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) for the other.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_cdf(t: float, df: int) -> float:
-    """P(T <= t) for Student's t with ``df`` degrees of freedom."""
+    """P(T <= t) for Student's t with ``df`` degrees of freedom.
+
+    Abramowitz & Stegun 26.7.3-4 in theta = atan(t / sqrt(df)): for odd
+    df, (theta + sin(theta) * S) / pi + 1/2 with S = cos + 2/3 cos^3 +
+    (2*4)/(3*5) cos^5 + ...; for even df, (1 + sin(theta) * S) / 2 with
+    S = 1 + 1/2 cos^2 + (1*3)/(2*4) cos^4 + ...; each S has df // 2 terms.
+    """
     if df < 1:
         raise EvaluationError(f"df must be at least 1, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(x, df / 2.0, 0.5)
-    return 1.0 - tail if t > 0 else tail
+    theta = math.atan(t / math.sqrt(df))
+    cos = math.cos(theta)
+    odd = df % 2
+    term = cos if odd else 1.0
+    series = 0.0
+    for k in range(df // 2):
+        series += term
+        term *= cos * cos * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if odd:
+        return 0.5 + (theta + math.sin(theta) * series) / math.pi
+    return 0.5 + 0.5 * math.sin(theta) * series
 
 
 @dataclass(frozen=True)
@@ -345,12 +290,9 @@ def compare_runs(report_a: MetricsReport, report_b: MetricsReport) -> dict:
     order = sorted(ids_a)
     before = [f1_a[i] for i in order]
     after = [f1_b[i] for i in order]
-    try:
-        test = paired_t_test(before, after)
-    except EvaluationError as exc:
-        if "zero variance" in str(exc):
-            raise EvaluationError("runs identical: no F1 differences to test") from None
-        raise
+    if before == after:
+        raise EvaluationError("runs identical: no F1 differences to test")
+    test = paired_t_test(before, after)
     return {
         "reviews": order,
         "f1_before": before,

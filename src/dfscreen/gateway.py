@@ -379,17 +379,10 @@ def complete(
 class HttpChatProvider:
     """Chat-completions endpoint speaking the common JSON wire shape."""
 
-    def __init__(
-        self,
-        model_id: str,
-        url: str,
-        api_key: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
-    ):
+    def __init__(self, model_id: str, url: str, api_key: str | None = None):
         self.model_id = model_id
         self.url = url
         self.api_key = api_key  # never part of the identity
-        self.timeout = timeout
         self.identity = f"{model_id}@{url}"
 
     def send(self, prompt_text, temperature, max_tokens, tags):
@@ -407,7 +400,7 @@ class HttpChatProvider:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
             resp = requests.post(
-                self.url, json=payload, headers=headers, timeout=self.timeout
+                self.url, json=payload, headers=headers, timeout=DEFAULT_TIMEOUT
             )
         except requests.Timeout as exc:
             raise TransientProviderError(f"timeout: {exc}") from None

@@ -12,8 +12,9 @@ notebook) from JSONL.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, NamedTuple
+
+from .jsonl import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,21 +95,12 @@ def project_2d(
 
 
 def write_points_jsonl(points: dict[str, Point2D], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rid in sorted(points):
-            p = points[rid]
-            fh.write(json.dumps({"id": rid, "x": p.x, "y": p.y}) + "\n")
+    write_jsonl(path, ({"id": rid, "x": points[rid].x, "y": points[rid].y}
+                       for rid in sorted(points)))
 
 
 def read_points_jsonl(path: str) -> dict[str, Point2D]:
-    table: dict[str, Point2D] = {}
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                table[str(row["id"])] = Point2D(float(row["x"]), float(row["y"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ProjectionError(f"{path}:{lineno}: bad point row: {exc}") from None
-    return table
+    return dict(read_jsonl(
+        path, lambda row: (str(row["id"]), Point2D(float(row["x"]), float(row["y"]))),
+        ProjectionError, "bad point row",
+    ))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .corpus import ReviewDataset, StudyRecord
+from .gateway import DEFAULT_TIMEOUT, MAX_ATTEMPTS
 
 EFETCH_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils/efetch.fcgi"
 MAX_IDS_PER_REQUEST = 200
@@ -41,8 +42,6 @@ class PubMedClient:
     """
 
     api_key: str | None = None
-    timeout: float = 60.0
-    max_attempts: int = 3
     transport: Callable = None
     clock: Callable[[], float] = time.monotonic
     sleep: Callable[[float], None] = time.sleep
@@ -84,10 +83,10 @@ class PubMedClient:
         if self.api_key:
             params["api_key"] = self.api_key
         last_error = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             self._pace()
             try:
-                resp = self.transport(EFETCH_URL, params, self.timeout)
+                resp = self.transport(EFETCH_URL, params, DEFAULT_TIMEOUT)
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
             else:
@@ -96,9 +95,9 @@ class PubMedClient:
                 last_error = f"HTTP {resp.status_code}"
                 if resp.status_code not in RETRY_STATUS:
                     break
-            if attempt + 1 < self.max_attempts:
+            if attempt + 1 < MAX_ATTEMPTS:
                 self.sleep(2.0**attempt)
-        raise PubMedError(f"efetch failed after {self.max_attempts} attempts: {last_error}")
+        raise PubMedError(f"efetch failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def fetch(self, pmids: list[str], review_id: str = "pubmed") -> ReviewDataset:
         """Fetch records for ``pmids``, warning about any that don't resolve.

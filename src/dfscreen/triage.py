@@ -22,7 +22,6 @@ threshold sweep is scored from a single cascade run.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections.abc import Callable
@@ -42,6 +41,7 @@ from .gateway import (
     complete,
     parse_decision,
 )
+from .jsonl import read_jsonl, write_jsonl
 from .projection import Point2D
 from .prompting import RenderedPrompt, Strategy, render, static_instances
 
@@ -376,27 +376,9 @@ def sweep_thresholds(
     return out
 
 
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
-_ROW_DECODER = json.JSONDecoder()
-
-
 def write_results_jsonl(results: list[ScreeningResult], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(_ROW_ENCODER.encode(r.to_dict()) + "\n")
+    write_jsonl(path, (r.to_dict() for r in results))
 
 
 def read_results_jsonl(path: str) -> list[ScreeningResult]:
-    out = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = _ROW_DECODER.decode(line.decode("utf-8"))
-                out.append(ScreeningResult.from_dict(row))
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise EvaluationError(
-                    f"{path}:{lineno}: unreadable result row: {exc}"
-                ) from None
-    return out
+    return read_jsonl(path, ScreeningResult.from_dict, EvaluationError, "unreadable result row")

@@ -689,6 +689,7 @@ def test_synth_imports_numpy_only_to_write_records(tmp_path):
         "import sys\n"
         "from dfscreen import synth\n"
         "assert 'numpy' not in sys.modules, 'imported by dfscreen.synth'\n"
+        "assert '_hashlib' not in sys.modules, 'imported by dfscreen.synth'\n"
         "synth.write_workspace(sys.argv[1])\n"
         "assert 'numpy' in sys.modules, 'records drawn without numpy'\n"
     )
@@ -1153,6 +1154,50 @@ class TestNonUtf8Input:
         spoil(path)
         assert cli.main(argv) == code
         assert path in capsys.readouterr().err
+
+
+class TestRepeatedKey:
+    """A row file whose object repeats a key fails with its command's code."""
+
+    @pytest.mark.parametrize("target,what", [
+        ("points", "bad point row"), ("vectors", "bad vector row"),
+    ])
+    def test_imported_file_is_exit_2(self, tmp_path, capsys, target, what):
+        dataset = synth.synth_review("DUPKEY", 30, 8, k=3, seed=4)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        path = str(tmp_path / f"{target}.jsonl")
+        if target == "points":
+            rows = [{"id": r.id, "x": float(i), "y": float(i % 7)}
+                    for i, r in enumerate(dataset.records)]
+            section = {"projection": {"method": "import", "path": path}}
+        else:
+            rows = [{"id": r.id, "vector": [float(i), float(i % 5), 1.0]}
+                    for i, r in enumerate(dataset.records)]
+            section = {"embedding": {"kind": "file_import", "path": path}}
+        lines = [json.dumps(row) for row in rows]
+        lines[1] = '{"id": "other", ' + lines[1][1:]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with open(config_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({**config, **section}, fh)
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"{path}:2: {what}: duplicate key 'id'" in capsys.readouterr().err
+
+    def test_results_file_is_exit_4(self, ws, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cli.main(["screen", "--config", ws, "--out", out]) == cli.EXIT_OK
+        path = os.path.join(out, "results_REV-B.jsonl")
+        lines = slurp(path).splitlines(keepends=True)
+        lines[2] = b'{"final": "exclude", ' + lines[2][1:]
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", ws, "--results", out])
+        assert rc == cli.EXIT_EVALUATION
+        assert f"{path}:3: unreadable result row: duplicate key 'final'" in capsys.readouterr().err
 
 
 class TestFetchValidation:

@@ -13,7 +13,8 @@ import re
 import pytest
 
 from dfscreen.clustering import Clustering
-from dfscreen.corpus import EXCLUDE, INCLUDE
+from dfscreen.corpus import EXCLUDE, INCLUDE, DatasetError, load_dataset_jsonl
+from dfscreen.embedding import EmbeddingClient, EmbeddingError, EmbeddingProviderConfig
 from dfscreen.evaluation import (
     EvaluationError,
     MetricsReport,
@@ -23,7 +24,7 @@ from dfscreen.evaluation import (
 )
 from dfscreen.exemplar_pool import Exemplar, ExemplarPool
 from dfscreen.gateway import CostLedger, Decision, LlmResponse, ModelPricing, ResponseCache
-from dfscreen.projection import Point2D
+from dfscreen.projection import Point2D, ProjectionError, read_points_jsonl
 from dfscreen.triage import ScreeningResult, read_results_jsonl, write_results_jsonl
 
 RESULTS = [
@@ -191,3 +192,55 @@ def test_unreadable_report_row_names_file_and_line(tmp_path, row):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: unreadable row")):
         read_report_csv(str(path))
+
+
+def read_vectors(path):
+    client = EmbeddingClient(EmbeddingProviderConfig(kind="file_import", path=path))
+    return client.embed_batch(["", ""], ["a", "b"])
+
+
+# reader, its error class, the reason its messages name, and two good rows.
+ROW_READERS = {
+    "dataset": (lambda path: load_dataset_jsonl(path, "R").records, DatasetError,
+                "bad record row", [{"id": "a", "title": "T", "abstract": "A"},
+                                   {"id": "b", "title": "U", "abstract": "B"}]),
+    "vectors": (read_vectors, EmbeddingError, "bad vector row",
+                [{"id": "a", "vector": [1.0, 0.0]}, {"id": "b", "vector": [0.0, 1.0]}]),
+    "points": (read_points_jsonl, ProjectionError, "bad point row",
+               [{"id": "a", "x": 1.0, "y": 0.0}, {"id": "b", "x": 0.0, "y": 1.0}]),
+    "results": (read_results_jsonl, EvaluationError, "unreadable result row",
+                [json.loads(line) for line in RESULTS_JSONL.splitlines()[:2]]),
+}
+
+
+def row_file(tmp_path, first, third):
+    """Line 1 ``first``, line 2 blank, line 3 ``third`` (bytes)."""
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(json.dumps(first).encode() + b"\n  \n" + third + b"\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ROW_READERS)
+def test_blank_line_is_skipped(tmp_path, fmt):
+    read, _, _, (first, second) = ROW_READERS[fmt]
+    assert len(read(row_file(tmp_path, first, json.dumps(second).encode()))) == 2
+
+
+def spoiled_lines(row):
+    text = json.dumps(row)
+    key = next(iter(row))
+    return {
+        "not-an-object": b"[1, 2]",
+        "repeated-key": f'{{"{key}": {json.dumps(row[key])}, {text[1:]}'.encode(),
+        "not-utf8": text[:-1].encode() + b', "\xff": 0}',
+        "missing-field": json.dumps({k: v for k, v in row.items() if k != key}).encode(),
+    }
+
+
+@pytest.mark.parametrize("case", ["not-an-object", "repeated-key", "not-utf8", "missing-field"])
+@pytest.mark.parametrize("fmt", ROW_READERS)
+def test_bad_row_names_file_and_line(tmp_path, fmt, case):
+    read, error, what, (first, second) = ROW_READERS[fmt]
+    path = row_file(tmp_path, first, spoiled_lines(second)[case])
+    with pytest.raises(error, match=re.escape(f"{path}:3: {what}: ")):
+        read(path)
