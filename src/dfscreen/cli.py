@@ -2,12 +2,14 @@
 
 One JSON config describes an experiment: datasets and criteria per
 review, embedding backend, clustering overrides, strategy, threshold,
-models and pricing, seed, cache directory.  Commands run individual
-stages or the whole cascade; intermediates land in a content-addressed
-cache so reruns only redo what changed.  Every command but ``curate``
-walks the reviews in id order with one ReviewPipeline each; its single
-stage helper reads a stage's artifact back or builds and writes it, and
-each stage runs once per pipeline.
+models and pricing, seed, cache directory.  The stage commands
+(``project``, ``cluster``, ``pool``) or the whole cascade (``screen``)
+run; intermediates land in a content-addressed cache so reruns only redo
+what changed.  The embedding has a key but no artifact: ``project``
+embeds the records as its input.  Every command but ``curate`` walks the
+reviews in id order with one ReviewPipeline each; its single stage
+helper reads a stage's artifact back or builds and writes it, and each
+stage runs once per pipeline.
 
 Exit codes: 0 success, 2 config error, 3 provider failure,
 4 evaluation mismatch.
@@ -28,7 +30,7 @@ from enum import Enum
 from operator import attrgetter
 
 from . import clustering as clustering_mod
-from . import corpus, embedding, evaluation, triage
+from . import corpus, evaluation, triage
 from .cache import ArtifactCache, canonical_json, content_key, sha256_hex
 from .embedding import EmbeddingClient, EmbeddingError, EmbeddingProviderConfig
 from .exemplar_pool import ExemplarPool, PoolError, build_pool
@@ -61,9 +63,7 @@ EXIT_EVALUATION = 4
 
 DRY_RUN_COMPLETION_TOKENS = 64  # nominal per-call output allowance
 # The stage commands, and the ReviewPipeline method each one runs.
-STAGE_METHODS = {
-    "embed": "vectors", "project": "points", "cluster": "clustering", "pool": "pool"
-}
+STAGE_METHODS = {"project": "points", "cluster": "clustering", "pool": "pool"}
 
 
 class ConfigError(ValueError):
@@ -263,12 +263,16 @@ class ReviewPipeline:
         """(value, key): the artifact at ``key`` read back, or built and written.
 
         ``read(path)``/``write(value, path)`` handle a file format; without
-        ``write`` the artifact is ``to_json()`` text and ``read(text)`` loads it.
+        ``write`` the artifact is ``to_json()`` text and ``read(text)`` loads
+        it, and text it cannot load is a ConfigError naming the file.
         """
         if self.cache.has(key):
-            if write is None:
+            if write is not None:
+                return read(self.cache.path(key)), key
+            try:
                 return read(self.cache.read_text(key)), key
-            return read(self.cache.path(key)), key
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"unreadable artifact {self.cache.path(key)}: {exc}") from None
         value = build()
         if write is None:
             self.cache.write_text(key, value.to_json())
@@ -311,29 +315,13 @@ class ReviewPipeline:
             )
         return gold
 
-    @_once
     def _embed_key(self) -> str:
+        """Key of the vectors ``project`` reads; they are never written to a file."""
         _, _, curate_key = self.curated()
         params = {"provider": self.cfg.embedding.fingerprint()}
         if self.cfg.embedding.kind == "file_import":
             params["source_sha256"] = _file_sha256(self.cfg.embedding.path)
         return content_key("embed", params, [curate_key])
-
-    @_once
-    def vectors(self):
-        dataset, _, _ = self.curated()
-        ids = [r.id for r in dataset.records]
-        texts = [r.text for r in dataset.records]
-
-        def embed(config):
-            return EmbeddingClient(config).embed_batch(texts, ids)
-
-        return self._artifact(
-            self._embed_key(),
-            lambda: embed(self.cfg.embedding),
-            lambda path: embed(EmbeddingProviderConfig(kind="file_import", path=path)),
-            lambda built, path: embedding.write_vectors_jsonl(ids, built, path),
-        )
 
     @_once
     def _project_key(self) -> str:
@@ -347,8 +335,12 @@ class ReviewPipeline:
         method = self.cfg.projection["method"]
 
         def build():
-            ids = [r.id for r in self.curated()[0].records]
-            vecs = self.vectors()[0] if method == "pca" else None
+            records = self.curated()[0].records
+            ids = [r.id for r in records]
+            vecs = None
+            if method == "pca":
+                vecs = EmbeddingClient(self.cfg.embedding).embed_batch(
+                    [r.text for r in records], ids)
             return project_2d(ids, vecs, method, self.cfg.projection.get("path"))
 
         return self._artifact(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -82,7 +82,6 @@ class EmbeddingClient:
     """Embeds batches of texts with the configured provider."""
 
     config: EmbeddingProviderConfig
-    _import_table: dict[str, list[float]] | None = field(default=None, repr=False)
 
     def embed_batch(
         self, texts: list[str], ids: list[str] | None = None
@@ -131,16 +130,15 @@ class EmbeddingClient:
             raise EmbeddingError("file_import provider needs record ids")
         if len(ids) != len(texts):
             raise EmbeddingError("ids and texts length mismatch")
-        if self._import_table is None:
-            self._import_table = dict(read_jsonl(
-                self.config.path, lambda row: (str(row["id"]), row["vector"]),
-                EmbeddingError, "bad vector row",
-            ))
+        table = dict(read_jsonl(
+            self.config.path, lambda row: (str(row["id"]), row["vector"]),
+            EmbeddingError, "bad vector row",
+        ))
         out = []
         for rid in ids:
-            if rid not in self._import_table:
+            if rid not in table:
                 raise EmbeddingError(f"no imported vector for record {rid!r}")
-            out.append(np.asarray(self._import_table[rid], dtype=np.float64))
+            out.append(np.asarray(table[rid], dtype=np.float64))
         dims = {len(v) for v in out}
         if len(dims) > 1:
             raise EmbeddingError(f"inconsistent imported dimensions: {sorted(dims)}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from .clustering import Clustering
 from .corpus import EXCLUDE, ReviewDataset, StudyRecord
 from .evaluation import EvaluationError, confusion, metrics
-from .exemplar_pool import ExemplarPool, select_instances
+from .exemplar_pool import ExemplarPool, PoolError, select_instances
 from .gateway import (
     CostLedger,
     Decision,
@@ -130,7 +130,8 @@ def prompter(
     ``dfsl`` selects per-record instances from ``exemplars`` (pool,
     clustering, points); ``fs`` draws its fixed set once, seeded, for the
     whole review; ``zs`` and ``cot`` carry no instances.  Prompts are
-    rendered on demand, one record at a time.
+    rendered on demand, one record at a time.  A pool exemplar that is not
+    in ``dataset`` is a PoolError.
     """
     by_id = dataset.by_id()
     shared = static_instances(dataset, seed) if strategy is Strategy.FEW_SHOT else None
@@ -139,7 +140,11 @@ def prompter(
         instances = shared
         if strategy is Strategy.DYNAMIC_FEW_SHOT:
             chosen = select_instances(record, *exemplars)
-            instances = [(by_id[e.record_id], e.label) for e in chosen]
+            try:
+                instances = [(by_id[e.record_id], e.label) for e in chosen]
+            except KeyError as exc:
+                raise PoolError(f"pool exemplar {exc.args[0]} is not in the "
+                                f"{dataset.review_id} dataset") from None
         return render(strategy, criteria, record, instances)
 
     return prompt

@@ -118,7 +118,7 @@ class TestConfigLoading:
         raw["strategy"] = "tree-of-thought"
         with open(config_path, "w") as fh:
             json.dump(raw, fh)
-        rc = cli.main(["embed", "--config", config_path])
+        rc = cli.main(["project", "--config", config_path])
         assert rc == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize(
@@ -211,7 +211,7 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "command,provider,stage2",
         [
-            ("embed", {"kind": "oracle", "profile": {"acc_hi": 2, "acc_lo": 0.7, "p_hi": 0.8}},
+            ("project", {"kind": "oracle", "profile": {"acc_hi": 2, "acc_lo": 0.7, "p_hi": 0.8}},
              {}),
             ("screen", {"kind": "http"}, {"model": "m2"}),
         ],
@@ -273,7 +273,7 @@ class TestCurate:
 
 class TestStageCommands:
     def test_each_stage_runs(self, ws, capsys):
-        for stage in ("embed", "project", "cluster", "pool"):
+        for stage in ("project", "cluster", "pool"):
             rc = cli.main([stage, "--config", ws])
             assert rc == cli.EXIT_OK
             stdout = capsys.readouterr().out
@@ -590,10 +590,9 @@ class TestArtifactWrites:
         "owner,writer,stage",
         [
             (corpus, "write_dataset_jsonl", "curate-"),
-            (embedding, "write_vectors_jsonl", "embed-"),
             (cli, "write_points_jsonl", "project-"),
         ],
-        ids=["curate", "embed", "project"],
+        ids=["curate", "project"],
     )
     def test_failed_write_leaves_nothing_at_the_key(
         self, tmp_path, monkeypatch, capsys, owner, writer, stage
@@ -626,6 +625,111 @@ class TestArtifactWrites:
             assert slurp(os.path.join(tmp_path, "rerun", name)) == slurp(
                 os.path.join(clean, name)
             )
+
+
+def cached(cache_dir, stage):
+    """The one artifact of ``stage`` in a single-review cache."""
+    (name,) = [n for n in os.listdir(cache_dir) if n.startswith(f"{stage}-")]
+    return os.path.join(cache_dir, name)
+
+
+class TestNoVectorFile:
+    def test_cold_screen_writes_no_vectors(self, tmp_path):
+        dataset = synth.synth_review("NOVEC", 40, 10, k=3, seed=4)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        assert cli.main(["screen", "--config", config_path,
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        names = os.listdir(tmp_path / "ws" / "cache")
+        assert sorted(name.split("-")[0] for name in names) == [
+            "cluster", "curate", "pool", "project", "responses.jsonl"]
+
+    def test_deleted_points_are_embedded_again(self, tmp_path, monkeypatch):
+        # An older cache holds an embed-* file of vectors at the embed key;
+        # rebuilding the points must embed again, not read it.
+        dataset = synth.synth_review("STRAY", 40, 10, k=3, seed=4)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        assert cli.main(["project", "--config", config_path]) == cli.EXIT_OK
+        pipe = cli._pipeline_for(cli.PipelineConfig.load(config_path), "STRAY")
+        ids = [r.id for r in dataset.records]
+        stray = embedding.EmbeddingClient(embedding.EmbeddingProviderConfig(
+            kind="hashed_tf", dim=7)).embed_batch([r.text for r in dataset.records], ids)
+        embedding.write_vectors_jsonl(ids, stray, pipe.cache.path(pipe._embed_key()))
+        points_path = cached(pipe.cache.root, "project")
+        points = slurp(points_path)
+        os.unlink(points_path)
+
+        kinds = []
+        real = embedding.EmbeddingClient.embed_batch
+
+        def record(self, texts, ids=None):
+            kinds.append(self.config.kind)
+            return real(self, texts, ids)
+
+        monkeypatch.setattr(embedding.EmbeddingClient, "embed_batch", record)
+        assert cli.main(["project", "--config", config_path]) == cli.EXIT_OK
+        assert kinds == ["hashed_tf"]
+        assert slurp(points_path) == points
+
+    def test_embed_command_is_gone(self, ws, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["embed", "--config", ws])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "invalid choice: 'embed'" in capsys.readouterr().err
+
+
+def _cut_in_half(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+
+
+def _empty(path):
+    open(path, "wb").close()
+
+
+def _bad_byte(path):
+    data = bytearray(slurp(path))
+    data[len(data) // 2] = 0xFF
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+class TestDamagedArtifact:
+    @pytest.fixture
+    def warm_ws(self, tmp_path):
+        """A single-review workspace whose cache a cold screen has filled."""
+        dataset = synth.synth_review("DMG", 40, 10, k=3, seed=6)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "cold")]
+        assert cli.main(argv) == cli.EXIT_OK
+        return config_path, str(tmp_path / "ws" / "cache")
+
+    @pytest.mark.parametrize("damage", [_cut_in_half, _empty, _bad_byte],
+                             ids=["half", "empty", "non-utf8"])
+    @pytest.mark.parametrize("stage", ["cluster", "pool"])
+    def test_damaged_artifact_is_exit_2(self, tmp_path, capsys, warm_ws, stage, damage):
+        config_path, cache_dir = warm_ws
+        path = cached(cache_dir, stage)
+        damage(path)
+        capsys.readouterr()
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unreadable artifact {path}: "), err
+
+    def test_curated_records_missing_an_exemplar_is_exit_2(self, tmp_path, capsys, warm_ws):
+        config_path, cache_dir = warm_ws
+        pipe = cli._pipeline_for(cli.PipelineConfig.load(config_path), "DMG")
+        exemplar = pipe.pool()[0].ranked[0]["include"][0].record_id
+        path = cached(cache_dir, "curate")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line for line in lines if json.loads(line)["id"] != exemplar)
+        capsys.readouterr()
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: pool exemplar {exemplar} is not in the "), err
 
 
 def run_fresh(commands, module, loaded):
@@ -859,7 +963,6 @@ class TestWarmPipeline:
         config_path = build_workspace(str(tmp_path / "ws"))
         cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
         assert cli.main(["screen", "--config", config_path, "--out", cold]) == cli.EXIT_OK
-        real = embedding.EmbeddingClient.embed_batch
 
         def refuse(self, texts, ids=None):
             raise embedding.EmbeddingError(f"{self.config.kind} vectors requested")
@@ -869,16 +972,8 @@ class TestWarmPipeline:
         for shape in SHAPES:
             name = f"results_{shape.review_id}.jsonl"
             assert slurp(os.path.join(warm, name)) == slurp(os.path.join(cold, name))
-
-        kinds = []
-
-        def record(self, texts, ids=None):
-            kinds.append(self.config.kind)
-            return real(self, texts, ids)
-
-        monkeypatch.setattr(embedding.EmbeddingClient, "embed_batch", record)
-        assert cli.main(["embed", "--config", config_path]) == cli.EXIT_OK
-        assert kinds == ["file_import"] * len(SHAPES)
+        cache_dir = cli.PipelineConfig.load(config_path).cache_dir
+        assert [name for name in os.listdir(cache_dir) if name.startswith("embed-")] == []
 
 
     def test_full_length_pools_replay_byte_identical(self, tmp_path):

@@ -7,7 +7,7 @@ script writes the 10-review synthetic workspace into ``OUT_DIR/ws`` and
 runs, each in a fresh interpreter that imports ``dfscreen`` from SRC_DIR:
 
 * ``screen --dry-run`` for dfsl, fs, zs and cot on a cold cache;
-* ``curate``, ``embed``, ``project``, ``cluster`` and ``pool``;
+* ``curate``, ``project``, ``cluster`` and ``pool``;
 * ``screen`` dfsl cold and warm, then fs, zs and cot;
 * ``sweep``, then ``screen`` dfsl once more;
 * ``evaluate`` of the dfsl and fs runs, and ``compare`` of their reports;
@@ -19,6 +19,8 @@ with its exit code on the last line and OUT_DIR written as ``<OUT>``.
 ``--against OUT_A`` then compares OUT_DIR with an earlier run's output:
 every file byte for byte, except ``responses.jsonl``, compared as a set
 of lines (with more than one worker its lines land in completion order).
+A command's log is matched by its name, without the ``NN-`` prefix, so a
+command added to or dropped from the matrix renames no other log.
 It prints each file that differs or exists on one side only, and the
 script exits 1 if any does, as it does when a command fails.  Standard
 library only.
@@ -57,7 +59,7 @@ def command_matrix(ws: str) -> list[tuple[str, list[str]]]:
     return [
         *dry_runs("cold"),
         ("curate", ["curate", *config, *out("reports")]),
-        *[(stage, [stage, *config]) for stage in ("embed", "project", "cluster", "pool")],
+        *[(stage, [stage, *config]) for stage in ("project", "cluster", "pool")],
         ("screen-dfsl-cold", ["screen", *config, *out("run_cold")]),
         ("screen-dfsl-warm", ["screen", *config, *out("run_warm")]),
         *[(f"screen-{s}", ["screen", *config, *out(f"run_{s}"), "--strategy", s])
@@ -95,24 +97,30 @@ def run(src: str, out_dir: str, seed: int) -> int:
     return failed
 
 
-def files(root: str) -> set[str]:
-    return {os.path.relpath(os.path.join(d, name), root)
-            for d, _, names in os.walk(root) for name in names}
+def files(root: str) -> dict[str, str]:
+    """Each file's relative path, keyed by it with a log's ``NN-`` prefix dropped."""
+    out = {}
+    for d, _, names in os.walk(root):
+        for name in names:
+            rel = os.path.relpath(os.path.join(d, name), root)
+            log = os.path.dirname(rel) == "stdout"
+            out[os.path.join("stdout", name.split("-", 1)[1]) if log else rel] = rel
+    return out
 
 
 def differing(out_a: str, out_b: str) -> list[str]:
-    """Relative paths whose contents differ between two output directories."""
+    """Files (as ``files`` keys them) that differ between two output directories."""
     a, b = files(out_a), files(out_b)
-    out = sorted(a ^ b)
-    for rel in sorted(a & b):
-        path_a, path_b = os.path.join(out_a, rel), os.path.join(out_b, rel)
-        if os.path.basename(rel) == "responses.jsonl":
+    out = sorted(a.keys() ^ b.keys())
+    for key in sorted(a.keys() & b.keys()):
+        path_a, path_b = os.path.join(out_a, a[key]), os.path.join(out_b, b[key])
+        if os.path.basename(key) == "responses.jsonl":
             with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
                 same = set(fa) == set(fb)
         else:
             same = filecmp.cmp(path_a, path_b, shallow=False)
         if not same:
-            out.append(rel)
+            out.append(key)
     return out
 
 
