@@ -290,14 +290,29 @@ class ReviewPipeline:
 
     @_once
     def curated(self):
-        """(dataset, curation report, key); the report is None on a cache hit."""
+        """(dataset, curation report, key); the report is None on a cache hit.
+
+        A review that curation leaves without records is a ConfigError
+        before anything is written, so a cached curated artifact that holds
+        none is damaged: a ConfigError naming the file.
+        """
         source = self.entry["dataset"]
         key = content_key("curate", {"dataset_sha256": _file_sha256(source)}, [])
+
+        def build():
+            dataset, report = corpus.curate(corpus.load_dataset(source, self.review_id))
+            if not dataset.records:
+                raise ConfigError(f"review {self.review_id}: no records left after curation")
+            return dataset, report
+
+        def read(path):
+            dataset = corpus.load_dataset_jsonl(path, self.review_id)
+            if not dataset.records:
+                raise ConfigError(f"unreadable artifact {path}: no records")
+            return dataset, None
+
         (dataset, report), _ = self._artifact(
-            key,
-            lambda: corpus.curate(corpus.load_dataset(source, self.review_id)),
-            lambda path: (corpus.load_dataset_jsonl(path, self.review_id), None),
-            lambda built, path: corpus.write_dataset_jsonl(built[0], path),
+            key, build, read, lambda built, path: corpus.write_dataset_jsonl(built[0], path),
         )
         return dataset, report, key
 

@@ -12,7 +12,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import from_row, read_jsonl, write_jsonl
 
 INCLUDE = "include"
 EXCLUDE = "exclude"
@@ -140,13 +140,13 @@ def _record_from_mapping(m: dict, review_id: str) -> StudyRecord:
         gold = str(gold).strip().lower()
         if gold == "":
             gold = None
-    return StudyRecord(
-        id=str(m["id"]),
-        title=str(m["title"]),
-        abstract=str(m["abstract"]),
-        gold_label=gold,
-        review_id=review_id,
-    )
+    return from_row(StudyRecord, {
+        "id": str(m["id"]),
+        "title": str(m["title"]),
+        "abstract": str(m["abstract"]),
+        "gold_label": gold,
+        "review_id": review_id,
+    })
 
 
 def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:

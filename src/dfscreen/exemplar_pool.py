@@ -48,11 +48,12 @@ class ExemplarPool:
 
     ranked: dict[int, dict[str, list[Exemplar]]]
 
-    def select_instances(self, target_id: str, cluster: int) -> list[Exemplar]:
+    def select_instances(self, target_id: str | None, cluster: int) -> list[Exemplar]:
         """Exemplars for one target in ``cluster``: include first, then two excludes.
 
         The target record is skipped wherever it appears, and no record
-        is used twice within the selection.
+        is used twice within the selection.  With ``target_id`` None it is
+        the pick of every target outside it.
         """
         if cluster not in self.ranked:
             raise PoolError(f"no candidates ranked for cluster {cluster}")
@@ -94,19 +95,13 @@ class ExemplarPool:
         return cls(ranked)
 
 
-def select_instances(
-    target,
-    pool: ExemplarPool,
-    clustering: Clustering,
-    points: dict[str, Point2D],
-) -> list[Exemplar]:
-    """Exemplars for ``target``, resolving its cluster as needed.
+def cluster_of(target_id: str, clustering: Clustering, points: dict[str, Point2D]) -> int:
+    """The cluster a target's exemplars come from.
 
     A record that was part of the clustering uses its assignment there;
     anything else (a fresh, unclustered record) is placed by nearest
     centroid from its projected point.
     """
-    target_id = target if isinstance(target, str) else target.id
     cluster = clustering.assignment.get(target_id)
     if cluster is None:
         import numpy as np
@@ -116,7 +111,18 @@ def select_instances(
             )
         cluster = nearest_centroid(np.array(points[target_id]),
                                    np.array(clustering.centroids))
-    return pool.select_instances(target_id, cluster)
+    return cluster
+
+
+def select_instances(
+    target,
+    pool: ExemplarPool,
+    clustering: Clustering,
+    points: dict[str, Point2D],
+) -> list[Exemplar]:
+    """Exemplars for ``target``, in the cluster ``cluster_of`` places it in."""
+    target_id = target if isinstance(target, str) else target.id
+    return pool.select_instances(target_id, cluster_of(target_id, clustering, points))
 
 
 def build_pool(

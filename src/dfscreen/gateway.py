@@ -28,6 +28,7 @@ from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
+from .jsonl import blocks, from_row, lines, scan_lines
 from .rng import derive_rng
 
 
@@ -231,7 +232,8 @@ class ResponseCache:
     line to the log, kept open for appending until ``close``.  A torn
     last line (a write cut short) is truncated away on load and reported
     on stderr; a corrupt complete line raises ResponseCacheError naming
-    the file and line.
+    the file and line.  The log is read as ``jsonl`` reads row files: in
+    blocks of whole lines, each scanned in one pass.
     """
 
     def __init__(self, path: str | None = None):
@@ -242,8 +244,11 @@ class ResponseCache:
         self._log = None  # the log, opened for appending by the first put
 
     @staticmethod
-    def key(prompt_text: str, model_id: str, temperature: float) -> str:
-        digest = hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
+    def key(prompt_text: str, model_id: str, temperature: float,
+            digest: str | None = None) -> str:
+        """``digest``, when given, is the sha256 hex of ``prompt_text``."""
+        if digest is None:
+            digest = hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
         return f"{digest}:{model_id}:{repr(float(temperature))}"
 
     def _ensure_loaded(self) -> None:
@@ -251,27 +256,42 @@ class ResponseCache:
             return
         if os.path.exists(self.path):
             with open(self.path, "rb+") as fh:
-                kept = 0
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.endswith(b"\n"):
+                lineno = kept = 0
+                for block in blocks(fh):
+                    if not block.endswith(b"\n"):
                         # A write cut short: drop it so the next append
                         # starts a fresh line; its call is simply re-sent.
                         fh.truncate(kept)
                         print(f"response cache {self.path}: dropped a torn last "
-                              f"line ({len(line)} bytes)", file=sys.stderr)
+                              f"line ({len(block)} bytes)", file=sys.stderr)
                         break
-                    kept += len(line)
-                    if not line.strip():
-                        continue
-                    try:
-                        row = _JSON.decode(line.decode("utf-8"))
-                        key = row.pop("key")
-                        self._mem[key] = LlmResponse(**row)
-                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                        raise ResponseCacheError(
-                            f"{self.path}:{lineno}: corrupt response cache line: {exc!r}"
-                        ) from None
+                    self._load_block(block, lineno)
+                    lineno += block.count(b"\n")
+                    kept += len(block)
         self._loaded = True
+
+    def _load_block(self, block: bytes, lineno: int) -> None:
+        """Add the responses of ``block``, whole lines that follow line ``lineno``."""
+        try:
+            rows = scan_lines(block.decode("utf-8"), _JSON.scan_once, bom=False)
+            if rows is not None:
+                for row in rows:
+                    key = row.pop("key")
+                    self._mem[key] = from_row(LlmResponse, row)
+                return
+        except (ValueError, KeyError, TypeError):
+            pass  # the line that fails is found below
+        for lineno, line in enumerate(lines(block), start=lineno + 1):
+            if not line.strip():
+                continue
+            try:
+                row = _JSON.decode(line.decode("utf-8"))
+                key = row.pop("key")
+                self._mem[key] = LlmResponse(**row)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ResponseCacheError(
+                    f"{self.path}:{lineno}: corrupt response cache line: {exc!r}"
+                ) from None
 
     def get(self, key: str) -> LlmResponse | None:
         with self._lock:
@@ -317,17 +337,20 @@ def complete(
     cache: ResponseCache | None = None,
     tags: dict | None = None,
     sleep: Callable[[float], None] = time.sleep,
+    digest: str | None = None,
 ) -> LlmResponse:
     """One metered completion: cache check, retries, token accounting.
 
     Transient failures are retried up to three attempts with exponential
     backoff; every attempt lands in the ledger's call_count.  A cache hit
-    adds nothing but a cache_hits tick, so replays cost $0.
+    adds nothing but a cache_hits tick, so replays cost $0.  ``digest``,
+    the sha256 hex of ``prompt_text`` when the caller has it, saves the
+    cache key hashing the prompt again.
     """
     key = None
     if cache is not None:
         identity = getattr(provider, "identity", provider.model_id)
-        key = ResponseCache.key(prompt_text, identity, temperature)
+        key = ResponseCache.key(prompt_text, identity, temperature, digest)
         hit = cache.get(key)
         if hit is not None:
             ledger.record_cache_hit(provider.model_id)

@@ -8,10 +8,24 @@ Templates are module constants, each split once at its ``{criteria}``,
 ``{title}``, ``{abstract}`` and ``{instances}`` fields and filled in one
 join: literal braces in the output-format block survive untouched, and
 text filled into one field is never searched for another.
+
+A prompt is a head and a tail.  The head is everything before the
+target's title: the role text, the criteria and, for the few-shot
+variants, the rendered instances.  The tail is the target's title and
+abstract and the text around them.  Every target of a review shares one
+zs, cot or fs head, and the dfsl targets of one cluster share their
+cluster's head unless they are one of its exemplars.  Targets that share
+a head are rendered with one ``Instances`` object (an empty one where the
+strategy takes none), and ``render`` keeps the head it builds on it,
+with the sha256 state of the head's text.  Each later prompt with that
+head costs only its tail: the text is the head's plus the tail, and the
+digest is the head's hash state updated with the tail, the sha256 of the
+whole text without hashing the head again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -121,11 +135,33 @@ _TEMPLATES = {
     Strategy.FEW_SHOT: FEW_SHOT_TEMPLATE,
     Strategy.DYNAMIC_FEW_SHOT: DYNAMIC_FEW_SHOT_TEMPLATE,
 }
-# Each template as literal text at even places and field names at odd ones.
-_PARTS = {
-    strategy: re.split(r"\{(criteria|title|abstract|instances)\}", template)
-    for strategy, template in _TEMPLATES.items()
-}
+
+
+def _split(template: str) -> tuple[list[str], str, str]:
+    """(head, text between title and abstract, text after the abstract).
+
+    The head is literal text at even places and field names at odd ones.
+    """
+    parts = re.split(r"\{(criteria|title|abstract|instances)\}", template)
+    cut = parts.index("title")
+    return parts[:cut], parts[cut + 1], parts[cut + 3]
+
+
+_PARTS = {strategy: _split(template) for strategy, template in _TEMPLATES.items()}
+
+
+class Instances(tuple):
+    """(record, label) pairs that many targets share, and their kept head.
+
+    ``head`` is the (strategy, criteria, text, sha256 state, instance ids)
+    of the last head ``render`` built for them; being a tuple, the pairs
+    cannot change under it.
+    """
+
+    def __new__(cls, pairs=()):
+        obj = super().__new__(cls, pairs)
+        obj.head = None
+        return obj
 
 
 @dataclass(frozen=True)
@@ -133,6 +169,7 @@ class RenderedPrompt:
     text: str
     strategy: Strategy
     instance_ids: tuple[str, ...] = ()
+    digest: str | None = None  # sha256 hex of ``text``
 
 
 def render_instances(instances: list[tuple[StudyRecord, str]]) -> str:
@@ -148,25 +185,45 @@ def render_instances(instances: list[tuple[StudyRecord, str]]) -> str:
     return "\n\n".join(blocks)
 
 
-def render(
-    strategy: Strategy,
-    criteria: str,
-    record: StudyRecord,
-    instances: list[tuple[StudyRecord, str]] | None = None,
-) -> RenderedPrompt:
-    """Fill the strategy's template for one target record."""
-    values = {"criteria": criteria, "title": record.title, "abstract": record.abstract}
+def _head(strategy: Strategy, criteria: str, instances) -> tuple:
+    """(strategy, criteria, text, sha256 state, instance ids) of the prompt
+    text before the target's title."""
+    values = {"criteria": criteria}
     if strategy.requires_instances:
         if not instances:
             raise PromptError(f"strategy {strategy.value} needs instances")
         values["instances"] = render_instances(instances)
     elif instances:
         raise PromptError(f"strategy {strategy.value} does not take instances")
-    parts = _PARTS[strategy][:]
+    parts = _PARTS[strategy][0][:]
     parts[1::2] = [values[name] for name in parts[1::2]]
     text = "".join(parts)
     ids = tuple(rec.id for rec, _ in instances) if instances else ()
-    return RenderedPrompt(text=text, strategy=strategy, instance_ids=ids)
+    return strategy, criteria, text, hashlib.sha256(text.encode("utf-8")), ids
+
+
+def render(
+    strategy: Strategy,
+    criteria: str,
+    record: StudyRecord,
+    instances: Instances | list[tuple[StudyRecord, str]] | None = None,
+) -> RenderedPrompt:
+    """Fill the strategy's template for one target record.
+
+    Given ``Instances``, the head is built once for every target they
+    are rendered for with the same strategy and criteria.
+    """
+    head = getattr(instances, "head", None)
+    if head is None or head[0] is not strategy or head[1] != criteria:
+        head = _head(strategy, criteria, instances)
+        if isinstance(instances, Instances):
+            instances.head = head
+    _, _, text, hashed, ids = head
+    _, between, after = _PARTS[strategy]
+    tail = f"{record.title}{between}{record.abstract}{after}"
+    digest = hashed.copy()
+    digest.update(tail.encode("utf-8"))
+    return RenderedPrompt(text + tail, strategy, ids, digest.hexdigest())
 
 
 def static_instances(

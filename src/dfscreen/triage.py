@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from .clustering import Clustering
 from .corpus import EXCLUDE, ReviewDataset, StudyRecord
 from .evaluation import EvaluationError, confusion, metrics
-from .exemplar_pool import ExemplarPool, PoolError, select_instances
+from .exemplar_pool import ExemplarPool, PoolError, cluster_of, select_instances
 from .gateway import (
     CostLedger,
     Decision,
@@ -41,9 +41,9 @@ from .gateway import (
     complete,
     parse_decision,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import from_row, read_jsonl, write_jsonl
 from .projection import Point2D
-from .prompting import RenderedPrompt, Strategy, render, static_instances
+from .prompting import Instances, RenderedPrompt, Strategy, render, static_instances
 
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_PARALLELISM = 8
@@ -97,8 +97,8 @@ class ScreeningResult:
     @classmethod
     def from_dict(cls, row: dict) -> "ScreeningResult":
         """Inverse of ``to_dict``; a field an older file lacks takes its default."""
-        return cls(**{name: Decision(**v) if isinstance(v, dict) else v
-                      for name, v in row.items()})
+        return from_row(cls, {name: from_row(Decision, v) if isinstance(v, dict) else v
+                              for name, v in row.items()})
 
 
 def effective_confidence(stage1: Decision | None) -> float:
@@ -132,19 +132,44 @@ def prompter(
     whole review; ``zs`` and ``cot`` carry no instances.  Prompts are
     rendered on demand, one record at a time.  A pool exemplar that is not
     in ``dataset`` is a PoolError.
+
+    Targets that share instances are rendered with one ``Instances``, so
+    their head is built once.  A ``dfsl`` target outside its cluster's
+    pick (the pick that skips no target) gets that pick, resolved once per
+    cluster; only a target in its cluster's pick is selected for on its own.
     """
     by_id = dataset.by_id()
-    shared = static_instances(dataset, seed) if strategy is Strategy.FEW_SHOT else None
+
+    def resolve(chosen) -> Instances:
+        try:
+            return Instances((by_id[e.record_id], e.label) for e in chosen)
+        except KeyError as exc:
+            raise PoolError(f"pool exemplar {exc.args[0]} is not in the "
+                            f"{dataset.review_id} dataset") from None
+
+    if strategy is not Strategy.DYNAMIC_FEW_SHOT:
+        shared = Instances()
+        if strategy is Strategy.FEW_SHOT:
+            shared = Instances(static_instances(dataset, seed))
+        return lambda record: render(strategy, criteria, record, shared)
+    pool, clustering, points = exemplars
+    picks: dict[int, tuple[set[str], Instances]] = {}  # cluster -> (ids, instances)
 
     def prompt(record: StudyRecord) -> RenderedPrompt:
-        instances = shared
-        if strategy is Strategy.DYNAMIC_FEW_SHOT:
-            chosen = select_instances(record, *exemplars)
+        cluster = cluster_of(record.id, clustering, points)
+        pick = picks.get(cluster)
+        if pick is None:
             try:
-                instances = [(by_id[e.record_id], e.label) for e in chosen]
-            except KeyError as exc:
-                raise PoolError(f"pool exemplar {exc.args[0]} is not in the "
-                                f"{dataset.review_id} dataset") from None
+                chosen = pool.select_instances(None, cluster)
+            except PoolError:
+                # Then no target of the cluster has a pick: raise the error
+                # that names this one.
+                select_instances(record, *exemplars)
+                raise
+            pick = picks[cluster] = ({e.record_id for e in chosen}, resolve(chosen))
+        ids, instances = pick
+        if record.id in ids:
+            instances = resolve(select_instances(record, *exemplars))
         return render(strategy, criteria, record, instances)
 
     return prompt
@@ -181,7 +206,7 @@ def _screen_all(
 
     def ask(provider, prompt: RenderedPrompt, tags: dict):
         resp = complete(prompt.text, provider, ledger, temperature=temperature,
-                        cache=cache, tags=tags, sleep=sleep)
+                        cache=cache, tags=tags, sleep=sleep, digest=prompt.digest)
         try:
             return resp, parse_decision(resp.text, prompt.strategy.expects_confidence)
         except UnparseableResponse:

@@ -732,6 +732,36 @@ class TestDamagedArtifact:
         assert err.startswith(f"config error: pool exemplar {exemplar} is not in the "), err
 
 
+
+class TestEmptiedCuratedArtifact:
+    def test_warm_screen_is_exit_2_naming_the_file(self, tmp_path, capsys):
+        dataset = synth.synth_review("EMPTY", 40, 10, k=3, seed=6)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        cold = ["screen", "--config", config_path, "--out", str(tmp_path / "cold")]
+        assert cli.main(cold) == cli.EXIT_OK
+        path = cached(str(tmp_path / "ws" / "cache"), "curate")
+        _empty(path)
+        capsys.readouterr()
+        for argv in (["screen", "--config", config_path, "--out", str(tmp_path / "warm")],
+                     ["screen", "--config", config_path, "--out", str(tmp_path / "dry"),
+                      "--dry-run"]):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: unreadable artifact {path}: no records\n")
+        assert not os.path.exists(tmp_path / "warm" / "manifest.json")
+
+    def test_a_review_curated_to_nothing_writes_no_artifact(self, tmp_path, capsys):
+        blank = synth.synth_review("BLANK", 12, 4, k=3, seed=1)
+        dataset = ReviewDataset("BLANK", [dataclasses.replace(r, abstract=" ")
+                                          for r in blank.records])
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        for _ in range(2):
+            argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: review BLANK: no records left after curation\n")
+            assert os.listdir(tmp_path / "ws" / "cache") == []
+
 def run_fresh(commands, module, loaded):
     """Run dfscreen ``commands`` in one new interpreter.
 
