@@ -130,15 +130,19 @@ class EmbeddingClient:
             raise EmbeddingError("file_import provider needs record ids")
         if len(ids) != len(texts):
             raise EmbeddingError("ids and texts length mismatch")
-        table = dict(read_jsonl(
-            self.config.path, lambda row: (str(row["id"]), row["vector"]),
-            EmbeddingError, "bad vector row",
-        ))
+
+        def entry(row):
+            vec = np.array(row["vector"])
+            if vec.ndim != 1 or vec.dtype.kind not in "iuf":
+                raise ValueError("vector is not a list of numbers")
+            return str(row["id"]), vec.astype(np.float64, copy=False)
+
+        table = dict(read_jsonl(self.config.path, entry, EmbeddingError, "bad vector row"))
         out = []
         for rid in ids:
             if rid not in table:
                 raise EmbeddingError(f"no imported vector for record {rid!r}")
-            out.append(np.asarray(table[rid], dtype=np.float64))
+            out.append(table[rid])
         dims = {len(v) for v in out}
         if len(dims) > 1:
             raise EmbeddingError(f"inconsistent imported dimensions: {sorted(dims)}")

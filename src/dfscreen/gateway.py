@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
-from .jsonl import blocks, from_row, lines, scan_lines
+from .jsonl import blocks, each_row, from_row
 from .rng import derive_rng
 
 
@@ -56,8 +56,11 @@ class LlmResponse:
     model_id: str
 
     def __post_init__(self):
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be nonnegative")
+        if type(self.text) is not str or type(self.model_id) is not str:
+            raise ValueError("text and model_id must be strings")
+        p, c = self.prompt_tokens, self.completion_tokens
+        if type(p) is not int or type(c) is not int or p < 0 or c < 0:
+            raise ValueError("token counts must be nonnegative integers")
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,10 @@ def parse_decision(text: str, expects_confidence: bool) -> Decision:
     return Decision(label=label.strip().lower(), confidence=confidence)
 
 
+def _entry(row: dict) -> tuple[str, LlmResponse]:
+    return row.pop("key"), from_row(LlmResponse, row)
+
+
 class ResponseCache:
     """Completion cache keyed by (prompt digest, provider, temperature).
 
@@ -232,8 +239,8 @@ class ResponseCache:
     line to the log, kept open for appending until ``close``.  A torn
     last line (a write cut short) is truncated away on load and reported
     on stderr; a corrupt complete line raises ResponseCacheError naming
-    the file and line.  The log is read as ``jsonl`` reads row files: in
-    blocks of whole lines, each scanned in one pass.
+    the file and line.  The log is read by ``jsonl.each_row``, as row
+    files are, but with no BOM stripped and a repeated key allowed.
     """
 
     def __init__(self, path: str | None = None):
@@ -254,6 +261,11 @@ class ResponseCache:
     def _ensure_loaded(self) -> None:
         if self._loaded:
             return
+
+        def fail(lineno, exc):
+            return ResponseCacheError(
+                f"{self.path}:{lineno}: corrupt response cache line: {exc!r}")
+
         if os.path.exists(self.path):
             with open(self.path, "rb+") as fh:
                 lineno = kept = 0
@@ -265,33 +277,10 @@ class ResponseCache:
                         print(f"response cache {self.path}: dropped a torn last "
                               f"line ({len(block)} bytes)", file=sys.stderr)
                         break
-                    self._load_block(block, lineno)
+                    self._mem.update(each_row(block, lineno, _JSON, False, _entry, fail))
                     lineno += block.count(b"\n")
                     kept += len(block)
         self._loaded = True
-
-    def _load_block(self, block: bytes, lineno: int) -> None:
-        """Add the responses of ``block``, whole lines that follow line ``lineno``."""
-        try:
-            rows = scan_lines(block.decode("utf-8"), _JSON.scan_once, bom=False)
-            if rows is not None:
-                for row in rows:
-                    key = row.pop("key")
-                    self._mem[key] = from_row(LlmResponse, row)
-                return
-        except (ValueError, KeyError, TypeError):
-            pass  # the line that fails is found below
-        for lineno, line in enumerate(lines(block), start=lineno + 1):
-            if not line.strip():
-                continue
-            try:
-                row = _JSON.decode(line.decode("utf-8"))
-                key = row.pop("key")
-                self._mem[key] = LlmResponse(**row)
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ResponseCacheError(
-                    f"{self.path}:{lineno}: corrupt response cache line: {exc!r}"
-                ) from None
 
     def get(self, key: str) -> LlmResponse | None:
         with self._lock:
@@ -438,9 +427,14 @@ class HttpChatProvider:
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion response: {exc}") from None
-        usage = body.get("usage") or {}
-        p_tok = usage.get("prompt_tokens")
-        c_tok = usage.get("completion_tokens")
+        if not isinstance(text, str):
+            raise ProviderError(f"malformed completion response: content {text!r}")
+        usage = body.get("usage")
+        if not isinstance(usage, dict):
+            usage = {}
+        # A count that is not a nonnegative integer is estimated instead.
+        p_tok, c_tok = (n if type(n) is int and n >= 0 else None
+                        for n in (usage.get("prompt_tokens"), usage.get("completion_tokens")))
         return text, p_tok, c_tok
 
 

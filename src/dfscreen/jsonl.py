@@ -7,12 +7,11 @@ imported: the benchmark harness imports ``dfscreen.synth``, which reaches
 this module, and whatever the harness loads raises every worker's
 measured peak RSS.
 
-A file is read in blocks of whole lines.  ``scan_lines`` walks a block
-with ``json``'s C scanner in one pass, taking one object per line; a
-block it cannot take whole goes line by line through the decoder, which
-judges it exactly as reading one line at a time always has, errors and
-their messages included.  The response log (``gateway``) is read the
-same way.
+A file is read in blocks of whole lines, each walked once by
+``each_row``: an object that fills its line is taken in place by
+``json``'s C scanner, and any other line is decoded alone, so every line
+reads, and fails, as reading one line at a time would.  The response log
+(``gateway``) is read with the same walk.
 """
 
 from __future__ import annotations
@@ -53,51 +52,59 @@ def blocks(fh):
         yield rest
 
 
-def lines(block: bytes):
-    """The lines of ``block`` as iterating a file yields them, each with its ``\\n``."""
-    pieces = block.split(b"\n")
-    last = pieces.pop()
-    for piece in pieces:
-        yield piece + b"\n"
-    if last:
-        yield last
+def each_row(block: bytes, lineno: int, decoder, bom: bool, take, fail) -> list:
+    """``take(obj)`` for each object line of ``block``, whose first line is ``lineno + 1``.
 
-
-def scan_lines(text: str, scan, bom: bool) -> list[dict] | None:
-    """The object on each line of ``text`` that is not blank, in order.
-
-    ``scan`` is a decoder's ``scan_once``.  Each object starts its line,
-    after a BOM when ``bom`` and after spaces, tabs and CRs, and the same
-    whitespace alone may follow it up to the line's ``\\n``: an object
-    split over lines, two on one line, a value that is not an object, a
-    BOM on a blank line or anything else gives None, and the caller
-    reads ``text`` line by line instead.
+    The block is decoded once.  An object that starts its line and,
+    scanned in place, ends on it (only spaces, tabs and CRs after) is
+    taken as it is.  Any other line, and a line holding a non-UTF-8 byte,
+    is decoded alone, after a BOM where ``bom``: skipped if blank, else it
+    must be one object.  A line that is not, or whose ``take`` raises
+    ValueError, KeyError or TypeError, raises ``fail(line number, exc)``.
     """
-    rows = []
-    space = _SPACE.match
+    try:
+        text, rest = block.decode("utf-8"), b""
+    except UnicodeDecodeError as exc:
+        cut = block.rfind(b"\n", 0, exc.start) + 1
+        text, rest = block[:cut].decode("utf-8"), block[cut:]
+
+    def alone(line: bytes):
+        row = decoder.decode(line.decode("utf-8-sig" if bom else "utf-8"))
+        if not isinstance(row, dict):
+            raise ValueError("expected a JSON object")
+        return row
+
+    out = []
+    scan, space = decoder.scan_once, _SPACE.match
     pos, end = 0, len(text)
     try:
         while pos < end:
+            lineno += 1
             nl = text.find("\n", pos)
             if nl < 0:
                 nl = end
-            if text[pos] != "{":
-                lead = pos + (bom and text[pos] == "\ufeff")
-                first = space(text, lead).end()
-                if first == nl and lead == pos:
-                    pos = nl + 1  # a blank line
+            start, pos = pos, nl + 1
+            row = None
+            if text[start] == "{":
+                try:
+                    row, after = scan(text, start)
+                    if after != nl and space(text, after).end() != nl:
+                        row = None
+                except (ValueError, StopIteration):
+                    pass  # judged alone below, for the line's own message
+            if row is None:
+                line = text[start:pos].encode("utf-8")
+                if not line.strip():
                     continue
-                if first == nl or text[first] != "{":
-                    return None
-                pos = first
-            row, pos = scan(text, pos)
-            if pos != nl and space(text, pos).end() != nl:
-                return None
-            rows.append(row)
-            pos = nl + 1
-    except (ValueError, StopIteration):
-        return None
-    return rows
+                row = alone(line)
+            out.append(take(row))
+        if rest:
+            lineno += 1
+            nl = rest.find(b"\n") + 1
+            alone(rest[:nl] if nl else rest)  # raises: the line holds the byte
+    except (ValueError, KeyError, TypeError) as exc:
+        raise fail(lineno, exc) from None
+    return out
 
 
 def from_row(cls, row: dict):
@@ -125,29 +132,15 @@ def read_jsonl(path: str, convert, error: type[Exception], what: str) -> list:
     rejects with ValueError, KeyError or TypeError raises ``error`` with
     the message ``path:line: what: reason``.
     """
+    def fail(lineno, exc):
+        return error(f"{path}:{lineno}: {what}: {exc}")
+
     out = []
     lineno = 0
     with open(path, "rb") as fh:
         for block in blocks(fh):
-            try:
-                rows = scan_lines(block.decode("utf-8"), _DECODER.scan_once, bom=True)
-                if rows is not None:
-                    out += [convert(row) for row in rows]
-                    lineno += block.count(b"\n")
-                    continue
-            except (ValueError, KeyError, TypeError):
-                pass  # the line that fails is found below
-            for lineno, line in enumerate(lines(block), start=lineno + 1):
-                if not line.strip():
-                    continue
-                try:
-                    # utf-8-sig drops a leading BOM, as json.loads does for bytes.
-                    row = _DECODER.decode(line.decode("utf-8-sig"))
-                    if not isinstance(row, dict):
-                        raise ValueError("expected a JSON object")
-                    out.append(convert(row))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise error(f"{path}:{lineno}: {what}: {exc}") from None
+            out += each_row(block, lineno, _DECODER, True, convert, fail)
+            lineno += block.count(b"\n")
     return out
 
 

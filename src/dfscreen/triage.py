@@ -28,7 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .clustering import Clustering
-from .corpus import EXCLUDE, ReviewDataset, StudyRecord
+from .corpus import EXCLUDE, LABELS, ReviewDataset, StudyRecord
 from .evaluation import EvaluationError, confusion, metrics
 from .exemplar_pool import ExemplarPool, PoolError, cluster_of, select_instances
 from .gateway import (
@@ -96,9 +96,26 @@ class ScreeningResult:
 
     @classmethod
     def from_dict(cls, row: dict) -> "ScreeningResult":
-        """Inverse of ``to_dict``; a field an older file lacks takes its default."""
-        return from_row(cls, {name: from_row(Decision, v) if isinstance(v, dict) else v
-                              for name, v in row.items()})
+        """Inverse of ``to_dict``; a field an older file lacks takes its default.
+
+        A field of another type than ``to_dict`` writes raises ValueError.
+        """
+        r = from_row(cls, {name: from_row(Decision, v) if isinstance(v, dict) else v
+                           for name, v in row.items()})
+        if type(r.record_id) is not str:
+            raise ValueError(f"record_id {r.record_id!r} is not a string")
+        if r.final not in LABELS:
+            raise ValueError(f"final {r.final!r} is not one of {LABELS}")
+        if type(r.routed) is not bool or type(r.unparsed_final) is not bool:
+            raise ValueError("routed and unparsed_final must be true or false")
+        for d in (r.stage1, r.stage2):
+            if d is not None and type(d) is not Decision:
+                raise ValueError(f"decision {d!r} is neither null nor an object")
+        for n in (r.stage1_prompt_tokens, r.stage1_completion_tokens,
+                  r.stage2_prompt_tokens, r.stage2_completion_tokens):
+            if type(n) is not int or n < 0:
+                raise ValueError(f"token count {n!r} is not a nonnegative integer")
+        return r
 
 
 def effective_confidence(stage1: Decision | None) -> float:

@@ -478,6 +478,30 @@ class TestHttpChatProvider:
         text, p_tok, c_tok = provider.send("p", temperature=0.0, max_tokens=None, tags=None)
         assert (text, p_tok, c_tok) == ("exclude", None, None)
 
+    @pytest.mark.parametrize("usage", [{"prompt_tokens": n, "completion_tokens": n}
+                                       for n in (5.0, True, -1, "5", None)] + [[5, 1], "5"])
+    def test_usage_that_is_no_count_reports_none(self, monkeypatch, usage):
+        monkeypatch.setattr(
+            requests,
+            "post",
+            lambda *a, **k: FakeHttpResponse(body=self.chat_body("exclude", usage)),
+        )
+        provider = gateway.HttpChatProvider("m", "http://api.test")
+        text, p_tok, c_tok = provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+        assert (text, p_tok, c_tok) == ("exclude", None, None)
+
+    @pytest.mark.parametrize("content", [None, 5, ["include"]])
+    def test_content_that_is_no_string_is_terminal(self, monkeypatch, content):
+        monkeypatch.setattr(
+            requests,
+            "post",
+            lambda *a, **k: FakeHttpResponse(body=self.chat_body(content)),
+        )
+        provider = gateway.HttpChatProvider("m", "http://api.test")
+        with pytest.raises(ProviderError, match="malformed completion response") as err:
+            provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+        assert not isinstance(err.value, TransientProviderError)
+
     @pytest.mark.parametrize("status", [429, 500, 503])
     def test_retryable_statuses(self, monkeypatch, status):
         monkeypatch.setattr(

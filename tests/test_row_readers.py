@@ -6,8 +6,9 @@ with the reason the line alone gives when decoded; a BOM at the start
 of a line, CRLF endings, U+2028 inside a string, trailing spaces and a
 blank last line read as the clean file does.  The same holds for the
 response log, where a complete line whose key parses but whose body
-does not is reported at load, and a torn tail is cut off.  Files span
-several read blocks, so a line's number survives block boundaries.
+does not is reported at load, and a torn tail is cut off.  A field of
+another type than the writer writes fails its line.  Files span several
+read blocks, so a line's number survives block boundaries.
 """
 
 from __future__ import annotations
@@ -138,6 +139,16 @@ class TestRowReaders:
         assert len(clean) == 3
         assert read(write(tmp_path, data)) == clean
 
+    @pytest.mark.parametrize("line", [b'{"id": "b", "title": }\n', b'{"x": tru}\n',
+                                      b'{"v": [1, ]}\n', b'{"s": .5}\n'])
+    def test_object_with_a_value_missing(self, tmp_path, fmt, line):
+        read, error, what, (r1, _, r3), _ = READERS[fmt]
+        path = write(tmp_path, encode(r1) + b"\n" + line + encode(r3) + b"\n")
+        with pytest.raises(error) as info:
+            read(path)
+        assert str(info.value) == line_error(path, 2, what, line)
+        assert "Expecting value" in str(info.value)
+
     def test_bom_on_a_blank_line_is_an_error(self, tmp_path, fmt):
         read, error, what, (r1, r2, _), _ = READERS[fmt]
         path = write(tmp_path, encode(r1) + b"\n\xef\xbb\xbf\n" + encode(r2) + b"\n")
@@ -187,15 +198,37 @@ def body_damage(key="k1"):
     bad_byte = log_line(key, text="caf\u00e9").replace(b"\\u00e9", b"\xe9")
     with pytest.raises(UnicodeDecodeError) as undecodable:
         bad_byte.decode("utf-8")
-    return {
+    value_missing = b'{"key": "%s", "text": }\n' % key.encode()
+    with pytest.raises(ValueError) as no_value:
+        json.loads(value_missing)
+    cases = {
+        "value-missing": (value_missing, repr(no_value.value)),
         "missing-text": (missing_text, repr(missing.value)),
         "negative-tokens": (log_line(key, prompt_tokens=-1), repr(negative.value)),
         "non-utf8": (bad_byte, repr(undecodable.value)),
     }
+    for case, field, value in WRONG_TYPES:
+        body = {"text": "x", "prompt_tokens": 1, "completion_tokens": 1, "model_id": "m",
+                field: value}
+        try:
+            LlmResponse(**body)
+            reason = None  # accepted: the tests that use the case fail
+        except ValueError as exc:
+            reason = repr(exc)
+        cases[case] = (log_line(key, **body), reason)
+    return cases
+
+
+# Response bodies with a field of the wrong type, which fail their line.
+WRONG_TYPES = [("text-int", "text", 5), ("text-null", "text", None),
+               ("model-id-int", "model_id", 7), ("tokens-float", "prompt_tokens", 1.5),
+               ("tokens-bool", "prompt_tokens", True)]
+BODY_CASES = ["value-missing", "missing-text", "negative-tokens", "non-utf8",
+              *(c for c, _, _ in WRONG_TYPES)]
 
 
 class TestResponseLogReader:
-    @pytest.mark.parametrize("case", ["missing-text", "negative-tokens", "non-utf8"])
+    @pytest.mark.parametrize("case", BODY_CASES)
     def test_corrupt_body_after_a_good_key_is_reported_at_load(self, tmp_path, case):
         line, reason = body_damage()[case]
         path = write(tmp_path, log_line("k0") + line + log_line("k2"), "responses.jsonl")
@@ -226,7 +259,7 @@ class TestResponseLogReader:
         cache = ResponseCache(write(tmp_path, data, "responses.jsonl"))
         assert cache.get("k0") == cache.get("k1") == LlmResponse("x", 1, 1, "m")
 
-    @pytest.mark.parametrize("case", ["missing-text", "negative-tokens", "non-utf8"])
+    @pytest.mark.parametrize("case", BODY_CASES)
     def test_screen_exits_2_naming_the_line(self, tmp_path, capsys, case):
         dataset = synth.synth_review("BODY", 12, 4, k=3, seed=3)
         config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
@@ -242,3 +275,68 @@ class TestResponseLogReader:
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: {log}:2: corrupt response cache line: {reason}\n")
+
+
+RESULT_DAMAGE = [("stage1_prompt_tokens", "12"), ("stage2_completion_tokens", -1),
+                 ("stage1_completion_tokens", True), ("final", "maybe"), ("final", None),
+                 ("routed", "yes"), ("unparsed_final", 0), ("stage1", [1, 2]),
+                 ("stage2", "include"), ("record_id", 5)]
+VECTOR_DAMAGE = ["abc", 5, [1, "x"], None, [[1.0, 0.0]], [True, False], {"x": 1.0}]
+
+
+class TestWronglyTypedFields:
+    """A field of another type than the writer writes fails its line."""
+
+    @pytest.mark.parametrize("field,value", RESULT_DAMAGE)
+    def test_results_row(self, tmp_path, field, value):
+        rows = [result_row("a", True), result_row("b", False)]
+        rows[1][field] = value
+        path = write(tmp_path, b"".join(encode(row) + b"\n" for row in rows))
+        with pytest.raises(EvaluationError) as info:
+            read_results_jsonl(path)
+        assert str(info.value).startswith(f"{path}:2: unreadable result row: ")
+
+    @pytest.mark.parametrize("value", VECTOR_DAMAGE)
+    def test_vectors_row(self, tmp_path, value):
+        rows = [{"id": "a", "vector": [1.0, 0.0]}, {"id": "b", "vector": value},
+                {"id": "c", "vector": [0.5, 0.5]}]
+        path = write(tmp_path, b"".join(encode(row) + b"\n" for row in rows))
+        with pytest.raises(EmbeddingError) as info:
+            read_vectors(path)
+        assert str(info.value) == f"{path}:2: bad vector row: vector is not a list of numbers"
+
+    @pytest.mark.parametrize("field,value", [("stage1_prompt_tokens", "12"), ("final", "maybe"),
+                                             ("stage1", [1, 2])])
+    def test_evaluate_exits_4_naming_the_line(self, tmp_path, capsys, field, value):
+        dataset = synth.synth_review("TYPE", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        out = tmp_path / "run"
+        assert cli.main(["screen", "--config", config_path, "--out", str(out)]) == cli.EXIT_OK
+        path = out / "results_TYPE.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = encode(row) + b"\n"
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", config_path, "--results", str(out)])
+        assert rc == cli.EXIT_EVALUATION
+        assert f"{path}:2: unreadable result row: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", 5, [1, "x"]])
+    def test_project_exits_2_naming_the_line(self, tmp_path, capsys, value):
+        dataset = synth.synth_review("VEC", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["embedding"] = {"kind": "file_import", "path": "vectors.jsonl"}
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        rows = [{"id": r.id, "vector": [float(i), 1.0]} for i, r in enumerate(dataset.records)]
+        rows[1]["vector"] = value
+        path = write(tmp_path / "ws", b"".join(encode(row) + b"\n" for row in rows),
+                     "vectors.jsonl")
+        capsys.readouterr()
+        assert cli.main(["project", "--config", config_path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {path}:2: bad vector row: vector is not a list of numbers\n")
