@@ -135,6 +135,8 @@ class EmbeddingClient:
             vec = np.array(row["vector"])
             if vec.ndim != 1 or vec.dtype.kind not in "iuf":
                 raise ValueError("vector is not a list of numbers")
+            if not np.isfinite(vec).all():
+                raise ValueError("vector holds a value that is not finite")
             return str(row["id"]), vec.astype(np.float64, copy=False)
 
         table = dict(read_jsonl(self.config.path, entry, EmbeddingError, "bad vector row"))

@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
-from .jsonl import blocks, each_row, from_row
+from .jsonl import blocks, each_row
 from .rng import derive_rng
 
 
@@ -48,7 +48,7 @@ class ResponseCacheError(RuntimeError):
     """A complete line of the persisted response cache cannot be read."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class LlmResponse:
     text: str
     prompt_tokens: int
@@ -63,7 +63,7 @@ class LlmResponse:
             raise ValueError("token counts must be nonnegative integers")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Decision:
     label: str  # include | exclude
     confidence: float | None = None
@@ -71,6 +71,8 @@ class Decision:
     def __post_init__(self):
         if self.label not in (INCLUDE, EXCLUDE):
             raise ValueError(f"bad decision label {self.label!r}")
+        if type(self.confidence) is bool:
+            raise ValueError(f"confidence {self.confidence} is not a number")
         if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0,1]")
 
@@ -228,7 +230,7 @@ def parse_decision(text: str, expects_confidence: bool) -> Decision:
 
 
 def _entry(row: dict) -> tuple[str, LlmResponse]:
-    return row.pop("key"), from_row(LlmResponse, row)
+    return row.pop("key"), LlmResponse(**row)
 
 
 class ResponseCache:

@@ -11,7 +11,9 @@ A file is read in blocks of whole lines, each walked once by
 ``each_row``: an object that fills its line is taken in place by
 ``json``'s C scanner, and any other line is decoded alone, so every line
 reads, and fails, as reading one line at a time would.  The response log
-(``gateway``) is read with the same walk.
+(``gateway``) is read with the same walk.  Rows become plain, not
+frozen, dataclasses through their own constructors: a frozen
+``__init__`` sets each field through the slower ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -105,24 +107,6 @@ def each_row(block: bytes, lineno: int, decoder, bom: bool, take, fail) -> list:
     except (ValueError, KeyError, TypeError) as exc:
         raise fail(lineno, exc) from None
     return out
-
-
-def from_row(cls, row: dict):
-    """``cls(**row)`` for a dataclass ``cls``.
-
-    A row holding exactly the class's fields skips ``__init__`` and the
-    per-field ``object.__setattr__`` a frozen class pays for: the row's
-    items become the object's fields, then ``__post_init__``, where the
-    class has one, checks them.  Any other row goes through
-    ``cls(**row)``, which fills in defaults or raises the usual TypeError.
-    """
-    if row.keys() != cls.__dataclass_fields__.keys():
-        return cls(**row)
-    obj = object.__new__(cls)
-    obj.__dict__.update(row)
-    if hasattr(cls, "__post_init__"):
-        obj.__post_init__()
-    return obj
 
 
 def read_jsonl(path: str, convert, error: type[Exception], what: str) -> list:

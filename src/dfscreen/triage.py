@@ -41,7 +41,7 @@ from .gateway import (
     complete,
     parse_decision,
 )
-from .jsonl import from_row, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, write_jsonl
 from .projection import Point2D
 from .prompting import Instances, RenderedPrompt, Strategy, render, static_instances
 
@@ -74,7 +74,7 @@ class RunConfig:
             raise ValueError("parallelism must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScreeningResult:
     """Outcome for one record, both stages."""
 
@@ -100,8 +100,8 @@ class ScreeningResult:
 
         A field of another type than ``to_dict`` writes raises ValueError.
         """
-        r = from_row(cls, {name: from_row(Decision, v) if isinstance(v, dict) else v
-                           for name, v in row.items()})
+        r = cls(**{name: Decision(**v) if isinstance(v, dict) else v
+                   for name, v in row.items()})
         if type(r.record_id) is not str:
             raise ValueError(f"record_id {r.record_id!r} is not a string")
         if r.final not in LABELS:

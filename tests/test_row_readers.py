@@ -198,6 +198,11 @@ def body_damage(key="k1"):
     bad_byte = log_line(key, text="caf\u00e9").replace(b"\\u00e9", b"\xe9")
     with pytest.raises(UnicodeDecodeError) as undecodable:
         bad_byte.decode("utf-8")
+    with pytest.raises(TypeError) as extra:
+        LlmResponse(text="x", prompt_tokens=1, completion_tokens=1, model_id="m", usage=5)
+    extra_field = json.dumps({"key": key, "text": "x", "prompt_tokens": 1,
+                              "completion_tokens": 1, "model_id": "m",
+                              "usage": 5}).encode() + b"\n"
     value_missing = b'{"key": "%s", "text": }\n' % key.encode()
     with pytest.raises(ValueError) as no_value:
         json.loads(value_missing)
@@ -206,6 +211,7 @@ def body_damage(key="k1"):
         "missing-text": (missing_text, repr(missing.value)),
         "negative-tokens": (log_line(key, prompt_tokens=-1), repr(negative.value)),
         "non-utf8": (bad_byte, repr(undecodable.value)),
+        "extra-field": (extra_field, repr(extra.value)),
     }
     for case, field, value in WRONG_TYPES:
         body = {"text": "x", "prompt_tokens": 1, "completion_tokens": 1, "model_id": "m",
@@ -223,7 +229,7 @@ def body_damage(key="k1"):
 WRONG_TYPES = [("text-int", "text", 5), ("text-null", "text", None),
                ("model-id-int", "model_id", 7), ("tokens-float", "prompt_tokens", 1.5),
                ("tokens-bool", "prompt_tokens", True)]
-BODY_CASES = ["value-missing", "missing-text", "negative-tokens", "non-utf8",
+BODY_CASES = ["value-missing", "missing-text", "negative-tokens", "non-utf8", "extra-field",
               *(c for c, _, _ in WRONG_TYPES)]
 
 
@@ -280,7 +286,8 @@ class TestResponseLogReader:
 RESULT_DAMAGE = [("stage1_prompt_tokens", "12"), ("stage2_completion_tokens", -1),
                  ("stage1_completion_tokens", True), ("final", "maybe"), ("final", None),
                  ("routed", "yes"), ("unparsed_final", 0), ("stage1", [1, 2]),
-                 ("stage2", "include"), ("record_id", 5)]
+                 ("stage2", "include"), ("record_id", 5),
+                 ("stage1", {"confidence": True, "label": "include"})]
 VECTOR_DAMAGE = ["abc", 5, [1, "x"], None, [[1.0, 0.0]], [True, False], {"x": 1.0}]
 
 
@@ -306,7 +313,9 @@ class TestWronglyTypedFields:
         assert str(info.value) == f"{path}:2: bad vector row: vector is not a list of numbers"
 
     @pytest.mark.parametrize("field,value", [("stage1_prompt_tokens", "12"), ("final", "maybe"),
-                                             ("stage1", [1, 2])])
+                                             ("stage1", [1, 2]),
+                                             ("stage1", {"confidence": True,
+                                                         "label": "include"})])
     def test_evaluate_exits_4_naming_the_line(self, tmp_path, capsys, field, value):
         dataset = synth.synth_review("TYPE", 12, 4, k=3, seed=3)
         config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
@@ -340,3 +349,45 @@ class TestWronglyTypedFields:
         assert cli.main(["project", "--config", config_path]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: {path}:2: bad vector row: vector is not a list of numbers\n")
+
+
+# JSON number literals that decode to a value that is not finite.
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
+def vectors_with(number: str) -> bytes:
+    """Three vector rows, the second holding ``number`` as written."""
+    return (b'{"id": "a", "vector": [1.0, 0.0]}\n'
+            b'{"id": "b", "vector": [%s, 1.0]}\n'
+            b'{"id": "c", "vector": [0.5, 0.5]}\n' % number.encode())
+
+
+class TestNonFiniteVectors:
+    """An imported vector holding NaN or an infinity fails its line."""
+
+    @pytest.mark.parametrize("number", NON_FINITE)
+    def test_reader_names_the_line(self, tmp_path, number):
+        path = write(tmp_path, vectors_with(number))
+        with pytest.raises(EmbeddingError) as info:
+            read_vectors(path)
+        assert str(info.value) == (
+            f"{path}:2: bad vector row: vector holds a value that is not finite")
+
+    @pytest.mark.parametrize("number", NON_FINITE)
+    def test_project_exits_2_naming_the_line(self, tmp_path, capsys, number):
+        dataset = synth.synth_review("VEC", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["embedding"] = {"kind": "file_import", "path": "vectors.jsonl"}
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        lines = [encode({"id": r.id, "vector": [float(i), 1.0]}) + b"\n"
+                 for i, r in enumerate(dataset.records)]
+        lines[1] = b'{"id": "%s", "vector": [%s, 1.0]}\n' % (
+            dataset.records[1].id.encode(), number.encode())
+        path = write(tmp_path / "ws", b"".join(lines), "vectors.jsonl")
+        capsys.readouterr()
+        assert cli.main(["project", "--config", config_path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {path}:2: bad vector row: vector holds a value that is not finite\n")
