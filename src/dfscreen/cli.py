@@ -9,7 +9,9 @@ what changed.  The embedding has a key but no artifact: ``project``
 embeds the records as its input.  Every command but ``curate`` walks the
 reviews in id order with one ReviewPipeline each; its single stage
 helper reads a stage's artifact back or builds and writes it, and each
-stage runs once per pipeline.
+stage runs once per pipeline.  ``screen`` memoizes each review's results
+at its ``screen_key`` and replays them while the response log still
+holds the answers they came from.
 
 Exit codes: 0 success, 2 config error, 3 provider failure,
 4 evaluation mismatch.
@@ -280,6 +282,7 @@ class ReviewPipeline:
             self.cache.write_atomic(key, lambda path: write(value, path))
         return value, key
 
+    @_once
     def criteria(self) -> str:
         path = self.entry["criteria"]
         try:
@@ -390,8 +393,20 @@ class ReviewPipeline:
         unplaced = any(r.id not in clus.assignment for r in self.curated()[0].records)
         return self.pool()[0], clus, self.points()[0] if unplaced else {}
 
+    @_once
+    def providers(self):
+        """(stage-1, stage-2) providers; the oracle answers from the gold labels."""
+        return _build_providers(self.cfg, self.gold())
+
     def screen_key(self) -> str:
-        _, pool_key = self.pool()
+        """Key of the review's results: everything that decides their bytes.
+
+        Beside the pool key (dataset, embedding, projection, clustering) it
+        covers the run settings a prompt or answer depends on, the criteria
+        text, and each stage provider's identity (the oracle's profile and
+        seed, or the http url).  Parallelism, pricing and ``cache_dir``
+        decide no result and are left out.
+        """
         run = self.cfg.run
         params = {
             "strategy": run.strategy.value,
@@ -400,8 +415,10 @@ class ReviewPipeline:
             "stage2": run.stage2_model,
             "temperature": run.temperature,
             "seed": run.seed,
+            "criteria_sha256": sha256_hex(self.criteria()),
+            "providers": [p.identity for p in self.providers()],
         }
-        return content_key("screen", params, [pool_key])
+        return content_key("screen", params, [self.pool()[1]])
 
 
 def _build_providers(cfg: PipelineConfig, gold: dict[str, str]):
@@ -488,7 +505,7 @@ def _screen_review(pipe: ReviewPipeline, response_cache, failures):
     cfg = pipe.cfg
     dataset, _, _ = pipe.curated()
     criteria = pipe.criteria()
-    stage1, stage2 = _build_providers(cfg, pipe.gold())
+    stage1, stage2 = pipe.providers()
     if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT:
         return triage.run_two_stage(dataset, *pipe.exemplars(), cfg.run, stage1, stage2,
                                     criteria, cache=response_cache, failures=failures)
@@ -497,6 +514,115 @@ def _screen_review(pipe: ReviewPipeline, response_cache, failures):
         seed=cfg.seed, temperature=cfg.temperature, parallelism=cfg.parallelism,
         cache=response_cache, failures=failures,
     )
+
+
+class _LogPrefix:
+    """sha256 of the leading bytes of the response log, one running hash.
+
+    Reviews ask for growing prefixes, so a command reads the log once, in
+    blocks, however many memos it checks or writes.  A prefix counts only
+    if it ends a line; ``digest`` is None where the log holds no such
+    prefix.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._hash = hashlib.sha256()
+        self._size = 0
+
+    def digest(self, size: int) -> str | None:
+        if size < self._size:
+            self._hash, self._size = hashlib.sha256(), 0
+        h, at, block = self._hash.copy(), self._size, b""
+        if at < size:
+            try:
+                with open(self.path, "rb") as fh:
+                    fh.seek(at)
+                    while at < size and (block := fh.read(min(size - at, 1 << 16))):
+                        h.update(block)
+                        at += len(block)
+            except FileNotFoundError:
+                return None
+            if at < size or not block.endswith(b"\n"):
+                return None
+            self._hash, self._size = h, size
+        return h.hexdigest()
+
+
+def _memo_trailer(fields: dict) -> bytes:
+    """The memo's last line: ``fields`` and the sha256 of their canonical JSON."""
+    check = sha256_hex(canonical_json(fields))
+    return (canonical_json({**fields, "trailer_sha256": check}) + "\n").encode("ascii")
+
+
+def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
+                routed: int, log: _LogPrefix) -> None:
+    """Store a review's results bytes at ``key`` with the trailer that checks them.
+
+    The trailer records the results' length and sha256, the routed and
+    record counts, and the length and sha256 of the response log as it
+    stands, which holds every answer the results were built from.
+    """
+    with open(results_path, "rb") as fh:
+        body = fh.read()
+    log_bytes = os.path.getsize(log.path)
+    log_sha256 = log.digest(log_bytes)
+    if log_sha256 is None:
+        return  # a log not ending in a whole line; the next run screens again
+    data = body + _memo_trailer({
+        "log_bytes": log_bytes, "log_sha256": log_sha256, "records": records,
+        "results_bytes": len(body), "results_sha256": hashlib.sha256(body).hexdigest(),
+        "routed": routed,
+    })
+
+    def write(path: str) -> None:
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    cache.write_atomic(key, write)
+
+
+def _memo_hit(cache: ArtifactCache, key: str, records: int, log: _LogPrefix):
+    """(results bytes, routed count) of the memo at ``key``, or None for a miss.
+
+    A memo is used only if it passes its own check, holds ``records``
+    rows, and the log still starts with the prefix its answers came from.
+    One that fails its own check is damaged: a line on stderr names it.
+    """
+    if not cache.has(key):
+        return None
+    path = cache.path(key)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = data.rfind(b"\n", 0, len(data) - 1) + 1
+    body, trailer = data[:cut], data[cut:]
+    try:
+        fields = json.loads(trailer)
+        if _memo_trailer({k: v for k, v in fields.items() if k != "trailer_sha256"}) != trailer:
+            raise ValueError("the trailer fails its check")
+        if (len(body), hashlib.sha256(body).hexdigest()) != (
+                fields["results_bytes"], fields["results_sha256"]):
+            raise ValueError("the results fail their check")
+        held, routed = fields["records"], fields["routed"]
+        log_bytes, log_sha256 = fields["log_bytes"], fields["log_sha256"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"screen memo {path}: damaged ({exc!r}); screening again", file=sys.stderr)
+        return None
+    if held != records or log.digest(log_bytes) != log_sha256:
+        return None
+    return body, routed
+
+
+def _replayed_ledger(run: RunConfig, records: int, routed: int) -> CostLedger:
+    """The ledger of a screen whose every answer was a cache hit."""
+    pricing = {run.stage1_model: run.stage1_pricing}
+    if run.strategy is Strategy.DYNAMIC_FEW_SHOT:
+        pricing[run.stage2_model] = run.stage2_pricing
+    ledger = CostLedger(pricing)
+    ledger.record_cache_hit(run.stage1_model, records)
+    if routed:
+        ledger.record_cache_hit(run.stage2_model, routed)
+    return ledger
 
 
 def _dry_run_screen(cfg: PipelineConfig) -> int:
@@ -544,24 +670,34 @@ def cmd_screen(args) -> int:
         "reviews": {},
     }
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
+    log_prefix = _LogPrefix(log)
     with closing(ResponseCache(log)) as response_cache:
         for rid, pipe in _pipelines(cfg):
-            failures: list = []
-            results, ledger = _screen_review(pipe, response_cache, failures)
-            merged.merge(ledger)
+            key = pipe.screen_key()
+            records = len(pipe.curated()[0])
             results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
-            triage.write_results_jsonl(results, results_path)
+            failures: list = []
+            hit = _memo_hit(pipe.cache, key, records, log_prefix)
+            if hit is not None:
+                body, routed = hit
+                with open(results_path, "wb") as fh:
+                    fh.write(body)
+                ledger = _replayed_ledger(cfg.run, records, routed)
+            else:
+                results, ledger = _screen_review(pipe, response_cache, failures)
+                triage.write_results_jsonl(results, results_path)
+                routed = sum(1 for r in results if r.routed)
+                if not failures:
+                    _write_memo(pipe.cache, key, results_path, records, routed, log_prefix)
+            merged.merge(ledger)
             manifest["reviews"][rid] = {
-                "screen_key": pipe.screen_key(),
-                "records": len(pipe.curated()[0]),
+                "screen_key": key,
+                "records": records,
                 "results": os.path.basename(results_path),
-                "routed": sum(1 for r in results if r.routed),
+                "routed": routed,
                 "failed": sorted(rid_ for rid_, _ in failures),
             }
-            print(
-                f"{rid}: screened {len(results)} records, "
-                f"routed {manifest['reviews'][rid]['routed']}"
-            )
+            print(f"{rid}: screened {records - len(failures)} records, routed {routed}")
     manifest["ledger"] = merged.to_dict()
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:

@@ -128,9 +128,9 @@ class CostLedger:
             e.completion_tokens += completion_tokens
             e.call_count += attempts
 
-    def record_cache_hit(self, model_id: str) -> None:
+    def record_cache_hit(self, model_id: str, hits: int = 1) -> None:
         with self._lock:
-            self._entries.setdefault(model_id, LedgerEntry()).cache_hits += 1
+            self._entries.setdefault(model_id, LedgerEntry()).cache_hits += hits
 
     def entry(self, model_id: str) -> LedgerEntry:
         with self._lock:

@@ -31,9 +31,14 @@ def _reject_dup_keys(pairs):
     return obj
 
 
-# Built once: json.loads with a hook builds a new decoder on every call.
+# Built once: json.loads with a hook builds a new decoder on every call,
+# and JSONEncoder.encode a new C encoder.  The encoder writes what
+# json.dumps(row, sort_keys=True) does.
 _DECODER = json.JSONDecoder(object_pairs_hook=_reject_dup_keys)
-_ENCODER = json.JSONEncoder(sort_keys=True)
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", True, False, True,
+)
 _BLOCK = 1 << 16  # bytes read at a time; a block is cut back to whole lines
 _SPACE = re.compile(r"[ \t\r]*")  # JSON whitespace that stays on its line
 
@@ -132,4 +137,4 @@ def write_jsonl(path: str, rows) -> None:
     """One sorted-key JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(_ENCODER.encode(row) + "\n")
+            fh.write("".join(_ENCODE(row, 0)) + "\n")

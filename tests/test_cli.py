@@ -92,6 +92,15 @@ def slurp(path):
         return fh.read()
 
 
+def drop_memos(config_path):
+    """Delete the ``screen-*`` memos, so the next ``screen`` runs the cascade."""
+    cache_dir = cli.PipelineConfig.load(config_path).cache_dir
+    if os.path.isdir(cache_dir):
+        for name in os.listdir(cache_dir):
+            if name.startswith("screen-"):
+                os.unlink(os.path.join(cache_dir, name))
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     root = tmp_path_factory.mktemp("workspace")
@@ -402,6 +411,7 @@ class TestScreen:
             raise RunError("9 of 80 records failed")
 
         monkeypatch.setattr(cli.triage, "run_two_stage", explode)
+        drop_memos(ws)
         rc = cli.main(["screen", "--config", ws, "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_PROVIDER
         assert "provider failure" in capsys.readouterr().err
@@ -428,6 +438,7 @@ class TestScreen:
         argv = ["screen", "--config", ws, "--out", out, "--strategy", strategy]
         assert cli.main(argv + ["--dry-run"]) == cli.EXIT_OK
         planned = list(rendered)
+        drop_memos(ws)
         assert cli.main(argv) == cli.EXIT_OK
         assert len(planned) == len(set(planned)) == sum(s.curated for s in SHAPES)
         assert set(planned) == set(sent)
@@ -573,8 +584,8 @@ class TestStageMemo:
         artifacts = self.warm_artifacts_opened(tmp_path, monkeypatch, ["screen"])
         assert len(artifacts) == len(set(artifacts))
         stages = {name.split("-")[0] for name in artifacts}
-        assert stages == {"curate", "cluster", "pool"}
-        assert len(artifacts) == 3 * len(SHAPES)
+        assert stages == {"curate", "cluster", "pool", "screen"}
+        assert len(artifacts) == 4 * len(SHAPES)
 
     @pytest.mark.parametrize(
         "command", [["sweep"], ["screen", "--dry-run"]], ids=["sweep", "dry-run"]
@@ -641,7 +652,7 @@ class TestNoVectorFile:
                          "--out", str(tmp_path / "out")]) == cli.EXIT_OK
         names = os.listdir(tmp_path / "ws" / "cache")
         assert sorted(name.split("-")[0] for name in names) == [
-            "cluster", "curate", "pool", "project", "responses.jsonl"]
+            "cluster", "curate", "pool", "project", "responses.jsonl", "screen"]
 
     def test_deleted_points_are_embedded_again(self, tmp_path, monkeypatch):
         # An older cache holds an embed-* file of vectors at the embed key;
@@ -900,6 +911,7 @@ class TestResponseLog:
         monkeypatch.setattr(cli, "ResponseCache", Tracked)
         if fail:
             monkeypatch.setattr(cli.triage, "run_two_stage", explode)
+            drop_memos(ws)
         rc = cli.main([command, "--config", ws, "--out", str(tmp_path / "out")])
         assert rc == (cli.EXIT_PROVIDER if fail else cli.EXIT_OK)
         assert len(caches) == 1 and caches[0].closed

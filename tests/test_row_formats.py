@@ -11,6 +11,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfscreen.clustering import Clustering
 from dfscreen.corpus import EXCLUDE, INCLUDE, DatasetError, load_dataset_jsonl
@@ -24,6 +26,7 @@ from dfscreen.evaluation import (
 )
 from dfscreen.exemplar_pool import Exemplar, ExemplarPool
 from dfscreen.gateway import CostLedger, Decision, LlmResponse, ModelPricing, ResponseCache
+from dfscreen.jsonl import write_jsonl
 from dfscreen.projection import Point2D, ProjectionError, read_points_jsonl
 from dfscreen.triage import ScreeningResult, read_results_jsonl, write_results_jsonl
 
@@ -244,3 +247,35 @@ def test_bad_row_names_file_and_line(tmp_path, fmt, case):
     path = row_file(tmp_path, first, spoiled_lines(second)[case])
     with pytest.raises(error, match=re.escape(f"{path}:3: {what}: ")):
         read(path)
+
+
+ENCODED_ROWS = [
+    {"id": "r1", "title": "Café au lait — naïve", "score": 0.1 + 0.2, "tags": None},
+    {"b": {"z": [1, 2.5, None, {"y": " ", "x": -0.0}], "a": True}, "a": "\x00\t\"\\"},
+    {"stage1": {"label": "include", "confidence": 1e-310}, "n": 10**20, "f": 1e300,
+     "nan": float("nan"), "inf": float("-inf"), "empty": {}, "list": []},
+    {"日本": "語", "emoji": "\U0001f600", "nested": {"deeper": {"deepest": [[], [{}]]}}},
+]
+
+
+def test_rows_are_written_as_sorted_key_json_dumps(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(str(path), ENCODED_ROWS)
+    want = "".join(json.dumps(row, sort_keys=True) + "\n" for row in ENCODED_ROWS)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.dictionaries(st.text(), json_values, max_size=6), max_size=5))
+def test_any_rows_are_written_as_sorted_key_json_dumps(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    write_jsonl(str(path), rows)
+    want = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")

@@ -1,16 +1,20 @@
 """Alternate single benchmark passes of two checkouts on one workspace.
 
     python3 tools/pairs.py CHECKOUT_A CHECKOUT_B [--workload W] [--seed N]
-                           [--pairs 10] [--work DIR]
+                           [--pairs 10] [--work DIR] [--any-screen-key]
 
 Each CHECKOUT is a tree holding ``src/`` and ``perfbench/``.  The script
-runs one ``perfbench/worker.py setup`` of CHECKOUT_A, then alternates
-``perfbench/worker.py pass`` runs of the two checkouts on that workspace
-in ABBA order (A first in even pairs, B first in odd ones), so host drift
-falls on both sides alike.  Every pass's outputs (the ``run/`` directory:
-results, manifest and, on ``warm_replay``, the evaluate report) must
-match the first pass's byte for byte; the script stops at the first that
-does not.  It prints each pass, then for ``wall_s``, ``cpu_s`` and
+runs ``perfbench/worker.py setup`` of CHECKOUT_A, then of CHECKOUT_B, on
+one workspace, so each side finds the cache its own set-up leaves (such
+as the ``screen-*`` memos), then alternates ``perfbench/worker.py pass``
+runs of the two checkouts on that workspace in ABBA order (A first in
+even pairs, B first in odd ones), so host drift falls on both sides
+alike.  Every pass's outputs (the ``run/`` directory: results, manifest
+and, on ``warm_replay``, the evaluate report) must match the first
+pass's byte for byte; the script stops at the first that does not.
+``--any-screen-key`` compares manifests as JSON without their reviews'
+``screen_key`` values, for two checkouts that key their results
+differently.  It prints each pass, then for ``wall_s``, ``cpu_s`` and
 ``peak_rss_mb`` each side's median and quartiles and the number of pairs
 in which B is lower.  It gates nothing: the exit code is 0 unless a pass
 fails or outputs differ.  Standard library only.
@@ -45,12 +49,26 @@ def worker(checkout: str, args: list[str]) -> None:
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
 
 
-def differing(run_dir: str, reference: str) -> list[str]:
+def without_screen_keys(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    for review in manifest["reviews"].values():
+        review.pop("screen_key")
+    return manifest
+
+
+def differing(run_dir: str, reference: str, any_screen_key: bool = False) -> list[str]:
     """Files of the two output directories that differ or exist on one side only."""
     a, b = set(os.listdir(reference)), set(os.listdir(run_dir))
     out = sorted(a ^ b)
-    out += [name for name in sorted(a & b) if not filecmp.cmp(
-        os.path.join(reference, name), os.path.join(run_dir, name), shallow=False)]
+    for name in sorted(a & b):
+        ref, mine = os.path.join(reference, name), os.path.join(run_dir, name)
+        if any_screen_key and name == "manifest.json":
+            same = without_screen_keys(ref) == without_screen_keys(mine)
+        else:
+            same = filecmp.cmp(ref, mine, shallow=False)
+        if not same:
+            out.append(name)
     return out
 
 
@@ -68,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--work", help="directory for the workspace and passes "
                         "(default: a new temporary one, removed at the end)")
+    parser.add_argument("--any-screen-key", action="store_true",
+                        help="compare manifests without their screen_key values")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -78,7 +98,9 @@ def main(argv: list[str] | None = None) -> int:
     values = {side: {m: [] for m in METRICS} for side in checkouts}
     reference = None
     try:
-        worker(checkouts["A"], ["setup", *common, "--parallelism", str(os.cpu_count() or 1)])
+        for side in "AB":
+            worker(checkouts[side],
+                   ["setup", *common, "--parallelism", str(os.cpu_count() or 1)])
         for n in range(args.pairs):
             row = {}
             for side in ("AB" if n % 2 == 0 else "BA"):
@@ -92,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
                 if reference is None:
                     reference = run_dir
                 else:
-                    diffs = differing(run_dir, reference)
+                    diffs = differing(run_dir, reference, args.any_screen_key)
                     if diffs:
                         print(f"pair {n} {side}: outputs differ from the first pass: "
                               f"{', '.join(diffs)}")
