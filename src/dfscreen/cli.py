@@ -403,12 +403,14 @@ class ReviewPipeline:
 
         Beside the pool key (dataset, embedding, projection, clustering) it
         covers the run settings a prompt or answer depends on, the criteria
-        text, and each stage provider's identity (the oracle's profile and
-        seed, or the http url).  Parallelism, pricing and ``cache_dir``
-        decide no result and are left out.
+        text, each stage provider's identity (the oracle's profile and
+        seed, or the http url), and ``triage.SCREEN_FORMAT``, the version
+        of the templates, parser, routing and row format.  Parallelism,
+        pricing and ``cache_dir`` decide no result and are left out.
         """
         run = self.cfg.run
         params = {
+            "format": triage.SCREEN_FORMAT,
             "strategy": run.strategy.value,
             "threshold": run.threshold,
             "stage1": run.stage1_model,

@@ -50,6 +50,13 @@ DEFAULT_PARALLELISM = 8
 DEFAULT_STAGE1_PRICING = ModelPricing(0.40, 1.60)
 DEFAULT_STAGE2_PRICING = ModelPricing(2.00, 8.00)
 
+# Version of the code that turns a screen's inputs into its results bytes:
+# the prompt templates (``prompting``), ``parse_decision`` (``gateway``),
+# ``should_route`` and the results row (``ScreeningResult.to_dict``).  It is
+# in the key a warm ``screen`` replays its results at, so bump it with any
+# change that can change a result's bytes.
+SCREEN_FORMAT = 1
+
 
 class RunError(RuntimeError):
     """Raised when too many records fail for the run to be trustworthy."""

@@ -10,6 +10,8 @@ no longer holds, must be screened again (``TestScreenMemo``).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import inspect
 import json
 import os
 import random
@@ -17,7 +19,7 @@ import shutil
 
 import pytest
 
-from dfscreen import cli, synth
+from dfscreen import cli, gateway, prompting, synth, triage
 from dfscreen.corpus import ReviewDataset, write_dataset_jsonl
 from dfscreen.gateway import HttpChatProvider, OracleProvider, ProviderError, ResponseCache
 from dfscreen.projection import Point2D, write_points_jsonl
@@ -183,6 +185,24 @@ class TestScreenKey:
         assert len(keys) == 3
 
 
+# What triage.SCREEN_FORMAT versions, pinned at its current value: the
+# templates' text and the source of the parser, routing and row format.
+VERSIONED = "c74a5b7e8e83df486234e7be7f510927e1b869f0e1b56433f83d897d000123b6"
+
+
+def test_screen_format_versions_the_code_that_writes_results():
+    h = hashlib.sha256()
+    for template in prompting._TEMPLATES.values():
+        h.update(template.encode())
+    for f in (gateway._last_decision_word, gateway._first_json_object,
+              gateway.parse_decision, triage.effective_confidence, triage.should_route,
+              triage.ScreeningResult.to_dict):
+        h.update(inspect.getsource(f).encode())
+    assert (triage.SCREEN_FORMAT, h.hexdigest()) == (1, VERSIONED), (
+        "a template, the parser, routing or the row format changed: if a result's "
+        "bytes can change, bump triage.SCREEN_FORMAT; then pin the new digest")
+
+
 class TestScreenMemo:
     @pytest.fixture
     def warm(self, tmp_path):
@@ -295,6 +315,27 @@ class TestScreenMemo:
         entry = manifest(tmp_path / "memo")["reviews"]["MEMO"]
         hits = sum(e["cache_hits"] for e in manifest(tmp_path / "memo")["ledger"].values())
         assert hits == entry["records"] + entry["routed"]
+
+    def test_new_screen_format_misses_the_memo(self, warm, tmp_path, monkeypatch):
+        config_path, cold, warm_out, path, memo = warm
+        runs = []
+        real = cli.triage.run_two_stage
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.triage, "run_two_stage", counted)
+        monkeypatch.setattr(triage, "SCREEN_FORMAT", triage.SCREEN_FORMAT + 1)
+        out = tmp_path / "out"
+        assert screen(config_path, out) == cli.EXIT_OK
+        assert runs == [1]
+        key = manifest(out)["reviews"]["MEMO"]["screen_key"]
+        assert key != manifest(warm_out)["reviews"]["MEMO"]["screen_key"]
+        assert slurp(out / RESULTS) == slurp(cold / RESULTS)
+        assert slurp(path) == memo
+        memos = [n for n in os.listdir(os.path.dirname(path)) if n.startswith("screen-")]
+        assert len(memos) == 2
 
     def test_memo_for_another_record_count_is_not_used(self, warm, tmp_path, capsys):
         config_path, _, warm_out, path, memo = warm

@@ -1,23 +1,21 @@
-"""Alternate single benchmark passes of two checkouts on one workspace.
+"""Alternate single benchmark passes of two checkouts.
 
     python3 tools/pairs.py CHECKOUT_A CHECKOUT_B [--workload W] [--seed N]
-                           [--pairs 10] [--work DIR] [--any-screen-key]
+                           [--pairs 10] [--work DIR]
 
 Each CHECKOUT is a tree holding ``src/`` and ``perfbench/``.  The script
-runs ``perfbench/worker.py setup`` of CHECKOUT_A, then of CHECKOUT_B, on
-one workspace, so each side finds the cache its own set-up leaves (such
-as the ``screen-*`` memos), then alternates ``perfbench/worker.py pass``
-runs of the two checkouts on that workspace in ABBA order (A first in
-even pairs, B first in odd ones), so host drift falls on both sides
-alike.  Every pass's outputs (the ``run/`` directory: results, manifest
-and, on ``warm_replay``, the evaluate report) must match the first
-pass's byte for byte; the script stops at the first that does not.
-``--any-screen-key`` compares manifests as JSON without their reviews'
-``screen_key`` values, for two checkouts that key their results
-differently.  It prints each pass, then for ``wall_s``, ``cpu_s`` and
-``peak_rss_mb`` each side's median and quartiles and the number of pairs
-in which B is lower.  It gates nothing: the exit code is 0 unless a pass
-fails or outputs differ.  Standard library only.
+runs ``perfbench/worker.py setup`` of each checkout on a workspace of its
+own, so each side's cache (the ``screen-*`` memos included) holds what
+its own code wrote, then alternates ``perfbench/worker.py pass`` runs of
+the two checkouts in ABBA order (A first in even pairs, B first in odd
+ones), so host drift falls on both sides alike.  Every pass's outputs
+(the ``run/`` directory: results, manifest and, on ``warm_replay``, the
+evaluate report) must match the first pass's byte for byte; the script
+stops at the first that does not.  It prints each pass, then for
+``wall_s``, ``cpu_s`` and ``peak_rss_mb`` each side's median and
+quartiles and the number of pairs in which B is lower.  It gates
+nothing: the exit code is 0 unless a pass fails or outputs differ.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -49,26 +47,12 @@ def worker(checkout: str, args: list[str]) -> None:
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
 
 
-def without_screen_keys(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    for review in manifest["reviews"].values():
-        review.pop("screen_key")
-    return manifest
-
-
-def differing(run_dir: str, reference: str, any_screen_key: bool = False) -> list[str]:
+def differing(run_dir: str, reference: str) -> list[str]:
     """Files of the two output directories that differ or exist on one side only."""
     a, b = set(os.listdir(reference)), set(os.listdir(run_dir))
     out = sorted(a ^ b)
-    for name in sorted(a & b):
-        ref, mine = os.path.join(reference, name), os.path.join(run_dir, name)
-        if any_screen_key and name == "manifest.json":
-            same = without_screen_keys(ref) == without_screen_keys(mine)
-        else:
-            same = filecmp.cmp(ref, mine, shallow=False)
-        if not same:
-            out.append(name)
+    out += [name for name in sorted(a & b) if not filecmp.cmp(
+        os.path.join(reference, name), os.path.join(run_dir, name), shallow=False)]
     return out
 
 
@@ -86,35 +70,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--work", help="directory for the workspace and passes "
                         "(default: a new temporary one, removed at the end)")
-    parser.add_argument("--any-screen-key", action="store_true",
-                        help="compare manifests without their screen_key values")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     checkouts = {"A": os.path.abspath(args.a), "B": os.path.abspath(args.b)}
     work = os.path.abspath(args.work) if args.work else tempfile.mkdtemp(prefix="pairs-")
-    ws = os.path.join(work, "ws")
-    common = ["--workload", args.workload, "--workspace", ws, "--seed", str(args.seed)]
+    ws = {side: os.path.join(work, f"ws{side}") for side in checkouts}
+    common = ["--workload", args.workload, "--seed", str(args.seed)]
     values = {side: {m: [] for m in METRICS} for side in checkouts}
     reference = None
     try:
-        for side in "AB":
-            worker(checkouts[side],
-                   ["setup", *common, "--parallelism", str(os.cpu_count() or 1)])
+        for side in checkouts:
+            worker(checkouts[side], ["setup", *common, "--workspace", ws[side],
+                                     "--parallelism", str(os.cpu_count() or 1)])
         for n in range(args.pairs):
             row = {}
             for side in ("AB" if n % 2 == 0 else "BA"):
                 pass_dir = os.path.join(work, f"pass{n}{side}")
                 if args.workload == "cold_workspace":
-                    shutil.rmtree(os.path.join(ws, "cache"), ignore_errors=True)
-                worker(checkouts[side], ["pass", *common, "--pass-dir", pass_dir])
+                    shutil.rmtree(os.path.join(ws[side], "cache"), ignore_errors=True)
+                worker(checkouts[side], ["pass", *common, "--workspace", ws[side],
+                                         "--pass-dir", pass_dir])
                 with open(os.path.join(pass_dir, "worker.json"), encoding="utf-8") as fh:
                     result = json.load(fh)
                 run_dir = os.path.join(pass_dir, "run")
                 if reference is None:
                     reference = run_dir
                 else:
-                    diffs = differing(run_dir, reference, args.any_screen_key)
+                    diffs = differing(run_dir, reference)
                     if diffs:
                         print(f"pair {n} {side}: outputs differ from the first pass: "
                               f"{', '.join(diffs)}")
