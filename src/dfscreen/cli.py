@@ -11,7 +11,8 @@ reviews in id order with one ReviewPipeline each; its single stage
 helper reads a stage's artifact back or builds and writes it, and each
 stage runs once per pipeline.  ``screen`` memoizes each review's results
 at its ``screen_key`` and replays them while the response log still
-holds the answers they came from.
+holds the answers they came from; ``sweep`` runs the same cascade, at its
+highest threshold, and uses no memo.
 
 Exit codes: 0 success, 2 config error, 3 provider failure,
 4 evaluation mismatch.
@@ -396,7 +397,21 @@ class ReviewPipeline:
     @_once
     def providers(self):
         """(stage-1, stage-2) providers; the oracle answers from the gold labels."""
-        return _build_providers(self.cfg, self.gold())
+        cfg = self.cfg
+        stages = (cfg.stage1, cfg.stage2)
+        if cfg.provider["kind"] == "http":
+            return tuple(
+                HttpChatProvider(stage["model"], stage["url"], api_key=(
+                    os.environ.get(stage["api_key_env"]) if stage["api_key_env"] else None))
+                for stage in stages
+            )
+        gold = self.gold()
+        if any(v is None for v in gold.values()):
+            raise ConfigError("oracle provider needs gold labels on every record")
+        return tuple(
+            OracleProvider(stage["model"], gold, profile, cfg.seed)
+            for stage, profile in zip(stages, cfg.profiles)
+        )
 
     def screen_key(self) -> str:
         """Key of the review's results: everything that decides their bytes.
@@ -421,22 +436,6 @@ class ReviewPipeline:
             "providers": [p.identity for p in self.providers()],
         }
         return content_key("screen", params, [self.pool()[1]])
-
-
-def _build_providers(cfg: PipelineConfig, gold: dict[str, str]):
-    stages = (cfg.stage1, cfg.stage2)
-    if cfg.provider["kind"] == "http":
-        return tuple(
-            HttpChatProvider(stage["model"], stage["url"], api_key=(
-                os.environ.get(stage["api_key_env"]) if stage["api_key_env"] else None))
-            for stage in stages
-        )
-    if any(v is None for v in gold.values()):
-        raise ConfigError("oracle provider needs gold labels on every record")
-    return tuple(
-        OracleProvider(stage["model"], gold, profile, cfg.seed)
-        for stage, profile in zip(stages, cfg.profiles)
-    )
 
 
 def cmd_curate(args) -> int:
@@ -743,6 +742,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Score every threshold from one memo-less ``_screen_review`` per review."""
     cfg = PipelineConfig.load(args.config)
     try:
         thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
@@ -752,6 +752,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("no thresholds given")
     for t in thresholds:
         _read("--thresholds", RunConfig, {"threshold": t}, base=cfg.run)
+    cfg.run = replace(cfg.run, threshold=max(thresholds))
     if cfg.strategy is not Strategy.DYNAMIC_FEW_SHOT:
         raise ConfigError("sweep needs the dfsl strategy")
     os.makedirs(args.out, exist_ok=True)
@@ -762,12 +763,14 @@ def cmd_sweep(args) -> int:
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
     with closing(ResponseCache(log)) as response_cache:
         for (rid, pipe), gold in zip(pipes, golds):
-            stage1, stage2 = _build_providers(cfg, gold)
-            points = triage.sweep_thresholds(
-                pipe.curated()[0], *pipe.exemplars(), cfg.run, stage1, stage2,
-                pipe.criteria(), thresholds, cache=response_cache,
-            )
-            for pt in points:
+            failures: list = []
+            results, _ = _screen_review(pipe, response_cache, failures)
+            if failures:
+                raise RunError(
+                    f"sweep needs every record; {len(failures)} of {len(gold)} "
+                    f"failed: {sorted(rid_ for rid_, _ in failures)}"
+                )
+            for pt in triage.sweep_thresholds(results, gold, thresholds):
                 out_rows.append((rid, pt.threshold, pt.f1, pt.routed_ratio))
                 print(
                     f"{rid} @ {pt.threshold:.2f}: F1={pt.f1:.4f} "

@@ -152,10 +152,10 @@ def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
 
 
 def load_dataset_csv(path: str, review_id: str) -> ReviewDataset:
-    """Load records from CSV with a header row."""
+    """Load records from CSV with a header row; a leading UTF-8 BOM is skipped."""
     records = []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

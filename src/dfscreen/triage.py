@@ -17,7 +17,7 @@ the calling thread and never more than ``parallelism`` provider calls
 are in flight.  When every provider of the run is ``in_process`` (the
 oracle), there is no wait to overlap and the calling thread screens
 alone: more threads would only contend for the interpreter lock.  A
-threshold sweep is scored from a single cascade run.
+threshold sweep is scored from the results of a single cascade run.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .clustering import Clustering
 from .corpus import EXCLUDE, LABELS, ReviewDataset, StudyRecord
@@ -380,47 +380,22 @@ class SweepPoint:
 
 
 def sweep_thresholds(
-    dataset: ReviewDataset,
-    pool: ExemplarPool,
-    clustering: Clustering,
-    points: dict[str, Point2D],
-    cfg: RunConfig,
-    stage1_provider,
-    stage2_provider,
-    criteria: str,
-    thresholds: list[float],
-    cache: ResponseCache | None = None,
+    results: list[ScreeningResult], gold: dict[str, str], thresholds: list[float]
 ) -> list[SweepPoint]:
-    """Score the cascade at each threshold from one run, at the highest.
+    """Score the cascade at each threshold from one run's results.
 
-    A record routed at a lower threshold is routed there too (confidence
-    < th <= max) with the same stage-2 prompt, so each point is exact:
-    routed records take the run's final answer, the rest their stage-1
-    label.  A sweep costs one cascade run plus the stage-2 calls the
-    highest threshold adds.  Needs gold labels, and every record: a
-    provider failure on any record raises RunError.
+    A record routed at a lower threshold is routed at the run's too
+    (confidence < th <= the run's) with the same stage-2 prompt, so each
+    point is exact: routed records take the run's final answer, the rest
+    their stage-1 label.  A threshold that routes a record the results do
+    not mark routed is above the run's, and raises ValueError.
     """
-    for th in thresholds:
-        if not 0.0 <= th <= 1.0:
-            raise ValueError(f"threshold {th} outside [0,1]")
-    gold = {r.id: r.gold_label for r in dataset.records}
-    if any(v is None for v in gold.values()):
-        raise ValueError("threshold sweep needs gold labels on every record")
-    if not thresholds:
-        return []
-    failures: list[tuple[str, str]] = []
-    results, _ = run_two_stage(
-        dataset, pool, clustering, points, replace(cfg, threshold=max(thresholds)),
-        stage1_provider, stage2_provider, criteria, cache=cache, failures=failures,
-    )
-    if failures:
-        raise RunError(
-            f"sweep needs every record; {len(failures)} of {len(dataset)} "
-            f"failed: {sorted(rid for rid, _ in failures)}"
-        )
     out = []
     for th in thresholds:
         routed = {r.record_id for r in results if should_route(r.stage1, th)}
+        unrun = [r.record_id for r in results if r.record_id in routed and not r.routed]
+        if unrun:
+            raise ValueError(f"threshold {th} routes {unrun[0]}, which the run did not route")
         finals = {
             r.record_id: r.final if r.record_id in routed else r.stage1.label
             for r in results

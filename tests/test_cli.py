@@ -1157,11 +1157,41 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "provider failure" in err and victim in err
 
-    def test_bad_threshold_list(self, ws, tmp_path):
-        rc = cli.main(
-            ["sweep", "--config", ws, "--thresholds", "0.5,huge", "--out", str(tmp_path)]
-        )
-        assert rc == cli.EXIT_CONFIG
+    def test_bad_threshold_list(self, ws, tmp_path, capsys):
+        for thresholds in ("0.5,huge", "0.5,1.2", ","):
+            rc = cli.main(
+                ["sweep", "--config", ws, "--thresholds", thresholds, "--out", str(tmp_path)]
+            )
+            assert rc == cli.EXIT_CONFIG, thresholds
+        assert "config error: no thresholds given" in capsys.readouterr().err
+
+    def test_sweep_sends_each_prompt_once(self, tmp_path, monkeypatch):
+        # One screen at the highest threshold: each record once to stage 1,
+        # and to stage 2 only the records routed there.
+        dataset = synth.synth_review("ONCE", 40, 10, k=3, seed=6)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        calls = []
+        real_complete = cli.triage.complete
+
+        def counting(prompt_text, provider, ledger, **kwargs):
+            calls.append((provider.model_id, kwargs["tags"]["record_id"]))
+            return real_complete(prompt_text, provider, ledger, **kwargs)
+
+        monkeypatch.setattr(cli.triage, "complete", counting)
+        argv = ["sweep", "--config", config_path, "--thresholds", "0.5,0.95,0.0,0.95",
+                "--out", str(tmp_path / "sweep")]
+        assert cli.main(argv) == cli.EXIT_OK
+        monkeypatch.undo()
+        out = tmp_path / "run"
+        assert cli.main(["screen", "--config", config_path, "--out", str(out),
+                         "--threshold", "0.95"]) == cli.EXIT_OK
+        routed = sorted(r.record_id for r in read_results_jsonl(str(out / "results_ONCE.jsonl"))
+                        if r.routed)
+        assert 0 < len(routed) < len(dataset)
+        assert len(calls) == len(set(calls)) == len(dataset) + len(routed)
+        assert sorted(rid for model, rid in calls if model == "mini") == sorted(
+            r.id for r in dataset.records)
+        assert sorted(rid for model, rid in calls if model == "large") == routed
 
 
 class TestCompare:

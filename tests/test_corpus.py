@@ -169,6 +169,15 @@ class TestLoading:
         assert loaded.records[0].gold_label == INCLUDE
         assert loaded.records[1].gold_label is None
 
+    def test_csv_with_a_bom_loads_as_without(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start the file with a BOM.
+        text = "id,title,abstract,gold_label\n1,T1,A1,include\n2,T2,A2,exclude\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_dataset_csv(str(bom), "R") == load_dataset_csv(str(plain), "R")
+
     def test_csv_duplicate_header_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("id,title,title,abstract\n1,T,T,A\n")

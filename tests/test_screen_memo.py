@@ -353,6 +353,35 @@ class TestScreenMemo:
             assert slurp(out / name) == slurp(warm_out / name)
         assert slurp(path) == memo
 
+    def test_sweep_replays_the_log_and_leaves_the_memo(self, warm, tmp_path, monkeypatch):
+        # A sweep runs the cascade over the cached answers, whatever memo
+        # exists: one hit per record and per routed record, and no send.
+        config_path, _, warm_out, path, memo = warm
+        calls, hits, sends = [], [], []
+        real_complete = cli.triage.complete
+        real_get = ResponseCache.get
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["tags"]["record_id"])
+            return real_complete(*args, **kwargs)
+
+        def get(self, key):
+            hit = real_get(self, key)
+            hits.append(hit is not None)
+            return hit
+
+        monkeypatch.setattr(cli.triage, "complete", counted)
+        monkeypatch.setattr(ResponseCache, "get", get)
+        monkeypatch.setattr(OracleProvider, "send", lambda *a, **k: sends.append(a))
+        argv = ["sweep", "--config", config_path, "--thresholds", "0.5,0.9",
+                "--out", str(tmp_path / "sweep")]
+        assert cli.main(argv) == cli.EXIT_OK
+        entry = manifest(warm_out)["reviews"]["MEMO"]
+        assert len(calls) == entry["records"] + entry["routed"]
+        assert hits == [True] * len(calls)
+        assert sends == []
+        assert memo_path(config_path) == path and slurp(path) == memo
+
     def test_run_with_a_failed_record_writes_no_memo(self, tmp_path, monkeypatch):
         config_path = single_review_workspace(str(tmp_path / "ws"), DATASET)
         failing = DATASET.records[0].id

@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given
@@ -582,8 +582,16 @@ class TestSweep:
             table[rec.id] = answer(rec.gold_label, i / n)
         return table
 
+    @staticmethod
+    def run_at(pipeline, threshold, s1, s2):
+        dataset, points, clustering, pool = pipeline
+        results, _ = run_two_stage(
+            dataset, pool, clustering, points, make_cfg(threshold=threshold), s1, s2, "C."
+        )
+        return results
+
     def test_nesting_and_counts(self, small_pipeline):
-        dataset, points, clustering, pool = small_pipeline
+        dataset = small_pipeline[0]
         n = len(dataset)
         s1 = MappedProvider("s1", table=self.confidence_ladder(dataset))
         s2 = MappedProvider(
@@ -591,9 +599,8 @@ class TestSweep:
             table={r.id: answer(r.gold_label, 0.99) for r in dataset.records},
         )
         thresholds = [0.0, 0.25, 0.5, 1.0]
-        sweep = sweep_thresholds(
-            dataset, pool, clustering, points, make_cfg(), s1, s2, "C.", thresholds
-        )
+        results = self.run_at(small_pipeline, max(thresholds), s1, s2)
+        sweep = sweep_thresholds(results, gold_of(dataset), thresholds)
         assert [p.threshold for p in sweep] == thresholds
         # Confidence i/n < th exactly for i < ceil(th*n); spot-check counts.
         assert len(sweep[0].routed_ids) == 0
@@ -607,77 +614,28 @@ class TestSweep:
         assert all(p.f1 == 1.0 for p in sweep)
 
     def test_threshold_zero_equals_stage1_alone(self, small_pipeline):
-        dataset, points, clustering, pool = small_pipeline
+        dataset = small_pipeline[0]
         gold = gold_of(dataset)
         s1 = oracle_provider(gold, OracleProfile(0.9, 0.6, 0.8), 5, model_id="s1")
         s2 = oracle_provider(gold, OracleProfile(1.0, 1.0, 1.0), 5, model_id="s2")
-        sweep = sweep_thresholds(
-            dataset, pool, clustering, points, make_cfg(), s1, s2, "C.", [0.0]
-        )
+        sweep = sweep_thresholds(self.run_at(small_pipeline, 0.0, s1, s2), gold, [0.0])
         assert sweep[0].routed_ids == ()
         assert sweep[0].routed_ratio == 0.0
 
-    def test_requires_gold(self, small_pipeline):
-        dataset, points, clustering, pool = small_pipeline
-        blind = ReviewDataset(dataset.review_id,
-                              [replace(r, gold_label=None) for r in dataset.records])
-        with pytest.raises(ValueError, match="gold labels"):
-            sweep_thresholds(
-                blind, pool, clustering, points, make_cfg(),
-                MappedProvider("s1"), MappedProvider("s2"), "C.", [0.5],
-            )
-
     def test_threshold_validated(self, small_pipeline):
-        dataset, points, clustering, pool = small_pipeline
-        with pytest.raises(ValueError, match="outside"):
-            sweep_thresholds(
-                dataset, pool, clustering, points, make_cfg(),
-                MappedProvider("s1"), MappedProvider("s2"), "C.", [0.5, 1.2],
-            )
-
-
-    def test_sweep_sends_each_prompt_once(self, small_pipeline, monkeypatch):
-        dataset, points, clustering, pool = small_pipeline
-        n = len(dataset)
+        # A threshold above the run's routes records the run never sent to
+        # stage 2, so their point cannot be scored from its results.
+        dataset = small_pipeline[0]
         s1 = MappedProvider("s1", table=self.confidence_ladder(dataset))
-        s2 = MappedProvider("s2", default=answer(EXCLUDE, 0.99))
-        calls = []
-        real_complete = triage.complete
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs["tags"]["record_id"])
-            return real_complete(*args, **kwargs)
-
-        monkeypatch.setattr(triage, "complete", counting)
-        sweep = sweep_thresholds(
-            dataset, pool, clustering, points, make_cfg(), s1, s2, "C.",
-            [0.25, 0.5, 0.0, 0.5],
-        )
-        routed_at_max = len(sweep[1].routed_ids)
-        assert routed_at_max == 30
-        assert len(calls) == n + routed_at_max
-        assert len(s1.calls) == n and len(s2.calls) == routed_at_max
-
-    def test_failed_record_raises_run_error(self, small_pipeline):
-        dataset, points, clustering, pool = small_pipeline
-        bad = dataset.records[0].id
-        s1 = MappedProvider(
-            "s1", default=answer(EXCLUDE, 0.99), errors={bad: ProviderError("boom")}
-        )
-        with pytest.raises(RunError, match=bad):
-            sweep_thresholds(
-                dataset, pool, clustering, points, make_cfg(),
-                s1, MappedProvider("s2"), "C.", [0.5],
-            )
+        results = self.run_at(small_pipeline, 0.5, s1, MappedProvider("s2"))
+        assert len(sweep_thresholds(results, gold_of(dataset), [0.25, 0.5])) == 2
+        with pytest.raises(ValueError, match="which the run did not route"):
+            sweep_thresholds(results, gold_of(dataset), [0.5, 0.75])
 
     def test_empty_threshold_list(self, small_pipeline):
-        dataset, points, clustering, pool = small_pipeline
-        s1 = MappedProvider("s1")
-        assert sweep_thresholds(
-            dataset, pool, clustering, points, make_cfg(),
-            s1, MappedProvider("s2"), "C.", [],
-        ) == []
-        assert s1.calls == []
+        dataset = small_pipeline[0]
+        results = self.run_at(small_pipeline, 0.5, MappedProvider("s1"), MappedProvider("s2"))
+        assert sweep_thresholds(results, gold_of(dataset), []) == []
 
 
 @pytest.fixture(scope="module")
@@ -705,12 +663,12 @@ def test_one_pass_sweep_equals_a_run_per_threshold(sweep_pipeline, data):
     table2 = data.draw(st.fixed_dictionaries({rid: STAGE2_REPLIES for rid in ids}))
     drawn = data.draw(st.lists(CONFIDENCES, min_size=1, max_size=4))
     thresholds = data.draw(st.permutations(drawn + drawn[:1] + [0.0, 1.0]))
-    cfg = make_cfg(parallelism=2)
-    sweep = sweep_thresholds(
-        dataset, pool, clustering, points, cfg,
-        MappedProvider("s1", table=table1), MappedProvider("s2", table=table2),
-        "C.", thresholds,
+    results, _ = run_two_stage(
+        dataset, pool, clustering, points,
+        make_cfg(threshold=max(thresholds), parallelism=2),
+        MappedProvider("s1", table=table1), MappedProvider("s2", table=table2), "C.",
     )
+    sweep = sweep_thresholds(results, gold_of(dataset), thresholds)
     expected = []
     for th in thresholds:
         results, _ = run_two_stage(

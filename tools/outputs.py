@@ -11,7 +11,9 @@ runs, each in a fresh interpreter that imports ``dfscreen`` from SRC_DIR:
 * ``screen`` dfsl cold and warm, then fs, zs and cot;
 * ``sweep``, then ``screen`` dfsl once more;
 * ``evaluate`` of the dfsl and fs runs, and ``compare`` of their reports;
-* the four dry runs again, warm.
+* the four dry runs again, warm;
+* ``sweep-above``, a sweep above the config's threshold, whose stage 2
+  sends what no earlier command asked.
 
 Each command's stdout and stderr go to ``OUT_DIR/stdout/NN-name.txt``
 with its exit code on the last line and OUT_DIR written as ``<OUT>``.
@@ -36,6 +38,7 @@ import sys
 
 STRATEGIES = ("dfsl", "fs", "zs", "cot")
 SWEEP_THRESHOLDS = "0.5,0.6,0.7,0.8,0.9"
+SWEEP_ABOVE_THRESHOLDS = "0.9,0.95"
 CLI = "import sys; from dfscreen.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -72,6 +75,8 @@ def command_matrix(ws: str) -> list[tuple[str, list[str]]]:
                      "--run-a", os.path.join(ws, "run_cold", "report.csv"),
                      "--run-b", os.path.join(ws, "run_fs", "report.csv")]),
         *dry_runs("warm"),
+        ("sweep-above", ["sweep", *config, "--thresholds", SWEEP_ABOVE_THRESHOLDS,
+                         *out("sweep_above")]),
     ]
 
 
