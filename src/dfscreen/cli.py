@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 config error, 3 provider failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -56,7 +57,6 @@ from .projection import (
 )
 from .prompting import PromptError, Strategy
 from .prompting import render  # noqa: F401  (the benchmark's tracer patches cli.render)
-from .pubmed import PubMedClient, PubMedError
 from .triage import RunConfig, RunError
 
 EXIT_OK = 0
@@ -151,6 +151,8 @@ class PipelineConfig:
             raise ConfigError("config needs a nonempty 'reviews' mapping")
         self.reviews: dict[str, dict] = {}
         for rid, entry in reviews.items():
+            if not rid or "/" in rid or "\\" in rid:
+                raise ConfigError(f"review id {rid!r} must be nonempty and hold no '/' or '\\'")
             _mapping(entry, f"review {rid}", ("dataset", "criteria", "k"))
             if "dataset" not in entry or "criteria" not in entry:
                 raise ConfigError(f"review {rid}: needs 'dataset' and 'criteria' paths")
@@ -464,24 +466,6 @@ def cmd_curate(args) -> int:
     return EXIT_OK
 
 
-def cmd_fetch(args) -> int:
-    pmids = []
-    if args.pmid_file:
-        try:
-            with open(args.pmid_file, encoding="utf-8") as fh:
-                pmids.extend(line.strip() for line in fh if line.strip())
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"PMID file {args.pmid_file} is not UTF-8: {exc}") from None
-    pmids.extend(args.pmids)
-    if not pmids:
-        raise ConfigError("no PMIDs given (use --pmid-file or positional ids)")
-    client = PubMedClient(api_key=os.environ.get("NCBI_API_KEY"))
-    dataset = client.fetch(pmids, review_id=args.review_id)
-    corpus.write_dataset_jsonl(dataset, args.out)
-    print(f"fetched {len(dataset)} of {len(pmids)} records -> {args.out}")
-    return EXIT_OK
-
-
 def _pipeline_for(cfg: PipelineConfig, rid: str) -> ReviewPipeline:
     return ReviewPipeline(cfg, rid, ArtifactCache(cfg.cache_dir))
 
@@ -517,37 +501,23 @@ def _screen_review(pipe: ReviewPipeline, response_cache, failures):
     )
 
 
-class _LogPrefix:
-    """sha256 of the leading bytes of the response log, one running hash.
+def _log_digest(path: str, size: int) -> str | None:
+    """sha256 of the response log's first ``size`` bytes, read in 64 KiB blocks.
 
-    Reviews ask for growing prefixes, so a command reads the log once, in
-    blocks, however many memos it checks or writes.  A prefix counts only
-    if it ends a line; ``digest`` is None where the log holds no such
-    prefix.
+    None unless the log holds that many bytes and they end a line.
     """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._hash = hashlib.sha256()
-        self._size = 0
-
-    def digest(self, size: int) -> str | None:
-        if size < self._size:
-            self._hash, self._size = hashlib.sha256(), 0
-        h, at, block = self._hash.copy(), self._size, b""
-        if at < size:
-            try:
-                with open(self.path, "rb") as fh:
-                    fh.seek(at)
-                    while at < size and (block := fh.read(min(size - at, 1 << 16))):
-                        h.update(block)
-                        at += len(block)
-            except FileNotFoundError:
-                return None
-            if at < size or not block.endswith(b"\n"):
-                return None
-            self._hash, self._size = h, size
+    h = hashlib.sha256()
+    if size == 0:
         return h.hexdigest()
+    left, block = size, b""
+    try:
+        with open(path, "rb") as fh:
+            while left and (block := fh.read(min(left, 1 << 16))):
+                h.update(block)
+                left -= len(block)
+    except FileNotFoundError:
+        return None
+    return None if left or not block.endswith(b"\n") else h.hexdigest()
 
 
 def _memo_trailer(fields: dict) -> bytes:
@@ -557,7 +527,7 @@ def _memo_trailer(fields: dict) -> bytes:
 
 
 def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
-                routed: int, log: _LogPrefix) -> None:
+                routed: int, log: str) -> None:
     """Store a review's results bytes at ``key`` with the trailer that checks them.
 
     The trailer records the results' length and sha256, the routed and
@@ -566,8 +536,8 @@ def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
     """
     with open(results_path, "rb") as fh:
         body = fh.read()
-    log_bytes = os.path.getsize(log.path)
-    log_sha256 = log.digest(log_bytes)
+    log_bytes = os.path.getsize(log)
+    log_sha256 = _log_digest(log, log_bytes)
     if log_sha256 is None:
         return  # a log not ending in a whole line; the next run screens again
     data = body + _memo_trailer({
@@ -583,7 +553,7 @@ def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
     cache.write_atomic(key, write)
 
 
-def _memo_hit(cache: ArtifactCache, key: str, records: int, log: _LogPrefix):
+def _memo_hit(cache: ArtifactCache, key: str, records: int, log: str):
     """(results bytes, routed count) of the memo at ``key``, or None for a miss.
 
     A memo is used only if it passes its own check, holds ``records``
@@ -609,7 +579,7 @@ def _memo_hit(cache: ArtifactCache, key: str, records: int, log: _LogPrefix):
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"screen memo {path}: damaged ({exc!r}); screening again", file=sys.stderr)
         return None
-    if held != records or log.digest(log_bytes) != log_sha256:
+    if held != records or _log_digest(log, log_bytes) != log_sha256:
         return None
     return body, routed
 
@@ -671,14 +641,13 @@ def cmd_screen(args) -> int:
         "reviews": {},
     }
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
-    log_prefix = _LogPrefix(log)
     with closing(ResponseCache(log)) as response_cache:
         for rid, pipe in _pipelines(cfg):
             key = pipe.screen_key()
             records = len(pipe.curated()[0])
             results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
             failures: list = []
-            hit = _memo_hit(pipe.cache, key, records, log_prefix)
+            hit = _memo_hit(pipe.cache, key, records, log)
             if hit is not None:
                 body, routed = hit
                 with open(results_path, "wb") as fh:
@@ -689,7 +658,7 @@ def cmd_screen(args) -> int:
                 triage.write_results_jsonl(results, results_path)
                 routed = sum(1 for r in results if r.routed)
                 if not failures:
-                    _write_memo(pipe.cache, key, results_path, records, routed, log_prefix)
+                    _write_memo(pipe.cache, key, results_path, records, routed, log)
             merged.merge(ledger)
             manifest["reviews"][rid] = {
                 "screen_key": key,
@@ -778,9 +747,9 @@ def cmd_sweep(args) -> int:
                 )
     sweep_path = os.path.join(args.out, "sweep.csv")
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("review_id,threshold,f1,routed_ratio\n")
-        for rid, th, f1, ratio in out_rows:
-            fh.write(f"{rid},{th!r},{f1!r},{ratio!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("review_id", "threshold", "f1", "routed_ratio"))
+        writer.writerows(out_rows)
     print(f"sweep table: {sweep_path}")
     return EXIT_OK
 
@@ -816,13 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curate)
-
-    p = sub.add_parser("fetch", help="fetch title/abstract records from PubMed")
-    p.add_argument("pmids", nargs="*", help="PMIDs to fetch")
-    p.add_argument("--pmid-file", help="file with one PMID per line")
-    p.add_argument("--review-id", default="pubmed")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fetch)
 
     for stage in STAGE_METHODS:
         p = sub.add_parser(stage, help=f"run the {stage} stage (and its inputs)")
@@ -866,7 +828,7 @@ def main(argv: list[str] | None = None) -> int:
             PoolError, PromptError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ProviderError, RunError, PubMedError) as exc:
+    except (ProviderError, RunError) as exc:
         print(f"provider failure: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
     except evaluation.EvaluationError as exc:

@@ -148,6 +148,10 @@ class TestConfigLoading:
                 id="k-str",
             ),
             pytest.param(lambda raw: {**raw, "cache_dir": 5}, id="cache_dir-int"),
+            # A review id names its output files, so it must be one file name.
+            *[pytest.param(lambda raw, rid=rid: {**raw, "reviews": {rid: raw["reviews"]["CFG"]}},
+                           id=f"review-id-{what}")
+              for rid, what in (("", "empty"), ("a/b", "slash"), ("a\\b", "backslash"))],
             pytest.param(
                 lambda raw: {**raw, "projection": {"method": "import"}},
                 id="import-without-path",
@@ -188,6 +192,21 @@ class TestConfigLoading:
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
         assert not os.path.exists(tmp_path / "out")
+
+    def test_absolute_review_id_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # os.path.join drops --out before an absolute id.
+        rid = str(tmp_path / "escaped")
+        dataset = synth.synth_review("ESC", 40, 10, k=3, seed=2)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["reviews"] = {rid: raw["reviews"]["ESC"]}
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        rc = cli.main(["curate", "--config", config_path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"config error: review id {rid!r}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "escaped_curated.jsonl")
 
     @pytest.mark.parametrize(
         "section,mutate",
@@ -688,6 +707,13 @@ class TestNoVectorFile:
         assert "invalid choice: 'embed'" in capsys.readouterr().err
 
 
+def test_fetch_command_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fetch", "12345", "--out", str(tmp_path / "out.jsonl")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "invalid choice: 'fetch'" in capsys.readouterr().err
+
+
 def _cut_in_half(path):
     with open(path, "r+b") as fh:
         fh.truncate(os.path.getsize(path) // 2)
@@ -1141,6 +1167,18 @@ class TestSweep:
             ratios = [r for _, r in pairs]
             assert ratios == sorted(ratios)
 
+    def test_review_id_with_a_comma_stays_one_field(self, tmp_path):
+        dataset = synth.synth_review("A,B", 40, 10, k=3, seed=6)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        out = str(tmp_path / "sweep")
+        argv = ["sweep", "--config", config_path, "--thresholds", "0.5,0.9", "--out", out]
+        assert cli.main(argv) == cli.EXIT_OK
+        with open(os.path.join(out, "sweep.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["review_id"], float(row["threshold"])) for row in rows] == [
+            ("A,B", 0.5), ("A,B", 0.9)]
+        assert all(None not in row for row in rows)
+
     def test_failed_record_is_exit_3(self, ws, tmp_path, monkeypatch, capsys):
         dataset, _, _ = cli._pipeline_for(cli.PipelineConfig.load(ws), "REV-B").curated()
         victim = dataset.records[0].id
@@ -1272,7 +1310,7 @@ class TestNonUtf8Input:
             fh.writelines(json.dumps(row) + "\n" for row in rows)
 
     @pytest.mark.parametrize("target", [
-        "dataset-jsonl", "dataset-csv", "criteria", "points", "vectors", "pmids", "report",
+        "dataset-jsonl", "dataset-csv", "criteria", "points", "vectors", "report",
     ])
     def test_bad_byte_exits_with_its_code_and_names_the_file(
         self, one_review, tmp_path, capsys, target
@@ -1304,11 +1342,6 @@ class TestNonUtf8Input:
             self.write_rows(path, ({"id": r.id, "vector": [float(i), float(i % 5), 1.0]}
                                    for i, r in enumerate(dataset.records)))
             self.configure(config_path, embedding={"kind": "file_import", "path": path})
-        elif target == "pmids":
-            path = str(tmp_path / "pmids.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("12345\n67890\n")
-            argv = ["fetch", "--pmid-file", path, "--out", str(tmp_path / "fetched.jsonl")]
         else:
             path = str(tmp_path / "report.csv")
             report = evaluation.MetricsReport([
@@ -1365,10 +1398,3 @@ class TestRepeatedKey:
         rc = cli.main(["evaluate", "--config", ws, "--results", out])
         assert rc == cli.EXIT_EVALUATION
         assert f"{path}:3: unreadable result row: duplicate key 'final'" in capsys.readouterr().err
-
-
-class TestFetchValidation:
-    def test_no_pmids_is_exit_2(self, tmp_path, capsys):
-        rc = cli.main(["fetch", "--out", str(tmp_path / "out.jsonl")])
-        assert rc == cli.EXIT_CONFIG
-        assert "no PMIDs" in capsys.readouterr().err

@@ -3,8 +3,9 @@
     python3 tools/outputs.py SRC_DIR OUT_DIR [--seed N] [--against OUT_A]
 
 SRC_DIR is a tree's ``src/`` directory; OUT_DIR must not exist yet.  The
-script writes the 10-review synthetic workspace into ``OUT_DIR/ws`` and
-runs, each in a fresh interpreter that imports ``dfscreen`` from SRC_DIR:
+script writes the 10-review synthetic workspace into ``OUT_DIR/ws``,
+rewrites one review's raw dataset as CSV (``csv_review``), and runs, each
+in a fresh interpreter that imports ``dfscreen`` from SRC_DIR:
 
 * ``screen --dry-run`` for dfsl, fs, zs and cot on a cold cache;
 * ``curate``, ``project``, ``cluster`` and ``pool``;
@@ -31,7 +32,9 @@ library only.
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +42,7 @@ import sys
 STRATEGIES = ("dfsl", "fs", "zs", "cot")
 SWEEP_THRESHOLDS = "0.5,0.6,0.7,0.8,0.9"
 SWEEP_ABOVE_THRESHOLDS = "0.9,0.95"
+CSV_REVIEW = "CD012768"  # the review whose raw dataset the workspace holds as CSV
 CLI = "import sys; from dfscreen.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -80,6 +84,27 @@ def command_matrix(ws: str) -> list[tuple[str, list[str]]]:
     ]
 
 
+def csv_review(ws: str) -> None:
+    """Rewrite ``CSV_REVIEW``'s raw JSON-lines dataset as CSV and point the config at it."""
+    data = os.path.join(ws, "data", f"{CSV_REVIEW}_raw")
+    columns = ["id", "title", "abstract", "gold_label"]
+    with open(data + ".jsonl", encoding="utf-8") as src, \
+            open(data + ".csv", "w", encoding="utf-8", newline="") as dst:
+        writer = csv.writer(dst, lineterminator="\n")
+        writer.writerow(columns)
+        for line in src:
+            row = json.loads(line)
+            writer.writerow([row.get(c, "") for c in columns])
+    os.unlink(data + ".jsonl")
+    config_path = os.path.join(ws, "config.json")
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["reviews"][CSV_REVIEW]["dataset"] = f"data/{CSV_REVIEW}_raw.csv"
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run(src: str, out_dir: str, seed: int) -> int:
     env = dict(os.environ, PYTHONPATH=src)
     ws = os.path.join(out_dir, "ws")
@@ -89,6 +114,7 @@ def run(src: str, out_dir: str, seed: int) -> int:
         [sys.executable, "-m", "dfscreen.synth", ws, "--seed", str(seed)],
         env=env, check=True, stdout=subprocess.DEVNULL,
     )
+    csv_review(ws)
     failed = 0
     for n, (name, argv) in enumerate(command_matrix(ws), start=1):
         proc = subprocess.run(

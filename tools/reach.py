@@ -4,8 +4,8 @@
 
 SRC_DIR is a tree's ``src/`` directory.  The script writes the 10-review
 synthetic workspace into a temporary directory and runs, in this one
-interpreter, the workspace writer and every command of
-``tools/outputs.py``'s ``command_matrix`` through ``dfscreen.cli.main``,
+interpreter, the workspace writer, ``tools/outputs.py``'s ``csv_review``
+and every command of its ``command_matrix`` through ``dfscreen.cli.main``,
 with a call tracer installed by ``sys.settrace`` and
 ``threading.settrace`` from before ``dfscreen`` is first imported.  It
 then prints, by file and line, each function defined in SRC_DIR's
@@ -28,11 +28,11 @@ import tempfile
 import threading
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from outputs import command_matrix  # noqa: E402
+from outputs import command_matrix, csv_review  # noqa: E402
 
 
 NETWORK = "network only"
-NOT_IN_MATRIX = "not in the matrix, which runs JSONL data with hashed_tf"
+NOT_IN_MATRIX = "not in the matrix, which embeds with hashed_tf"
 TRACER = "kept for the benchmark's tracer"
 ERROR_PATH = "error paths"
 
@@ -42,12 +42,6 @@ UNREACHABLE = {
     ("gateway.py", "HttpChatProvider.__init__"): NETWORK,
     ("gateway.py", "HttpChatProvider.send"): NETWORK,
     ("embedding.py", "EmbeddingClient._remote"): NETWORK,
-    **{("pubmed.py", name): NETWORK for name in (
-        "PubMedClient.__post_init__", "PubMedClient.min_interval", "PubMedClient._pace",
-        "PubMedClient._request", "PubMedClient.fetch", "_parse_efetch_xml",
-        "_element_text")},
-    ("cli.py", "cmd_fetch"): NETWORK,
-    ("corpus.py", "load_dataset_csv"): NOT_IN_MATRIX,
     ("embedding.py", "EmbeddingClient._import_vectors"): NOT_IN_MATRIX,
     ("embedding.py", "EmbeddingClient._import_vectors.<locals>.entry"): NOT_IN_MATRIX,
     ("embedding.py", "write_vectors_jsonl"): TRACER,
@@ -105,6 +99,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"dfscreen was imported from {cli.__file__}, not {src}")
             with contextlib.redirect_stdout(io.StringIO()):
                 synth.main([ws, "--seed", str(args.seed)])
+            csv_review(ws)
             for name, command in command_matrix(ws):
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
