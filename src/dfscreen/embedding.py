@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .gateway import DEFAULT_TIMEOUT
+from .gateway import post_json
 from .jsonl import read_jsonl, write_jsonl
 from .rng import fnv1a64
 
@@ -99,24 +99,14 @@ class EmbeddingClient:
 
     def _remote(self, texts: list[str]) -> list[np.ndarray]:
         import numpy as np
-        import requests
-
-        payload = {"model": self.config.model, "input": texts}
+        body = post_json(self.config.url, {"model": self.config.model, "input": texts})
         try:
-            resp = requests.post(self.config.url, json=payload, timeout=DEFAULT_TIMEOUT)
-        except requests.RequestException as exc:
-            raise EmbeddingError(f"embedding request failed: {exc}") from None
-        if resp.status_code != 200:
-            raise EmbeddingError(f"embedding endpoint returned HTTP {resp.status_code}")
-        try:
-            data = resp.json()["data"]
-            vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in data]
+            vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in body["data"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise EmbeddingError(f"malformed embedding response: {exc}") from None
         if len(vectors) != len(texts):
-            raise EmbeddingError(
-                f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} texts"
-            )
+            raise EmbeddingError(f"embedding endpoint returned {len(vectors)} vectors "
+                                 f"for {len(texts)} texts")
         dims = {len(v) for v in vectors}
         if len(dims) > 1:
             raise EmbeddingError(f"inconsistent vector dimensions in batch: {sorted(dims)}")

@@ -390,6 +390,36 @@ def complete(
     return response
 
 
+def post_json(url: str, payload: dict, headers: dict | None = None):
+    """POST ``payload`` as JSON; the decoded body of a 200 reply.  A 429, a 5xx,
+    a timeout or a transport failure raises TransientProviderError; any other
+    status or a body that is not JSON raises ProviderError, naming which."""
+    from http.client import HTTPException
+    from urllib.request import HTTPError, Request, urlopen
+    if not url.lower().startswith(("http://", "https://")):
+        raise ProviderError(f"not an http(s) url: {url!r}")
+    request = Request(url, json.dumps(payload).encode("utf-8"),
+                      {"Content-Type": "application/json", **(headers or {})})
+    try:
+        try:
+            reply = urlopen(request, timeout=DEFAULT_TIMEOUT)
+        except HTTPError as exc:
+            reply = exc  # an error status, whose body is read like any other
+        with reply:
+            status, raw = reply.status, reply.read()
+    except (OSError, HTTPException) as exc:
+        if isinstance(getattr(exc, "reason", exc), TimeoutError):
+            raise TransientProviderError(f"timeout: {exc}") from None
+        raise TransientProviderError(f"transport error: {exc}") from None
+    if status != 200:
+        error = TransientProviderError if status == 429 or status >= 500 else ProviderError
+        raise error(f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}")
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise ProviderError(f"malformed response, not JSON: {exc}") from None
+
+
 class HttpChatProvider:
     """Chat-completions endpoint speaking the common JSON wire shape."""
 
@@ -400,40 +430,20 @@ class HttpChatProvider:
         self.identity = f"{model_id}@{url}"
 
     def send(self, prompt_text, temperature, max_tokens, tags):
-        import requests
-
-        payload = {
-            "model": self.model_id,
-            "messages": [{"role": "user", "content": prompt_text}],
-            "temperature": temperature,
-        }
+        payload = {"model": self.model_id,
+                   "messages": [{"role": "user", "content": prompt_text}],
+                   "temperature": temperature}
         if max_tokens is not None:
             payload["max_tokens"] = max_tokens
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
+        body = post_json(self.url, payload, headers)
         try:
-            resp = requests.post(
-                self.url, json=payload, headers=headers, timeout=DEFAULT_TIMEOUT
-            )
-        except requests.Timeout as exc:
-            raise TransientProviderError(f"timeout: {exc}") from None
-        except requests.RequestException as exc:
-            raise TransientProviderError(f"transport error: {exc}") from None
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientProviderError(f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            body = resp.json()
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion response: {exc}") from None
         if not isinstance(text, str):
             raise ProviderError(f"malformed completion response: content {text!r}")
-        usage = body.get("usage")
-        if not isinstance(usage, dict):
-            usage = {}
+        usage = body["usage"] if isinstance(body.get("usage"), dict) else {}
         # A count that is not a nonnegative integer is estimated instead.
         p_tok, c_tok = (n if type(n) is int and n >= 0 else None
                         for n in (usage.get("prompt_tokens"), usage.get("completion_tokens")))

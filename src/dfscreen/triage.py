@@ -223,7 +223,8 @@ def _screen_all(
     unparseable final answer fails safe to exclude and is flagged.
     Individual provider failures are isolated (collected into
     ``failures`` when a list is passed); more than 10% failed records
-    aborts with a RunError since the run is no longer representative.
+    aborts with a RunError since the run is no longer representative;
+    once that many have failed, no worker starts another record.
     Any other error stops the workers from starting another record and
     is re-raised once they have finished the ones in hand.
     """
@@ -261,8 +262,11 @@ def _screen_all(
     indices = iter(range(len(records)))
     claim = threading.Lock()
     stop = threading.Event()
+    budget = len(records) // 10  # more failed records than this is a RunError
+    failed_count = 0
 
     def work() -> None:
+        nonlocal failed_count
         while not stop.is_set():
             with claim:
                 i = next(indices, None)
@@ -272,6 +276,10 @@ def _screen_all(
                 outcomes[i] = screen_one(records[i])
             except ProviderError as exc:
                 outcomes[i] = exc
+                with claim:
+                    failed_count += 1
+                    if failed_count > budget:
+                        stop.set()  # the RunError is certain
             except BaseException as exc:  # re-raised by the caller after the join
                 outcomes[i] = exc
                 stop.set()
@@ -286,8 +294,8 @@ def _screen_all(
     try:
         work()
     finally:
-        # Every index is claimed unless something failed; either way the
-        # helpers finish the record in hand and start no other.
+        # Every index is claimed unless the budget is spent or something
+        # failed; either way the helpers finish the record in hand.
         stop.set()
         for t in helpers:
             t.join()
@@ -302,7 +310,7 @@ def _screen_all(
             results.append(outcome)
     if failures is not None:
         failures.extend(failed)
-    if len(dataset) > 0 and len(failed) / len(dataset) > 0.10:
+    if len(failed) > budget:
         raise RunError(
             f"{len(failed)} of {len(dataset)} records failed "
             f"({len(failed) / len(dataset):.0%}); first: {failed[0]}"

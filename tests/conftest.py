@@ -21,6 +21,7 @@ from dfscreen.embedding import EmbeddingClient, EmbeddingProviderConfig
 from dfscreen.exemplar_pool import Exemplar, ExemplarPool, build_pool
 from dfscreen.gateway import OracleProfile, OracleProvider, ProviderError, estimate_tokens
 from dfscreen.projection import project_2d
+from http_stub import Stub
 
 
 @dataclass
@@ -99,3 +100,10 @@ def small_dataset():
 def small_pipeline(small_dataset):
     points, clustering, pool = build_pipeline(small_dataset, k=4, seed=3)
     return small_dataset, points, clustering, pool
+
+
+@pytest.fixture
+def stub():
+    """A loopback chat-completions and embeddings endpoint (``http_stub``)."""
+    with Stub() as endpoint:
+        yield endpoint

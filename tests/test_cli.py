@@ -24,6 +24,7 @@ from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
 from conftest import full_pool
+from http_stub import Reply, closed_url
 
 SHAPES = [
     ReviewShape("REV-A", "test", 90, 20, 80, 18, 3),
@@ -822,11 +823,13 @@ def run_fresh(commands, module, loaded):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_offline_screen_never_imports_requests(tmp_path):
+def test_offline_commands_never_import_http_client(tmp_path):
     dataset = synth.synth_review("OFFLINE", 12, 4, k=3, seed=3)
-    config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
-    argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out")]
-    run_fresh([argv], "requests", loaded=False)
+    config = ["--config", single_review_workspace(str(tmp_path / "ws"), dataset)]
+    run_fresh([["screen", *config, "--out", str(tmp_path / "out")],
+               ["evaluate", *config, "--results", str(tmp_path / "out")],
+               ["sweep", *config, "--thresholds", "0.5,0.9", "--out", str(tmp_path / "sweep")]],
+              "http.client", loaded=False)
 
 
 def test_warm_commands_never_import_numpy(tmp_path):
@@ -1398,3 +1401,63 @@ class TestRepeatedKey:
         rc = cli.main(["evaluate", "--config", ws, "--results", out])
         assert rc == cli.EXIT_EVALUATION
         assert f"{path}:3: unreadable result row: duplicate key 'final'" in capsys.readouterr().err
+
+
+class TestHttpEndpoints:
+    """``provider.kind: http`` and ``embedding.kind: remote_http`` against a loopback stub."""
+
+    @staticmethod
+    def workspace(root, chat_url, embeddings_url, n=30):
+        dataset = synth.synth_review("HTTP", n, n // 4, k=3, seed=3)
+        config_path = single_review_workspace(root, dataset)
+        raw = json.loads(slurp(config_path))
+        raw.update(provider={"kind": "http"},
+                   stage1={"model": "mini", "url": chat_url},
+                   stage2={"model": "large", "url": chat_url},
+                   embedding={"kind": "remote_http", "model": "enc", "url": embeddings_url})
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        return ["--config", config_path]
+
+    def stub_workspace(self, tmp_path, stub, n=30):
+        return self.workspace(str(tmp_path / "ws"), stub.url("/v1/chat/completions"),
+                              stub.url("/v1/embeddings"), n)
+
+    def test_warm_screen_and_sweep_send_nothing_and_replay_bytes(self, tmp_path, stub):
+        config = self.stub_workspace(tmp_path, stub)
+        runs = [str(tmp_path / f"run{i}") for i in range(3)]
+        sweeps = [str(tmp_path / f"sweep{i}") for i in range(2)]
+        sweep = ["sweep", *config, "--thresholds", "0.5,0.95"]
+        assert cli.main([*sweep, "--out", sweeps[0]]) == cli.EXIT_OK
+        paths = [seen.path for seen in stub.received]
+        assert paths[0] == "/v1/embeddings" and paths.count("/v1/embeddings") == 1
+        assert len(paths) > 30  # every record at stage 1, the unsure ones at stage 2
+        # Every record the config's threshold routes, the sweep's top one did.
+        for out in runs:
+            assert cli.main(["screen", *config, "--out", out]) == cli.EXIT_OK
+        assert cli.main([*sweep, "--out", sweeps[1]]) == cli.EXIT_OK
+        assert len(stub.received) == len(paths)
+        ledger = json.loads(slurp(os.path.join(runs[0], "manifest.json")))["ledger"]
+        assert (ledger["mini"]["call_count"], ledger["mini"]["cache_hits"]) == (0, 30)
+        results = {slurp(os.path.join(out, "results_HTTP.jsonl")) for out in runs}
+        assert len(results) == 1
+        assert slurp(os.path.join(runs[1], "manifest.json")) == slurp(
+            os.path.join(runs[2], "manifest.json"))
+        assert len({slurp(os.path.join(out, "sweep.csv")) for out in sweeps}) == 1
+
+    def test_dead_chat_endpoint_is_exit_3_within_the_budget(self, tmp_path, stub, capsys):
+        config = self.stub_workspace(tmp_path, stub, n=9)  # a budget of 0 records
+        assert cli.main(["project", *config]) == cli.EXIT_OK
+        embedded = len(stub.received)
+        stub.always = Reply(status=503, body=b"down")
+        assert cli.main(["screen", *config, "--out", str(tmp_path / "out")]) == cli.EXIT_PROVIDER
+        assert capsys.readouterr().err.startswith("provider failure: 1 of 9 records failed")
+        assert len(stub.received) - embedded == 3  # one record's three attempts
+
+    def test_dead_embedding_endpoint_is_exit_3(self, tmp_path, capsys):
+        config = self.workspace(str(tmp_path / "ws"), closed_url("/v1/chat/completions"),
+                                closed_url("/v1/embeddings"))
+        assert cli.main(["project", *config]) == cli.EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert err.startswith("provider failure: transport error:")
+        assert "refused" in err

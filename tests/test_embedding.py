@@ -18,7 +18,10 @@ from dfscreen.embedding import (
     hashed_tf_vector,
     write_vectors_jsonl,
 )
+from dfscreen.gateway import ProviderError
 from dfscreen.rng import fnv1a64
+
+from http_stub import Reply, embedding_vector
 
 
 class TestHashedTf:
@@ -152,62 +155,42 @@ class TestClient:
         with pytest.raises(EmbeddingError, match="no imported vector"):
             client.embed_batch(["x"], ids=["zzz"])
 
-    def test_remote_http(self, monkeypatch):
-        sent = {}
+    @staticmethod
+    def remote(stub, model="hashed-tf-64"):
+        return EmbeddingClient(EmbeddingProviderConfig(
+            kind="remote_http", model=model, url=stub.url("/v1/embeddings")))
 
-        class FakeResp:
-            status_code = 200
-
-            @staticmethod
-            def json():
-                return {
-                    "data": [
-                        {"embedding": [0.1, 0.2]},
-                        {"embedding": [0.3, 0.4]},
-                    ]
-                }
-
-        def fake_post(url, json=None, timeout=None):
-            sent["url"] = url
-            sent["payload"] = json
-            return FakeResp()
-
-        monkeypatch.setattr("requests.post", fake_post)
-        client = EmbeddingClient(
-            EmbeddingProviderConfig(
-                kind="remote_http", model="encoder-v1", url="http://emb.local/v1"
-            )
-        )
-        vecs = client.embed_batch(["first", "second"])
-        assert sent["payload"] == {"model": "encoder-v1", "input": ["first", "second"]}
+    def test_remote_http(self, stub):
+        stub.script.append(Reply(body={"data": [{"embedding": [0.1, 0.2]},
+                                                {"embedding": [0.3, 0.4]}]}))
+        vecs = self.remote(stub, model="encoder-v1").embed_batch(["first", "second"])
+        [seen] = stub.received
+        assert seen.path == "/v1/embeddings"
+        assert seen.body == {"model": "encoder-v1", "input": ["first", "second"]}
         assert np.allclose(vecs[1], [0.3, 0.4])
 
-    def test_remote_count_mismatch(self, monkeypatch):
-        class FakeResp:
-            status_code = 200
+    def test_remote_vectors_are_the_stub_answer(self, stub):
+        texts = ["first", "second", "third"]
+        vecs = self.remote(stub).embed_batch(texts)
+        assert [v.tolist() for v in vecs] == [embedding_vector(t) for t in texts]
+        assert all(v.dtype == np.float64 for v in vecs)
 
-            @staticmethod
-            def json():
-                return {"data": [{"embedding": [0.1]}]}
-
-        monkeypatch.setattr(
-            "requests.post", lambda *a, **k: FakeResp()
-        )
-        client = EmbeddingClient(
-            EmbeddingProviderConfig(kind="remote_http", url="http://emb.local")
-        )
+    def test_remote_count_mismatch(self, stub):
+        stub.script.append(Reply(body={"data": [{"embedding": [0.1]}]}))
         with pytest.raises(EmbeddingError, match="1 vectors for 2"):
-            client.embed_batch(["a", "b"])
+            self.remote(stub).embed_batch(["a", "b"])
 
-    def test_remote_http_error(self, monkeypatch):
-        class FakeResp:
-            status_code = 503
+    def test_remote_body_shape_is_checked(self, stub):
+        stub.script.append(Reply(body={"vectors": []}))
+        with pytest.raises(EmbeddingError, match="malformed embedding response"):
+            self.remote(stub).embed_batch(["a"])
 
-        monkeypatch.setattr(
-            "requests.post", lambda *a, **k: FakeResp()
-        )
-        client = EmbeddingClient(
-            EmbeddingProviderConfig(kind="remote_http", url="http://emb.local")
-        )
-        with pytest.raises(EmbeddingError, match="503"):
-            client.embed_batch(["a"])
+    def test_remote_http_error(self, stub):
+        stub.script.append(Reply(status=503, body=b"down"))
+        with pytest.raises(ProviderError, match="HTTP 503"):
+            self.remote(stub).embed_batch(["a"])
+
+    def test_remote_body_that_is_no_json(self, stub):
+        stub.script.append(Reply(body=b"not json"))
+        with pytest.raises(ProviderError, match="malformed response"):
+            self.remote(stub).embed_batch(["a"])

@@ -6,7 +6,6 @@ import sys
 import threading
 
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +26,7 @@ from dfscreen.gateway import (
 )
 
 from conftest import ScriptedProvider, oracle_provider
+from http_stub import Reply, closed_url
 
 
 class TestParseDecisionPlain:
@@ -415,18 +415,6 @@ class TestResponseCache:
         assert (third.get("k1"), third.get("k2")) == (r1, r2)
 
 
-class FakeHttpResponse:
-    def __init__(self, status_code=200, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("no body")
-        return self._body
-
-
 class TestHttpChatProvider:
     def chat_body(self, content, usage=None):
         body = {"choices": [{"message": {"content": content}}]}
@@ -434,135 +422,106 @@ class TestHttpChatProvider:
             body["usage"] = usage
         return body
 
-    def test_payload_shape(self, monkeypatch):
-        seen = {}
+    def send(self, stub, *replies, api_key=None, max_tokens=None):
+        stub.script.extend(replies)
+        provider = gateway.HttpChatProvider("m", stub.url("/v1/chat/completions"), api_key)
+        return provider.send("p", temperature=0.0, max_tokens=max_tokens, tags=None)
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, payload=json, headers=headers, timeout=timeout)
-            return FakeHttpResponse(
-                body=self.chat_body("include", {"prompt_tokens": 5, "completion_tokens": 1})
-            )
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        provider = gateway.HttpChatProvider("gpt-mini", "http://api.test/v1", api_key="sk-x")
+    def test_payload_shape(self, stub):
+        stub.script.append(Reply(body=self.chat_body(
+            "include", {"prompt_tokens": 5, "completion_tokens": 1})))
+        provider = gateway.HttpChatProvider("gpt-mini", stub.url("/v1"), api_key="sk-x")
         text, p_tok, c_tok = provider.send("screen this", temperature=0.0, max_tokens=64, tags=None)
         assert (text, p_tok, c_tok) == ("include", 5, 1)
-        assert seen["payload"] == {
+        [seen] = stub.received
+        assert seen.path == "/v1"
+        assert seen.body == {
             "model": "gpt-mini",
             "messages": [{"role": "user", "content": "screen this"}],
             "temperature": 0.0,
             "max_tokens": 64,
         }
-        assert seen["headers"] == {"Authorization": "Bearer sk-x"}
+        assert seen.headers["Authorization"] == "Bearer sk-x"
+        assert seen.headers["Content-Type"] == "application/json"
 
-    def test_max_tokens_omitted_when_unset(self, monkeypatch):
-        seen = {}
+    def test_max_tokens_omitted_when_unset(self, stub):
+        self.send(stub, Reply(body=self.chat_body("x")))
+        [seen] = stub.received
+        assert "max_tokens" not in seen.body
+        assert "Authorization" not in seen.headers
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen["payload"] = json
-            return FakeHttpResponse(body=self.chat_body("x"))
+    def test_stub_answer_reports_usage(self, stub):
+        text, p_tok, c_tok = self.send(stub)
+        assert parse_decision(text, True).confidence is not None
+        assert (p_tok, c_tok) == (0, len(text) // 4)
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        provider = gateway.HttpChatProvider("m", "http://api.test")
-        provider.send("p", temperature=0.0, max_tokens=None, tags=None)
-        assert "max_tokens" not in seen["payload"]
-        assert "Authorization" not in (seen.get("headers") or {})
-
-    def test_missing_usage_reports_none(self, monkeypatch):
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **k: FakeHttpResponse(body=self.chat_body("exclude")),
-        )
-        provider = gateway.HttpChatProvider("m", "http://api.test")
-        text, p_tok, c_tok = provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+    def test_missing_usage_reports_none(self, stub):
+        text, p_tok, c_tok = self.send(stub, Reply(body=self.chat_body("exclude")))
         assert (text, p_tok, c_tok) == ("exclude", None, None)
 
     @pytest.mark.parametrize("usage", [{"prompt_tokens": n, "completion_tokens": n}
                                        for n in (5.0, True, -1, "5", None)] + [[5, 1], "5"])
-    def test_usage_that_is_no_count_reports_none(self, monkeypatch, usage):
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **k: FakeHttpResponse(body=self.chat_body("exclude", usage)),
-        )
-        provider = gateway.HttpChatProvider("m", "http://api.test")
-        text, p_tok, c_tok = provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+    def test_usage_that_is_no_count_reports_none(self, stub, usage):
+        text, p_tok, c_tok = self.send(stub, Reply(body=self.chat_body("exclude", usage)))
         assert (text, p_tok, c_tok) == ("exclude", None, None)
 
     @pytest.mark.parametrize("content", [None, 5, ["include"]])
-    def test_content_that_is_no_string_is_terminal(self, monkeypatch, content):
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **k: FakeHttpResponse(body=self.chat_body(content)),
-        )
-        provider = gateway.HttpChatProvider("m", "http://api.test")
+    def test_content_that_is_no_string_is_terminal(self, stub, content):
         with pytest.raises(ProviderError, match="malformed completion response") as err:
-            provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+            self.send(stub, Reply(body=self.chat_body(content)))
         assert not isinstance(err.value, TransientProviderError)
 
     @pytest.mark.parametrize("status", [429, 500, 503])
-    def test_retryable_statuses(self, monkeypatch, status):
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **k: FakeHttpResponse(status_code=status),
-        )
-        provider = gateway.HttpChatProvider("m", "http://api.test")
-        with pytest.raises(TransientProviderError):
-            provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+    def test_retryable_statuses(self, stub, status):
+        with pytest.raises(TransientProviderError, match=f"HTTP {status}"):
+            self.send(stub, Reply(status=status, body=b"busy"))
 
-    def test_client_error_is_terminal(self, monkeypatch):
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **k: FakeHttpResponse(status_code=400, text="bad request"),
-        )
-        provider = gateway.HttpChatProvider("m", "http://api.test")
-        with pytest.raises(ProviderError) as err:
-            provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+    def test_client_error_is_terminal(self, stub):
+        with pytest.raises(ProviderError, match="HTTP 400: bad request") as err:
+            self.send(stub, Reply(status=400, body=b"bad request"))
         assert not isinstance(err.value, TransientProviderError)
 
-    def test_timeout_is_transient(self, monkeypatch):
-        def fake_post(*a, **k):
-            raise requests.Timeout("too slow")
+    def test_redirect_is_terminal_and_not_followed(self, stub):
+        moved = Reply(status=307, body=b"moved", headers={"Location": stub.url("/moved")})
+        with pytest.raises(ProviderError, match="HTTP 307: moved") as err:
+            self.send(stub, moved)
+        assert not isinstance(err.value, TransientProviderError)
+        assert len(stub.received) == 1
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        provider = gateway.HttpChatProvider("m", "http://api.test")
+    def test_timeout_is_transient(self, stub, monkeypatch):
+        monkeypatch.setattr(gateway, "DEFAULT_TIMEOUT", 0.2)
         with pytest.raises(TransientProviderError, match="timeout"):
+            self.send(stub, Reply(delay=1.0))
+
+    def test_closed_port_is_transient(self):
+        provider = gateway.HttpChatProvider("m", closed_url("/v1"))
+        with pytest.raises(TransientProviderError, match="transport error"):
             provider.send("p", temperature=0.0, max_tokens=None, tags=None)
 
-    def test_malformed_body_is_terminal(self, monkeypatch):
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **k: FakeHttpResponse(body={"choices": []}),
-        )
-        provider = gateway.HttpChatProvider("m", "http://api.test")
+    def test_malformed_body_is_terminal(self, stub):
         with pytest.raises(ProviderError, match="malformed"):
-            provider.send("p", temperature=0.0, max_tokens=None, tags=None)
+            self.send(stub, Reply(body={"choices": []}))
 
-    def test_same_model_at_two_urls_shares_no_cache_entry(self, monkeypatch):
-        posted = []
+    def test_body_that_is_no_json_is_terminal(self, stub):
+        with pytest.raises(ProviderError, match="malformed") as err:
+            self.send(stub, Reply(body=b"<html>oops</html>"))
+        assert not isinstance(err.value, TransientProviderError)
 
-        def fake_post(url, **kwargs):
-            posted.append(url)
-            return FakeHttpResponse(body=self.chat_body(f"exclude, says {url}"))
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_same_model_at_two_urls_shares_no_cache_entry(self, stub):
+        stub.script.extend(Reply(body=self.chat_body(f"exclude, says {name}"))
+                           for name in ("a", "b"))
         cache = ResponseCache()
-        a = gateway.HttpChatProvider("m", "http://a.test", api_key="sk-a")
-        b = gateway.HttpChatProvider("m", "http://b.test", api_key="sk-a")
-        assert complete("p", a, CostLedger(), cache=cache).text == "exclude, says http://a.test"
-        assert complete("p", b, CostLedger(), cache=cache).text == "exclude, says http://b.test"
-        assert posted == ["http://a.test", "http://b.test"]
+        a = gateway.HttpChatProvider("m", stub.url("/a"), api_key="sk-a")
+        b = gateway.HttpChatProvider("m", stub.url("/b"), api_key="sk-a")
+        assert complete("p", a, CostLedger(), cache=cache).text == "exclude, says a"
+        assert complete("p", b, CostLedger(), cache=cache).text == "exclude, says b"
+        assert [seen.path for seen in stub.received] == ["/a", "/b"]
         assert [cache.get(ResponseCache.key("p", p.identity, 0.0)).text for p in (a, b)] == [
-            "exclude, says http://a.test", "exclude, says http://b.test"]
+            "exclude, says a", "exclude, says b"]
         # The API key is a credential, not part of what answers.
-        rekeyed = gateway.HttpChatProvider("m", "http://a.test", api_key="sk-other")
-        assert complete("p", rekeyed, CostLedger(), cache=cache).text.endswith("a.test")
-        assert len(posted) == 2 and "sk-" not in a.identity
+        rekeyed = gateway.HttpChatProvider("m", stub.url("/a"), api_key="sk-other")
+        assert complete("p", rekeyed, CostLedger(), cache=cache).text.endswith("says a")
+        assert len(stub.received) == 2 and "sk-" not in a.identity
 
 
 class TestOracleProvider:

@@ -20,6 +20,7 @@ from dfscreen.gateway import (
     OracleProfile,
     ProviderError,
     ResponseCache,
+    TransientProviderError,
     estimate_tokens,
 )
 from dfscreen.prompting import Strategy
@@ -451,6 +452,22 @@ class TestExecutor:
             f"7 of 60 records failed (12%); first: ({doomed[0]!r}, 'down')"
         )
         assert [rid for rid, _ in failures] == doomed
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_dead_endpoint_stops_once_the_budget_is_spent(self, parallelism):
+        dataset = synth.synth_review("DEAD", 119, 30, k=4, seed=5)
+        down = TransientProviderError("transport error: connection refused")
+        provider = MappedProvider("base", errors={r.id: down for r in dataset.records})
+        waits = []
+        with pytest.raises(RunError, match="of 119 records failed") as info:
+            run_single_stage(dataset, Strategy.ZERO_SHOT, provider, "C.",
+                             parallelism=parallelism, sleep=waits.append)
+        # The budget is 11 records: the twelfth failure stops new claims,
+        # and the records other workers hold finish; 3 attempts each.
+        assert len(provider.calls) <= 3 * (11 + parallelism)
+        assert sum(waits) == len(provider.calls)  # 1 s and 2 s per record
+        if parallelism == 1:
+            assert str(info.value).startswith("12 of 119 records failed")
 
     def test_parallelism_one_runs_on_the_calling_thread(self, small_pipeline):
         seen = set()

@@ -6,11 +6,13 @@ SRC_DIR is a tree's ``src/`` directory.  The script writes the 10-review
 synthetic workspace into a temporary directory and runs, in this one
 interpreter, the workspace writer, ``tools/outputs.py``'s ``csv_review``
 and every command of its ``command_matrix`` through ``dfscreen.cli.main``,
-with a call tracer installed by ``sys.settrace`` and
-``threading.settrace`` from before ``dfscreen`` is first imported.  It
-then prints, by file and line, each function defined in SRC_DIR's
-``dfscreen`` package (methods and nested functions included, lambdas and
-comprehensions not) that no command entered, and a count.  A function
+then a ``remote_http`` ``project`` and an ``http`` ``screen`` of one review
+against ``tests/http_stub.py``'s loopback endpoint, with a call tracer
+installed by ``sys.settrace`` and ``threading.settrace`` from before
+``dfscreen`` is first imported.  It then prints, by file and line, each
+function defined in SRC_DIR's ``dfscreen`` package (methods and nested
+functions included, lambdas and comprehensions not) that no command
+entered, and a count.  A function
 listed in ``UNREACHABLE`` is printed under the reason it is there; any
 other is printed on its own, and a table entry that a command now
 enters, or that names no function, is reported as stale.  It exits 1 if a command fails or a
@@ -22,26 +24,25 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
 import threading
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from outputs import command_matrix, csv_review  # noqa: E402
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [TOOLS, os.path.join(os.path.dirname(TOOLS), "tests")]
+from http_stub import Stub  # noqa: E402
+from outputs import CSV_REVIEW, command_matrix, csv_review  # noqa: E402
 
 
-NETWORK = "network only"
-NOT_IN_MATRIX = "not in the matrix, which embeds with hashed_tf"
+NOT_IN_MATRIX = "not in the matrix, which imports no vectors"
 TRACER = "kept for the benchmark's tracer"
 ERROR_PATH = "error paths"
 
 # Functions the offline matrix cannot enter, keyed by (file in the
 # package, qualified name), each with its reason.
 UNREACHABLE = {
-    ("gateway.py", "HttpChatProvider.__init__"): NETWORK,
-    ("gateway.py", "HttpChatProvider.send"): NETWORK,
-    ("embedding.py", "EmbeddingClient._remote"): NETWORK,
     ("embedding.py", "EmbeddingClient._import_vectors"): NOT_IN_MATRIX,
     ("embedding.py", "EmbeddingClient._import_vectors.<locals>.entry"): NOT_IN_MATRIX,
     ("embedding.py", "write_vectors_jsonl"): TRACER,
@@ -49,6 +50,28 @@ UNREACHABLE = {
     ("jsonl.py", "read_jsonl.<locals>.fail"): ERROR_PATH,
     ("gateway.py", "ResponseCache._ensure_loaded.<locals>.fail"): ERROR_PATH,
 }
+
+
+def http_commands(ws: str, stub: Stub) -> list[tuple[str, list[str]]]:
+    """(name, argv) of a ``project`` and a ``screen`` of one review at ``stub``.
+
+    They read a config of their own with their own cache, so the matrix's
+    outputs are the same as without them.
+    """
+    with open(os.path.join(ws, "config.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    chat = stub.url("/v1/chat/completions")
+    config.update(
+        reviews={CSV_REVIEW: config["reviews"][CSV_REVIEW]}, cache_dir="http_cache",
+        provider={"kind": "http"}, stage1={**config["stage1"], "url": chat},
+        stage2={**config["stage2"], "url": chat},
+        embedding={"kind": "remote_http", "model": "stub", "url": stub.url("/v1/embeddings")},
+    )
+    path = os.path.join(ws, "http_config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    return [("project-remote-http", ["project", "--config", path]),
+            ("screen-http", ["screen", "--config", path, "--out", os.path.join(ws, "run_http")])]
 
 
 def defined_functions(package_dir: str) -> dict[tuple[str, int, str], str]:
@@ -100,13 +123,14 @@ def main(argv: list[str] | None = None) -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 synth.main([ws, "--seed", str(args.seed)])
             csv_review(ws)
-            for name, command in command_matrix(ws):
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(command)
-                if code != 0:
-                    print(f"{name}: exit {code}", file=sys.stderr)
-                    failed += 1
+            with Stub() as stub:
+                for name, command in [*command_matrix(ws), *http_commands(ws, stub)]:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.main(command)
+                    if code != 0:
+                        print(f"{name}: exit {code}", file=sys.stderr)
+                        failed += 1
         finally:
             sys.settrace(None)
             threading.settrace(None)
