@@ -99,14 +99,17 @@ class EmbeddingClient:
 
     def _remote(self, texts: list[str]) -> list[np.ndarray]:
         import numpy as np
-        body = post_json(self.config.url, {"model": self.config.model, "input": texts})
+
+        payload = {"model": self.config.model, "input": texts}
+        body = post_json(self.config.url, payload)
         try:
             vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in body["data"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise EmbeddingError(f"malformed embedding response: {exc}") from None
         if len(vectors) != len(texts):
-            raise EmbeddingError(f"embedding endpoint returned {len(vectors)} vectors "
-                                 f"for {len(texts)} texts")
+            raise EmbeddingError(
+                f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} texts"
+            )
         dims = {len(v) for v in vectors}
         if len(dims) > 1:
             raise EmbeddingError(f"inconsistent vector dimensions in batch: {sorted(dims)}")

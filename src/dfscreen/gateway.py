@@ -25,6 +25,7 @@ import sys
 import threading
 import time
 from dataclasses import astuple, dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
@@ -390,19 +391,34 @@ def complete(
     return response
 
 
+@lru_cache(maxsize=None)
+def _opener():
+    """An opener that follows no redirect, so a request's headers (its API key
+    among them) reach only the url it was made for."""
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class NoRedirect(HTTPRedirectHandler):
+        def redirect_request(self, *args, **kwargs):
+            return None  # the 3xx comes back as an HTTPError
+
+    return build_opener(NoRedirect)
+
+
 def post_json(url: str, payload: dict, headers: dict | None = None):
     """POST ``payload`` as JSON; the decoded body of a 200 reply.  A 429, a 5xx,
     a timeout or a transport failure raises TransientProviderError; any other
-    status or a body that is not JSON raises ProviderError, naming which."""
+    status (a redirect included) or a body that is not JSON raises
+    ProviderError, naming which."""
     from http.client import HTTPException
-    from urllib.request import HTTPError, Request, urlopen
+    from urllib.request import HTTPError, Request
+
     if not url.lower().startswith(("http://", "https://")):
         raise ProviderError(f"not an http(s) url: {url!r}")
     request = Request(url, json.dumps(payload).encode("utf-8"),
                       {"Content-Type": "application/json", **(headers or {})})
     try:
         try:
-            reply = urlopen(request, timeout=DEFAULT_TIMEOUT)
+            reply = _opener().open(request, timeout=DEFAULT_TIMEOUT)
         except HTTPError as exc:
             reply = exc  # an error status, whose body is read like any other
         with reply:
@@ -430,12 +446,16 @@ class HttpChatProvider:
         self.identity = f"{model_id}@{url}"
 
     def send(self, prompt_text, temperature, max_tokens, tags):
-        payload = {"model": self.model_id,
-                   "messages": [{"role": "user", "content": prompt_text}],
-                   "temperature": temperature}
+        payload = {
+            "model": self.model_id,
+            "messages": [{"role": "user", "content": prompt_text}],
+            "temperature": temperature,
+        }
         if max_tokens is not None:
             payload["max_tokens"] = max_tokens
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
+        headers = {}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
         body = post_json(self.url, payload, headers)
         try:
             text = body["choices"][0]["message"]["content"]
@@ -443,7 +463,9 @@ class HttpChatProvider:
             raise ProviderError(f"malformed completion response: {exc}") from None
         if not isinstance(text, str):
             raise ProviderError(f"malformed completion response: content {text!r}")
-        usage = body["usage"] if isinstance(body.get("usage"), dict) else {}
+        usage = body.get("usage")
+        if not isinstance(usage, dict):
+            usage = {}
         # A count that is not a nonnegative integer is estimated instead.
         p_tok, c_tok = (n if type(n) is int and n >= 0 else None
                         for n in (usage.get("prompt_tokens"), usage.get("completion_tokens")))

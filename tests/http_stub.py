@@ -10,7 +10,8 @@ queued on ``stub.script`` are served first, one per request, and
 ``stub.always``, when set, answers every request after them: that is how
 a test scripts an error status, a body that is not JSON, a body without
 usage or a reply slower than the client's timeout.  ``stub.received``
-holds every request, in arrival order.  Standard library only.
+holds every request, a GET included, in arrival order.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -92,6 +93,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
         self.wfile.write(raw)
+
+    def do_GET(self):
+        # Only a client that follows a redirect sends one; it is logged and refused.
+        stub = self.server.stub
+        with stub.lock:
+            stub.received.append(Seen(self.path, self.headers, None))
+        self.send_error(405)
 
     def log_message(self, format, *args):
         pass

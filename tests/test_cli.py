@@ -1445,14 +1445,18 @@ class TestHttpEndpoints:
             os.path.join(runs[2], "manifest.json"))
         assert len({slurp(os.path.join(out, "sweep.csv")) for out in sweeps}) == 1
 
-    def test_dead_chat_endpoint_is_exit_3_within_the_budget(self, tmp_path, stub, capsys):
+    def test_refusing_chat_endpoint_is_exit_3_within_the_budget(self, tmp_path, stub, capsys):
+        # A 400 is not retried, so no backoff is slept; test_triage bounds the
+        # sends of a transient failure with an injected sleep.
         config = self.stub_workspace(tmp_path, stub, n=9)  # a budget of 0 records
         assert cli.main(["project", *config]) == cli.EXIT_OK
         embedded = len(stub.received)
-        stub.always = Reply(status=503, body=b"down")
+        stub.always = Reply(status=400, body=b"bad request")
         assert cli.main(["screen", *config, "--out", str(tmp_path / "out")]) == cli.EXIT_PROVIDER
-        assert capsys.readouterr().err.startswith("provider failure: 1 of 9 records failed")
-        assert len(stub.received) - embedded == 3  # one record's three attempts
+        err = capsys.readouterr().err
+        assert err.startswith("provider failure: 1 of 9 records failed")
+        assert "HTTP 400: bad request" in err
+        assert len(stub.received) - embedded == 1
 
     def test_dead_embedding_endpoint_is_exit_3(self, tmp_path, capsys):
         config = self.workspace(str(tmp_path / "ws"), closed_url("/v1/chat/completions"),

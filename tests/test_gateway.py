@@ -481,12 +481,14 @@ class TestHttpChatProvider:
             self.send(stub, Reply(status=400, body=b"bad request"))
         assert not isinstance(err.value, TransientProviderError)
 
-    def test_redirect_is_terminal_and_not_followed(self, stub):
-        moved = Reply(status=307, body=b"moved", headers={"Location": stub.url("/moved")})
-        with pytest.raises(ProviderError, match="HTTP 307: moved") as err:
-            self.send(stub, moved)
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_terminal_and_not_followed(self, stub, status):
+        # Following it would send the request, and its API key, somewhere else.
+        moved = Reply(status=status, body=b"moved", headers={"Location": stub.url("/moved")})
+        with pytest.raises(ProviderError, match=f"HTTP {status}: moved") as err:
+            self.send(stub, moved, api_key="sk-x")
         assert not isinstance(err.value, TransientProviderError)
-        assert len(stub.received) == 1
+        assert [seen.path for seen in stub.received] == ["/v1/chat/completions"]
 
     def test_timeout_is_transient(self, stub, monkeypatch):
         monkeypatch.setattr(gateway, "DEFAULT_TIMEOUT", 0.2)

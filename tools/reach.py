@@ -49,6 +49,7 @@ UNREACHABLE = {
     ("jsonl.py", "each_row.<locals>.alone"): ERROR_PATH,
     ("jsonl.py", "read_jsonl.<locals>.fail"): ERROR_PATH,
     ("gateway.py", "ResponseCache._ensure_loaded.<locals>.fail"): ERROR_PATH,
+    ("gateway.py", "_opener.<locals>.NoRedirect.redirect_request"): ERROR_PATH,
 }
 
 
