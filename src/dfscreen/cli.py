@@ -129,6 +129,12 @@ ORACLE_PROFILES = {
 RUN_SETTINGS = ("strategy", "threshold", "seed", "temperature", "parallelism")
 CONFIG_KEYS = ("reviews", "embedding", "projection", "stage1", "stage2", "provider",
                "cache_dir", *RUN_SETTINGS)
+# The keys each section of a config may hold; STAGE_KEYS is for stage1 and stage2.
+REVIEW_KEYS = ("dataset", "criteria", "k")
+EMBEDDING_KEYS = ("kind", "model", "url", "path", "dim")
+PROJECTION_KEYS = ("method", "path")
+STAGE_KEYS = ("model", "pricing", "url", "api_key_env")
+PROVIDER_KEYS = ("kind", *ORACLE_PROFILES)
 
 
 class PipelineConfig:
@@ -153,7 +159,7 @@ class PipelineConfig:
         for rid, entry in reviews.items():
             if not rid or "/" in rid or "\\" in rid:
                 raise ConfigError(f"review id {rid!r} must be nonempty and hold no '/' or '\\'")
-            _mapping(entry, f"review {rid}", ("dataset", "criteria", "k"))
+            _mapping(entry, f"review {rid}", REVIEW_KEYS)
             if "dataset" not in entry or "criteria" not in entry:
                 raise ConfigError(f"review {rid}: needs 'dataset' and 'criteria' paths")
             k = entry.get("k")
@@ -162,15 +168,15 @@ class PipelineConfig:
                 "criteria": self._resolve(entry["criteria"]),
                 "k": None if k is None else _typed(f"review {rid}: k", k, int),
             }
-        keys = ("kind", "model", "url", "path", "dim")
-        emb = {"kind": "hashed_tf", **_mapping(raw.get("embedding", {}), "embedding", keys)}
+        emb = {"kind": "hashed_tf",
+               **_mapping(raw.get("embedding", {}), "embedding", EMBEDDING_KEYS)}
         if emb.get("path"):
             emb["path"] = self._resolve(emb["path"])
         self.embedding = _read("embedding", EmbeddingProviderConfig, emb)
         proj = raw.get("projection", "pca")
         if isinstance(proj, str):
             proj = {"method": proj}
-        _mapping(proj, "projection", ("method", "path"))
+        _mapping(proj, "projection", PROJECTION_KEYS)
         if proj.get("method") not in ("pca", "import"):
             raise ConfigError(f"unknown projection method {proj.get('method')!r}")
         if proj["method"] == "import":
@@ -186,7 +192,7 @@ class PipelineConfig:
             "stage2_pricing": self.stage2["pricing"],
         })
         self.provider = _mapping(raw.get("provider", {"kind": "oracle"}), "provider",
-                                 ("kind", *ORACLE_PROFILES))
+                                 PROVIDER_KEYS)
         kind = self.provider.get("kind")
         if kind == "oracle":
             self.profiles = tuple(
@@ -211,7 +217,7 @@ class PipelineConfig:
 
     @staticmethod
     def _stage(raw: dict, key: str, model: str, pricing: ModelPricing) -> dict:
-        entry = _mapping(raw.get(key, {}), key, ("model", "pricing", "url", "api_key_env"))
+        entry = _mapping(raw.get(key, {}), key, STAGE_KEYS)
         prices = _mapping(entry.get("pricing", {}), f"{key} pricing")
         return {
             "model": entry.get("model", model),
@@ -252,9 +258,9 @@ class ReviewPipeline:
 
     Each stage runs at most once per pipeline, through ``_artifact``: it
     reads the stage's artifact back if cached, else builds and writes it.
-    Every stage's cache key folds in its parameters and its input's key,
-    so a changed dataset, embedding config, or seed invalidates exactly
-    the stages downstream of the change.
+    Every stage's cache key (``keys``) folds in its parameters and its
+    input's key, so a changed dataset, embedding config, or seed
+    invalidates exactly the stages downstream of the change.
     """
 
     def __init__(self, cfg: PipelineConfig, review_id: str, cache: ArtifactCache):
@@ -303,7 +309,6 @@ class ReviewPipeline:
         none is damaged: a ConfigError naming the file.
         """
         source = self.entry["dataset"]
-        key = content_key("curate", {"dataset_sha256": _file_sha256(source)}, [])
 
         def build():
             dataset, report = corpus.curate(corpus.load_dataset(source, self.review_id))
@@ -317,8 +322,9 @@ class ReviewPipeline:
                 raise ConfigError(f"unreadable artifact {path}: no records")
             return dataset, None
 
-        (dataset, report), _ = self._artifact(
-            key, build, read, lambda built, path: corpus.write_dataset_jsonl(built[0], path),
+        (dataset, report), key = self._artifact(
+            self._curate_key(), build, read,
+            lambda built, path: corpus.write_dataset_jsonl(built[0], path),
         )
         return dataset, report, key
 
@@ -336,20 +342,36 @@ class ReviewPipeline:
             )
         return gold
 
-    def _embed_key(self) -> str:
-        """Key of the vectors ``project`` reads; they are never written to a file."""
-        _, _, curate_key = self.curated()
-        params = {"provider": self.cfg.embedding.fingerprint()}
-        if self.cfg.embedding.kind == "file_import":
-            params["source_sha256"] = _file_sha256(self.cfg.embedding.path)
-        return content_key("embed", params, [curate_key])
+    @_once
+    def _curate_key(self) -> str:
+        """Apart from ``keys``, which may count the records ``curated`` reads at this key."""
+        return content_key("curate", {"dataset_sha256": _file_sha256(self.entry["dataset"])}, [])
+
+    def _k(self) -> int:
+        """The cluster count: ``k`` if pinned, else chosen from the curated record count."""
+        k = self.entry["k"]
+        return clustering_mod.choose_k(len(self.curated()[0]) if k is None else 0, override=k)
 
     @_once
-    def _project_key(self) -> str:
-        params = {"method": self.cfg.projection["method"]}
-        if params["method"] == "import":
-            params["source_sha256"] = _file_sha256(self.cfg.projection["path"])
-        return content_key("project", params, [self._embed_key()])
+    def keys(self) -> dict[str, str]:
+        """Stage name -> cache key, from the config and each input file's sha256.
+
+        No key loads an artifact, but a review that leaves ``k`` unpinned
+        counts its curated records.
+        """
+        cfg = self.cfg
+        embed = {"provider": cfg.embedding.fingerprint()}
+        if cfg.embedding.kind == "file_import":
+            embed["source_sha256"] = _file_sha256(cfg.embedding.path)
+        project = {"method": cfg.projection["method"]}
+        if project["method"] == "import":
+            project["source_sha256"] = _file_sha256(cfg.projection["path"])
+        key = self._curate_key()
+        keys = {"curate": key}
+        for stage, params in (("embed", embed), ("project", project),
+                              ("cluster", {"k": self._k(), "seed": cfg.seed}), ("pool", {})):
+            key = keys[stage] = content_key(stage, params, [key])
+        return keys
 
     @_once
     def points(self):
@@ -365,28 +387,22 @@ class ReviewPipeline:
             return project_2d(ids, vecs, method, self.cfg.projection.get("path"))
 
         return self._artifact(
-            self._project_key(), build, read_points_jsonl, write_points_jsonl
+            self.keys()["project"], build, read_points_jsonl, write_points_jsonl
         )
 
     @_once
     def clustering(self):
-        # One point per curated record, so a warm run need not read the points.
-        k = clustering_mod.choose_k(len(self.curated()[0]), override=self.entry.get("k"))
-        params = {"k": k, "seed": self.cfg.seed}
-        key = content_key("cluster", params, [self._project_key()])
         return self._artifact(
-            key,
-            lambda: clustering_mod.kmeans(self.points()[0], k, self.cfg.seed),
+            self.keys()["cluster"],
+            lambda: clustering_mod.kmeans(self.points()[0], self._k(), self.cfg.seed),
             clustering_mod.Clustering.from_json,
         )
 
     @_once
     def pool(self):
-        clus, cluster_key = self.clustering()
-        key = content_key("pool", {}, [cluster_key])
         return self._artifact(
-            key,
-            lambda: build_pool(self.curated()[0], clus, self.points()[0]),
+            self.keys()["pool"],
+            lambda: build_pool(self.curated()[0], self.clustering()[0], self.points()[0]),
             ExemplarPool.from_json,
         )
 
@@ -396,9 +412,8 @@ class ReviewPipeline:
         unplaced = any(r.id not in clus.assignment for r in self.curated()[0].records)
         return self.pool()[0], clus, self.points()[0] if unplaced else {}
 
-    @_once
     def providers(self):
-        """(stage-1, stage-2) providers; the oracle answers from the gold labels."""
+        """(stage-1, stage-2) providers, not kept: an oracle's gold loader holds the pipeline."""
         cfg = self.cfg
         stages = (cfg.stage1, cfg.stage2)
         if cfg.provider["kind"] == "http":
@@ -407,9 +422,13 @@ class ReviewPipeline:
                     os.environ.get(stage["api_key_env"]) if stage["api_key_env"] else None))
                 for stage in stages
             )
-        gold = self.gold()
-        if any(v is None for v in gold.values()):
-            raise ConfigError("oracle provider needs gold labels on every record")
+
+        def gold():
+            labels = self.gold()
+            if any(v is None for v in labels.values()):
+                raise ConfigError("oracle provider needs gold labels on every record")
+            return labels
+
         return tuple(
             OracleProvider(stage["model"], gold, profile, cfg.seed)
             for stage, profile in zip(stages, cfg.profiles)
@@ -437,7 +456,7 @@ class ReviewPipeline:
             "criteria_sha256": sha256_hex(self.criteria()),
             "providers": [p.identity for p in self.providers()],
         }
-        return content_key("screen", params, [self.pool()[1]])
+        return content_key("screen", params, [self.keys()["pool"]])
 
 
 def cmd_curate(args) -> int:
@@ -520,31 +539,27 @@ def _log_digest(path: str, size: int) -> str | None:
     return None if left or not block.endswith(b"\n") else h.hexdigest()
 
 
-def _memo_trailer(fields: dict) -> bytes:
-    """The memo's last line: ``fields`` and the sha256 of their canonical JSON."""
-    check = sha256_hex(canonical_json(fields))
-    return (canonical_json({**fields, "trailer_sha256": check}) + "\n").encode("ascii")
+def _seal(body: bytes, facts: dict) -> str:
+    """sha256 of a memo's results bytes followed by the canonical JSON of its facts."""
+    return hashlib.sha256(body + canonical_json(facts).encode("ascii")).hexdigest()
 
 
 def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
                 routed: int, log: str) -> None:
-    """Store a review's results bytes at ``key`` with the trailer that checks them.
+    """Store a review's results bytes at ``key``, sealed with the facts of their screen.
 
-    The trailer records the results' length and sha256, the routed and
-    record counts, and the length and sha256 of the response log as it
-    stands, which holds every answer the results were built from.
+    The last line holds the record and routed counts, the length and sha256
+    of the response log as it stands, which holds every answer the results
+    were built from, and the ``_seal`` over the results and those facts.
     """
     with open(results_path, "rb") as fh:
         body = fh.read()
     log_bytes = os.path.getsize(log)
-    log_sha256 = _log_digest(log, log_bytes)
-    if log_sha256 is None:
+    facts = {"log_bytes": log_bytes, "log_sha256": _log_digest(log, log_bytes),
+             "records": records, "routed": routed}
+    if facts["log_sha256"] is None:
         return  # a log not ending in a whole line; the next run screens again
-    data = body + _memo_trailer({
-        "log_bytes": log_bytes, "log_sha256": log_sha256, "records": records,
-        "results_bytes": len(body), "results_sha256": hashlib.sha256(body).hexdigest(),
-        "routed": routed,
-    })
+    data = body + (canonical_json({**facts, "seal": _seal(body, facts)}) + "\n").encode("ascii")
 
     def write(path: str) -> None:
         with open(path, "wb") as fh:
@@ -553,12 +568,12 @@ def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
     cache.write_atomic(key, write)
 
 
-def _memo_hit(cache: ArtifactCache, key: str, records: int, log: str):
-    """(results bytes, routed count) of the memo at ``key``, or None for a miss.
+def _memo_hit(cache: ArtifactCache, key: str, log: str):
+    """(results bytes, record count, routed count) of the memo at ``key``, or None.
 
-    A memo is used only if it passes its own check, holds ``records``
-    rows, and the log still starts with the prefix its answers came from.
-    One that fails its own check is damaged: a line on stderr names it.
+    A memo is used only if its seal holds and the log still starts with the
+    prefix its answers came from.  One whose seal fails is damaged, or was
+    written in an older format: a line on stderr names it.
     """
     if not cache.has(key):
         return None
@@ -566,22 +581,17 @@ def _memo_hit(cache: ArtifactCache, key: str, records: int, log: str):
     with open(path, "rb") as fh:
         data = fh.read()
     cut = data.rfind(b"\n", 0, len(data) - 1) + 1
-    body, trailer = data[:cut], data[cut:]
+    body = data[:cut]
     try:
-        fields = json.loads(trailer)
-        if _memo_trailer({k: v for k, v in fields.items() if k != "trailer_sha256"}) != trailer:
-            raise ValueError("the trailer fails its check")
-        if (len(body), hashlib.sha256(body).hexdigest()) != (
-                fields["results_bytes"], fields["results_sha256"]):
-            raise ValueError("the results fail their check")
-        held, routed = fields["records"], fields["routed"]
-        log_bytes, log_sha256 = fields["log_bytes"], fields["log_sha256"]
+        facts = json.loads(data[cut:])
+        if _seal(body, {k: v for k, v in facts.items() if k != "seal"}) != facts["seal"]:
+            raise ValueError("the memo fails its seal")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"screen memo {path}: damaged ({exc!r}); screening again", file=sys.stderr)
         return None
-    if held != records or _log_digest(log, log_bytes) != log_sha256:
+    if _log_digest(log, facts["log_bytes"]) != facts["log_sha256"]:
         return None
-    return body, routed
+    return body, facts["records"], facts["routed"]
 
 
 def _replayed_ledger(run: RunConfig, records: int, routed: int) -> CostLedger:
@@ -644,18 +654,18 @@ def cmd_screen(args) -> int:
     with closing(ResponseCache(log)) as response_cache:
         for rid, pipe in _pipelines(cfg):
             key = pipe.screen_key()
-            records = len(pipe.curated()[0])
             results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
             failures: list = []
-            hit = _memo_hit(pipe.cache, key, records, log)
+            hit = _memo_hit(pipe.cache, key, log)
             if hit is not None:
-                body, routed = hit
+                body, records, routed = hit
                 with open(results_path, "wb") as fh:
                     fh.write(body)
                 ledger = _replayed_ledger(cfg.run, records, routed)
             else:
                 results, ledger = _screen_review(pipe, response_cache, failures)
                 triage.write_results_jsonl(results, results_path)
+                records = len(pipe.curated()[0])
                 routed = sum(1 for r in results if r.routed)
                 if not failures:
                     _write_memo(pipe.cache, key, results_path, records, routed, log)

@@ -98,12 +98,10 @@ class EmbeddingClient:
         return self._remote(texts)
 
     def _remote(self, texts: list[str]) -> list[np.ndarray]:
-        import numpy as np
-
         payload = {"model": self.config.model, "input": texts}
         body = post_json(self.config.url, payload)
         try:
-            vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in body["data"]]
+            vectors = [_vector(item["embedding"]) for item in body["data"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise EmbeddingError(f"malformed embedding response: {exc}") from None
         if len(vectors) != len(texts):
@@ -118,19 +116,13 @@ class EmbeddingClient:
     def _import_vectors(
         self, texts: list[str], ids: list[str] | None
     ) -> list[np.ndarray]:
-        import numpy as np
         if ids is None:
             raise EmbeddingError("file_import provider needs record ids")
         if len(ids) != len(texts):
             raise EmbeddingError("ids and texts length mismatch")
 
         def entry(row):
-            vec = np.array(row["vector"])
-            if vec.ndim != 1 or vec.dtype.kind not in "iuf":
-                raise ValueError("vector is not a list of numbers")
-            if not np.isfinite(vec).all():
-                raise ValueError("vector holds a value that is not finite")
-            return str(row["id"]), vec.astype(np.float64, copy=False)
+            return str(row["id"]), _vector(row["vector"])
 
         table = dict(read_jsonl(self.config.path, entry, EmbeddingError, "bad vector row"))
         out = []
@@ -142,6 +134,17 @@ class EmbeddingClient:
         if len(dims) > 1:
             raise EmbeddingError(f"inconsistent imported dimensions: {sorted(dims)}")
         return out
+
+
+def _vector(value) -> np.ndarray:
+    """``value`` as a float64 vector: one flat list of finite numbers, else ValueError."""
+    import numpy as np
+    vec = np.array(value)
+    if vec.ndim != 1 or vec.dtype.kind not in "iuf":
+        raise ValueError("vector is not a list of numbers")
+    if not np.isfinite(vec).all():
+        raise ValueError("vector holds a value that is not finite")
+    return vec.astype(np.float64, copy=False)
 
 
 def write_vectors_jsonl(ids: list[str], vectors: list[np.ndarray], path: str) -> None:

@@ -25,7 +25,7 @@ import sys
 import threading
 import time
 from dataclasses import astuple, dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
@@ -495,7 +495,8 @@ class OracleProvider:
     give identical answers no matter the call order or thread count.
     Confidence values are emitted unrounded: rounding could push a value
     across the routing threshold.  It never waits, so the cascade screens
-    with it on the calling thread (``in_process``).
+    with it on the calling thread (``in_process``).  ``gold`` is the labels
+    or a function that returns them, called on the first ``send``.
     """
 
     in_process = True
@@ -503,15 +504,19 @@ class OracleProvider:
     def __init__(
         self,
         model_id: str,
-        gold: dict[str, str],
+        gold: dict[str, str] | Callable[[], dict[str, str]],
         profile: OracleProfile,
         seed: int,
     ):
         self.model_id = model_id
-        self.gold = gold
+        self._gold = gold
         self.profile = profile
         self.seed = seed
         self.identity = f"{model_id}@{astuple(profile)}:{seed}"
+
+    @cached_property
+    def gold(self) -> dict[str, str]:
+        return self._gold() if callable(self._gold) else self._gold
 
     def send(self, prompt_text, temperature, max_tokens, tags):
         record_id = (tags or {}).get("record_id")

@@ -23,7 +23,6 @@ from dfscreen.gateway import (
 from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
-from conftest import full_pool
 from http_stub import Reply, closed_url
 
 SHAPES = [
@@ -601,11 +600,53 @@ class TestStageMemo:
         return [name for name in opened if name != "responses.jsonl"]
 
     def test_warm_screen_opens_each_artifact_at_most_once(self, tmp_path, monkeypatch):
+        # A memo hit reads its memo and no stage artifact.
         artifacts = self.warm_artifacts_opened(tmp_path, monkeypatch, ["screen"])
         assert len(artifacts) == len(set(artifacts))
-        stages = {name.split("-")[0] for name in artifacts}
-        assert stages == {"curate", "cluster", "pool", "screen"}
-        assert len(artifacts) == 4 * len(SHAPES)
+        assert {name.split("-")[0] for name in artifacts} == {"screen"}
+        assert len(artifacts) == len(SHAPES)
+
+    def test_warm_screen_parses_no_curated_record(self, tmp_path, monkeypatch):
+        # Every review pins k, so its keys come from file hashes alone.
+        config_path = build_workspace(str(tmp_path / "ws"))
+        argv = ["screen", "--config", config_path, "--out"]
+        assert cli.main(argv + [str(tmp_path / "cold")]) == cli.EXIT_OK
+        opened, parsed = [], []
+        real_open, real_load = builtins.open, corpus.load_dataset_jsonl
+
+        def record_open(file, *args, **kwargs):
+            opened.append(os.path.basename(str(file)).split("-")[0])
+            return real_open(file, *args, **kwargs)
+
+        def record_load(path, *args):
+            parsed.append(path)
+            return real_load(path, *args)
+
+        monkeypatch.setattr(builtins, "open", record_open)
+        monkeypatch.setattr(corpus, "load_dataset_jsonl", record_load)
+        assert cli.main(argv + [str(tmp_path / "warm")]) == cli.EXIT_OK
+        monkeypatch.undo()
+        assert parsed == []
+        assert not {"curate", "project", "cluster", "pool"}.intersection(opened)
+        for shape in SHAPES:
+            name = f"results_{shape.review_id}.jsonl"
+            assert slurp(tmp_path / "warm" / name) == slurp(tmp_path / "cold" / name)
+
+    def test_cold_baseline_screen_builds_no_exemplar_artifact(self, tmp_path):
+        dataset = synth.synth_review("BASE", 40, 10, k=3, seed=4)
+        bare, built = (single_review_workspace(str(tmp_path / ws), dataset)
+                       for ws in ("bare", "built"))
+        assert cli.main(["pool", "--config", built]) == cli.EXIT_OK
+        for config_path, out in ((bare, "bare_run"), (built, "built_run")):
+            argv = ["screen", "--config", config_path, "--out", str(tmp_path / out),
+                    "--strategy", "zs"]
+            assert cli.main(argv) == cli.EXIT_OK
+        names = os.listdir(tmp_path / "bare" / "cache")
+        assert sorted(name.split("-")[0] for name in names) == [
+            "curate", "responses.jsonl", "screen"]
+        # The results and manifest of a screen whose exemplar artifacts exist.
+        for name in ("results_BASE.jsonl", "manifest.json"):
+            assert slurp(tmp_path / "bare_run" / name) == slurp(tmp_path / "built_run" / name)
 
     @pytest.mark.parametrize(
         "command", [["sweep"], ["screen", "--dry-run"]], ids=["sweep", "dry-run"]
@@ -684,7 +725,7 @@ class TestNoVectorFile:
         ids = [r.id for r in dataset.records]
         stray = embedding.EmbeddingClient(embedding.EmbeddingProviderConfig(
             kind="hashed_tf", dim=7)).embed_batch([r.text for r in dataset.records], ids)
-        embedding.write_vectors_jsonl(ids, stray, pipe.cache.path(pipe._embed_key()))
+        embedding.write_vectors_jsonl(ids, stray, pipe.cache.path(pipe.keys()["embed"]))
         points_path = cached(pipe.cache.root, "project")
         points = slurp(points_path)
         os.unlink(points_path)
@@ -749,7 +790,8 @@ class TestDamagedArtifact:
         path = cached(cache_dir, stage)
         damage(path)
         capsys.readouterr()
-        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm")]
+        # A warm screen replays its memo; the dry run reads the stage artifacts.
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm"), "--dry-run"]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: unreadable artifact {path}: "), err
@@ -764,7 +806,7 @@ class TestDamagedArtifact:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line for line in lines if json.loads(line)["id"] != exemplar)
         capsys.readouterr()
-        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm")]
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm"), "--dry-run"]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: pool exemplar {exemplar} is not in the "), err
@@ -780,13 +822,14 @@ class TestEmptiedCuratedArtifact:
         path = cached(str(tmp_path / "ws" / "cache"), "curate")
         _empty(path)
         capsys.readouterr()
-        for argv in (["screen", "--config", config_path, "--out", str(tmp_path / "warm")],
+        # A warm screen replays its memo; sweep and the dry run read the records.
+        for argv in (["sweep", "--config", config_path, "--out", str(tmp_path / "sweep")],
                      ["screen", "--config", config_path, "--out", str(tmp_path / "dry"),
                       "--dry-run"]):
             assert cli.main(argv) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == (
                 f"config error: unreadable artifact {path}: no records\n")
-        assert not os.path.exists(tmp_path / "warm" / "manifest.json")
+        assert not os.path.exists(tmp_path / "sweep" / "sweep.csv")
 
     def test_a_review_curated_to_nothing_writes_no_artifact(self, tmp_path, capsys):
         blank = synth.synth_review("BLANK", 12, 4, k=3, seed=1)
@@ -1025,7 +1068,7 @@ class TestEmbedKey:
         for url in ("http://127.0.0.1:9/a", "http://127.0.0.1:9/b"):
             raw["embedding"] = {"kind": "remote_http", "model": "m", "url": url}
             cfg = cli.PipelineConfig(raw, base_dir=str(tmp_path / "ws"))
-            keys.add(cli._pipeline_for(cfg, "URL")._embed_key())
+            keys.add(cli._pipeline_for(cfg, "URL").keys()["embed"])
         assert len(keys) == 2
 
 
@@ -1045,48 +1088,6 @@ class TestWarmPipeline:
             assert slurp(os.path.join(warm, name)) == slurp(os.path.join(cold, name))
         cache_dir = cli.PipelineConfig.load(config_path).cache_dir
         assert [name for name in os.listdir(cache_dir) if name.startswith("embed-")] == []
-
-
-    def test_full_length_pools_replay_byte_identical(self, tmp_path):
-        config_path = build_workspace(str(tmp_path / "ws"))
-        cut, full = str(tmp_path / "cut"), str(tmp_path / "full")
-        for out in (str(tmp_path / "cold"), cut):
-            assert cli.main(["screen", "--config", config_path, "--out", out]) == cli.EXIT_OK
-        cfg = cli.PipelineConfig.load(config_path)
-        for rid, pipe in cli._pipelines(cfg):
-            clus, _ = pipe.clustering()
-            pool, pool_key = pipe.pool()
-            longer = full_pool(pipe.curated()[0], clus, pipe.points()[0])
-            assert any(len(longer.ranked[c][label]) > len(lst)
-                       for c, by_label in pool.ranked.items()
-                       for label, lst in by_label.items())
-            pipe.cache.write_text(pool_key, longer.to_json())
-        assert cli.main(["screen", "--config", config_path, "--out", full]) == cli.EXIT_OK
-        assert sorted(os.listdir(full)) == sorted(os.listdir(cut))
-        for name in os.listdir(cut):
-            assert slurp(os.path.join(full, name)) == slurp(os.path.join(cut, name))
-
-    def test_pools_with_assignment_map_replay_byte_identical(self, tmp_path):
-        """Pool artifacts that also carry the clustering's map, as older ones do."""
-        config_path = build_workspace(str(tmp_path / "ws"))
-        plain, mapped = str(tmp_path / "plain"), str(tmp_path / "mapped")
-        for out in (str(tmp_path / "cold"), plain):
-            assert cli.main(["screen", "--config", config_path, "--out", out]) == cli.EXIT_OK
-        cfg = cli.PipelineConfig.load(config_path)
-        for _, pipe in cli._pipelines(cfg):
-            clus, _ = pipe.clustering()
-            _, pool_key = pipe.pool()
-            older = json.loads(pipe.cache.read_text(pool_key))
-            assert "assignment" not in older
-            older["assignment"] = clus.assignment
-            pipe.cache.write_text(pool_key, json.dumps(older, sort_keys=True))
-        log = os.path.join(cfg.cache_dir, "responses.jsonl")
-        logged = slurp(log)
-        assert cli.main(["screen", "--config", config_path, "--out", mapped]) == cli.EXIT_OK
-        assert slurp(log) == logged
-        assert sorted(os.listdir(mapped)) == sorted(os.listdir(plain))
-        for name in os.listdir(plain):
-            assert slurp(os.path.join(mapped, name)) == slurp(os.path.join(plain, name))
 
 
 class TestReproducibility:
@@ -1457,6 +1458,19 @@ class TestHttpEndpoints:
         assert err.startswith("provider failure: 1 of 9 records failed")
         assert "HTTP 400: bad request" in err
         assert len(stub.received) - embedded == 1
+
+    @pytest.mark.parametrize("entry", [None, "1e999"], ids=["null", "1e999"])
+    def test_non_finite_embedding_is_exit_2(self, tmp_path, stub, capsys, entry):
+        config = self.stub_workspace(tmp_path, stub)
+        data = [{"embedding": [float(i), float(i % 3)]} for i in range(30)]
+        data[7] = {"embedding": [entry, 1.0]}
+        stub.script.append(Reply(body={"data": data}))
+        assert cli.main(["project", *config]) == cli.EXIT_CONFIG
+        [seen] = stub.received
+        assert len(seen.body["input"]) == len(data)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed embedding response: "), err
+        assert "Traceback" not in err
 
     def test_dead_embedding_endpoint_is_exit_3(self, tmp_path, capsys):
         config = self.workspace(str(tmp_path / "ws"), closed_url("/v1/chat/completions"),

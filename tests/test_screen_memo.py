@@ -185,6 +185,76 @@ class TestScreenKey:
         assert len(keys) == 3
 
 
+def key_of(root, raw):
+    """The screen key of review MEMO under config ``raw``."""
+    return cli._pipeline_for(cli.PipelineConfig(raw, base_dir=root), "MEMO").screen_key()
+
+
+def http_config(root):
+    raw = json.loads(slurp(single_review_workspace(root, DATASET)))
+    url = "http://127.0.0.1:9/v1"
+    return raw, {**raw, "provider": {"kind": "http"}, "stage1": {"model": "mini", "url": url},
+                 "stage2": {"model": "large", "url": url}}
+
+
+def test_embedding_kind_model_and_url_are_in_the_key(tmp_path, monkeypatch):
+    # The key comes from the config and file hashes: nothing is embedded.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text was embedded")
+
+    monkeypatch.setattr(cli.EmbeddingClient, "embed_batch", refuse)
+    root = str(tmp_path / "ws")
+    raw, _ = http_config(root)
+    keys = {key_of(root, {**raw, "embedding": embedding}) for embedding in (
+        {"kind": "hashed_tf", "dim": 32},
+        {"kind": "remote_http", "model": "m", "url": "http://127.0.0.1:9/a"},
+        {"kind": "remote_http", "model": "m2", "url": "http://127.0.0.1:9/a"},
+        {"kind": "remote_http", "model": "m", "url": "http://127.0.0.1:9/b"},
+    )}
+    assert len(keys) == 4
+
+
+def test_provider_kind_is_keyed_and_api_keys_and_prices_are_not(tmp_path):
+    root = str(tmp_path / "ws")
+    oracle, http = http_config(root)
+    changed = {**http, "stage1": {**http["stage1"], "api_key_env": "KEY_1"},
+               "stage2": {**http["stage2"], "api_key_env": "KEY_2",
+                          "pricing": {"output_usd_per_mtok": 9.0}}}
+    assert key_of(root, oracle) != key_of(root, http) == key_of(root, changed)
+
+
+EMBEDDING_TEST = "test_embedding_kind_model_and_url_are_in_the_key"
+PROVIDER_TEST = "test_provider_kind_is_keyed_and_api_keys_and_prices_are_not"
+# Each key a config may hold, and where it is shown to change the screen key
+# or to keep it: a KEYED or UNKEYED name, or the test that changes it.
+COVERED = {
+    "strategy": "strategy", "threshold": "threshold", "seed": "seed",
+    "temperature": "temperature", "parallelism": "parallelism", "cache_dir": "cache_dir",
+    "reviews.dataset": "dataset", "reviews.criteria": "criteria", "reviews.k": "k",
+    "embedding.kind": EMBEDDING_TEST, "embedding.model": EMBEDDING_TEST,
+    "embedding.url": EMBEDDING_TEST, "embedding.dim": "embedding",
+    "embedding.path": "test_rewritten_vectors_file_changes_the_key",
+    "projection.method": "projection", "projection.path": "projection",
+    "stage1.model": "stage1-model", "stage1.pricing": "pricing",
+    "stage1.url": "test_http_url_is_in_the_key", "stage1.api_key_env": PROVIDER_TEST,
+    "stage2.model": "stage2-model", "stage2.pricing": PROVIDER_TEST,
+    "stage2.url": "test_http_url_is_in_the_key", "stage2.api_key_env": PROVIDER_TEST,
+    "provider.kind": PROVIDER_TEST,
+    "provider.profile": "profile", "provider.stage2_profile": "stage2_profile",
+}
+
+
+def test_every_config_key_is_covered():
+    sections = {"reviews": cli.REVIEW_KEYS, "embedding": cli.EMBEDDING_KEYS,
+                "projection": cli.PROJECTION_KEYS, "stage1": cli.STAGE_KEYS,
+                "stage2": cli.STAGE_KEYS, "provider": cli.PROVIDER_KEYS}
+    assert set(sections) <= set(cli.CONFIG_KEYS)
+    accepted = {f"{section}.{key}" for section, keys in sections.items() for key in keys}
+    accepted |= set(cli.CONFIG_KEYS).difference(sections)
+    assert accepted == set(COVERED), "name where each new config key is covered"
+    assert set(COVERED.values()) <= {*KEYED, *UNKEYED, *vars(TestScreenKey), *globals()}
+
+
 # What triage.SCREEN_FORMAT versions, pinned at its current value: the
 # templates' text and the source of the parser, routing and row format.
 VERSIONED = "c74a5b7e8e83df486234e7be7f510927e1b869f0e1b56433f83d897d000123b6"
@@ -336,22 +406,6 @@ class TestScreenMemo:
         assert slurp(path) == memo
         memos = [n for n in os.listdir(os.path.dirname(path)) if n.startswith("screen-")]
         assert len(memos) == 2
-
-    def test_memo_for_another_record_count_is_not_used(self, warm, tmp_path, capsys):
-        config_path, _, warm_out, path, memo = warm
-        body, trailer = memo.splitlines(keepends=True)[:-1], memo.splitlines()[-1]
-        fields = json.loads(trailer)
-        del fields["trailer_sha256"]
-        fields["records"] += 1
-        with open(path, "wb") as fh:
-            fh.write(b"".join(body) + cli._memo_trailer(fields))
-        capsys.readouterr()
-        out = tmp_path / "out"
-        assert screen(config_path, out) == cli.EXIT_OK
-        assert capsys.readouterr().err == ""
-        for name in (RESULTS, "manifest.json"):
-            assert slurp(out / name) == slurp(warm_out / name)
-        assert slurp(path) == memo
 
     def test_sweep_replays_the_log_and_leaves_the_memo(self, warm, tmp_path, monkeypatch):
         # A sweep runs the cascade over the cached answers, whatever memo
