@@ -25,6 +25,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
@@ -73,12 +74,19 @@ class ConfigError(ValueError):
     pass
 
 
-def _file_sha256(path: str) -> str:
+def _file_sha256(path: str, size: float = math.inf) -> str | None:
+    """sha256 of the file, or of its first ``size`` bytes, read in 64 KiB blocks.
+
+    A prefix's digest is None unless the file holds ``size`` bytes and they
+    end a line.
+    """
     h = hashlib.sha256()
+    left, block = size, b"\n"  # an empty prefix ends a line
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        while left and (block := fh.read(min(left, 1 << 16))):
+            h.update(block)
+            left -= len(block)
+    return h.hexdigest() if size == math.inf or not left and block.endswith(b"\n") else None
 
 
 def _mapping(value, what: str, keys=None) -> dict:
@@ -95,8 +103,11 @@ def _typed(name: str, value, kind):
     """``value`` as a field annotated ``kind`` holds it.
 
     An int takes a JSON integer and a float an integer or a real, stored as
-    a float; neither takes a bool.  An enum takes one of its values.
+    a float; neither takes a bool.  A str takes a string, and ``str | None``
+    also null.  An enum takes one of its values.
     """
+    if kind in (str, str | None) and not (isinstance(value, str) or value is None and kind != str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
     if kind is int or kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, kind)):
             article = "an integer" if kind is int else "a number"
@@ -220,10 +231,10 @@ class PipelineConfig:
         entry = _mapping(raw.get(key, {}), key, STAGE_KEYS)
         prices = _mapping(entry.get("pricing", {}), f"{key} pricing")
         return {
-            "model": entry.get("model", model),
+            "model": _typed(f"{key} model", entry.get("model", model), str),
             "pricing": _read(f"{key} pricing", ModelPricing, prices, base=pricing),
-            "url": entry.get("url"),
-            "api_key_env": entry.get("api_key_env"),
+            "url": _typed(f"{key} url", entry.get("url"), str | None),
+            "api_key_env": _typed(f"{key} api_key_env", entry.get("api_key_env"), str | None),
         }
 
     def config_hash(self) -> str:
@@ -430,7 +441,7 @@ class ReviewPipeline:
             return labels
 
         return tuple(
-            OracleProvider(stage["model"], gold, profile, cfg.seed)
+            OracleProvider(stage["model"], gold, profile, cfg.seed, self._curate_key())
             for stage, profile in zip(stages, cfg.profiles)
         )
 
@@ -439,10 +450,11 @@ class ReviewPipeline:
 
         Beside the pool key (dataset, embedding, projection, clustering) it
         covers the run settings a prompt or answer depends on, the criteria
-        text, each stage provider's identity (the oracle's profile and
-        seed, or the http url), and ``triage.SCREEN_FORMAT``, the version
-        of the templates, parser, routing and row format.  Parallelism,
-        pricing and ``cache_dir`` decide no result and are left out.
+        text, each stage provider's identity (the oracle's profile, seed
+        and the curate key of the raw dataset its labels come from, or the
+        http url), and ``triage.SCREEN_FORMAT``, the version of the
+        templates, parser, routing and row format.  Parallelism, pricing
+        and ``cache_dir`` decide no result and are left out.
         """
         run = self.cfg.run
         params = {
@@ -521,22 +533,11 @@ def _screen_review(pipe: ReviewPipeline, response_cache, failures):
 
 
 def _log_digest(path: str, size: int) -> str | None:
-    """sha256 of the response log's first ``size`` bytes, read in 64 KiB blocks.
-
-    None unless the log holds that many bytes and they end a line.
-    """
-    h = hashlib.sha256()
-    if size == 0:
-        return h.hexdigest()
-    left, block = size, b""
+    """``_file_sha256`` of the response log's first ``size`` bytes; None if it is missing."""
     try:
-        with open(path, "rb") as fh:
-            while left and (block := fh.read(min(left, 1 << 16))):
-                h.update(block)
-                left -= len(block)
+        return _file_sha256(path, size)
     except FileNotFoundError:
         return None
-    return None if left or not block.endswith(b"\n") else h.hexdigest()
 
 
 def _seal(body: bytes, facts: dict) -> str:

@@ -8,9 +8,9 @@ Providers are small objects exposing ``model_id`` and ``send``; the HTTP
 one speaks the chat-completions wire shape, and the oracle one answers
 from gold labels for tests and benchmark runs that must cost nothing.  A
 provider's ``identity``, when it has one, names everything besides the
-prompt and temperature that decides its answers (endpoint, oracle
-profile and seed); the response cache keys on it, and on ``model_id``
-otherwise.
+prompt and temperature that decides its answers (endpoint, or the
+oracle's profile, seed and labels); the response cache keys on it, and
+on ``model_id`` otherwise.
 A provider marked ``in_process`` answers without waiting (the oracle).
 """
 
@@ -496,7 +496,9 @@ class OracleProvider:
     Confidence values are emitted unrounded: rounding could push a value
     across the routing threshold.  It never waits, so the cascade screens
     with it on the calling thread (``in_process``).  ``gold`` is the labels
-    or a function that returns them, called on the first ``send``.
+    or a function that returns them, called on the first ``send``;
+    ``labels_key`` names where they come from, and is part of the identity,
+    so answers cached for other labels are not replayed.
     """
 
     in_process = True
@@ -507,12 +509,13 @@ class OracleProvider:
         gold: dict[str, str] | Callable[[], dict[str, str]],
         profile: OracleProfile,
         seed: int,
+        labels_key: str = "",
     ):
         self.model_id = model_id
         self._gold = gold
         self.profile = profile
         self.seed = seed
-        self.identity = f"{model_id}@{astuple(profile)}:{seed}"
+        self.identity = f"{model_id}@{astuple(profile)}:{seed}:{labels_key}"
 
     @cached_property
     def gold(self) -> dict[str, str]:

@@ -12,15 +12,12 @@ text filled into one field is never searched for another.
 A prompt is a head and a tail.  The head is everything before the
 target's title: the role text, the criteria and, for the few-shot
 variants, the rendered instances.  The tail is the target's title and
-abstract and the text around them.  Every target of a review shares one
-zs, cot or fs head, and the dfsl targets of one cluster share their
-cluster's head unless they are one of its exemplars.  Targets that share
-a head are rendered with one ``Instances`` object (an empty one where the
-strategy takes none), and ``render`` keeps the head it builds on it,
-with the sha256 state of the head's text.  Each later prompt with that
-head costs only its tail: the text is the head's plus the tail, and the
-digest is the head's hash state updated with the tail, the sha256 of the
-whole text without hashing the head again.
+abstract and the text around them.  ``head`` builds a ``Head`` once,
+with the sha256 state of its text, and ``render`` fills in one target:
+the text is the head's plus the tail, and the digest is the head's hash
+state updated with the tail, the sha256 of the whole text without
+hashing the head again.  Which targets share a head is the caller's
+choice (``triage.prompter``).
 """
 
 from __future__ import annotations
@@ -150,20 +147,6 @@ def _split(template: str) -> tuple[list[str], str, str]:
 _PARTS = {strategy: _split(template) for strategy, template in _TEMPLATES.items()}
 
 
-class Instances(tuple):
-    """(record, label) pairs that many targets share, and their kept head.
-
-    ``head`` is the (strategy, criteria, text, sha256 state, instance ids)
-    of the last head ``render`` built for them; being a tuple, the pairs
-    cannot change under it.
-    """
-
-    def __new__(cls, pairs=()):
-        obj = super().__new__(cls, pairs)
-        obj.head = None
-        return obj
-
-
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
@@ -185,9 +168,22 @@ def render_instances(instances: list[tuple[StudyRecord, str]]) -> str:
     return "\n\n".join(blocks)
 
 
-def _head(strategy: Strategy, criteria: str, instances) -> tuple:
-    """(strategy, criteria, text, sha256 state, instance ids) of the prompt
-    text before the target's title."""
+@dataclass(frozen=True)
+class Head:
+    """The prompt text before the target's title, and its sha256 state."""
+
+    strategy: Strategy
+    text: str
+    hashed: object  # hashlib sha256 object, updated only on copies
+    instance_ids: tuple[str, ...]
+
+
+def head(
+    strategy: Strategy,
+    criteria: str,
+    instances: list[tuple[StudyRecord, str]] | None = None,
+) -> Head:
+    """The head every target rendered with these instances shares."""
     values = {"criteria": criteria}
     if strategy.requires_instances:
         if not instances:
@@ -199,31 +195,17 @@ def _head(strategy: Strategy, criteria: str, instances) -> tuple:
     parts[1::2] = [values[name] for name in parts[1::2]]
     text = "".join(parts)
     ids = tuple(rec.id for rec, _ in instances) if instances else ()
-    return strategy, criteria, text, hashlib.sha256(text.encode("utf-8")), ids
+    return Head(strategy, text, hashlib.sha256(text.encode("utf-8")), ids)
 
 
-def render(
-    strategy: Strategy,
-    criteria: str,
-    record: StudyRecord,
-    instances: Instances | list[tuple[StudyRecord, str]] | None = None,
-) -> RenderedPrompt:
-    """Fill the strategy's template for one target record.
-
-    Given ``Instances``, the head is built once for every target they
-    are rendered for with the same strategy and criteria.
-    """
-    head = getattr(instances, "head", None)
-    if head is None or head[0] is not strategy or head[1] != criteria:
-        head = _head(strategy, criteria, instances)
-        if isinstance(instances, Instances):
-            instances.head = head
-    _, _, text, hashed, ids = head
-    _, between, after = _PARTS[strategy]
+def render(head: Head, record: StudyRecord) -> RenderedPrompt:
+    """The prompt for one target record: ``head`` and the record's tail."""
+    _, between, after = _PARTS[head.strategy]
     tail = f"{record.title}{between}{record.abstract}{after}"
-    digest = hashed.copy()
+    digest = head.hashed.copy()
     digest.update(tail.encode("utf-8"))
-    return RenderedPrompt(text + tail, strategy, ids, digest.hexdigest())
+    return RenderedPrompt(head.text + tail, head.strategy, head.instance_ids,
+                          digest.hexdigest())
 
 
 def static_instances(

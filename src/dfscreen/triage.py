@@ -43,7 +43,7 @@ from .gateway import (
 )
 from .jsonl import read_jsonl, write_jsonl
 from .projection import Point2D
-from .prompting import Instances, RenderedPrompt, Strategy, render, static_instances
+from .prompting import Head, RenderedPrompt, Strategy, head, render, static_instances
 
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_PARALLELISM = 8
@@ -157,27 +157,27 @@ def prompter(
     rendered on demand, one record at a time.  A pool exemplar that is not
     in ``dataset`` is a PoolError.
 
-    Targets that share instances are rendered with one ``Instances``, so
-    their head is built once.  A ``dfsl`` target outside its cluster's
-    pick (the pick that skips no target) gets that pick, resolved once per
-    cluster; only a target in its cluster's pick is selected for on its own.
+    Each prompt is ``render`` of a head built once for the targets that
+    share it: one for a ``zs``, ``cot`` or ``fs`` review, one per
+    ``dfsl`` cluster for its pick (the pick that skips no target), and one
+    of its own for a target inside its cluster's pick.
     """
     by_id = dataset.by_id()
 
-    def resolve(chosen) -> Instances:
+    def head_of(chosen) -> Head:
         try:
-            return Instances((by_id[e.record_id], e.label) for e in chosen)
+            instances = [(by_id[e.record_id], e.label) for e in chosen]
         except KeyError as exc:
             raise PoolError(f"pool exemplar {exc.args[0]} is not in the "
                             f"{dataset.review_id} dataset") from None
+        return head(strategy, criteria, instances)
 
     if strategy is not Strategy.DYNAMIC_FEW_SHOT:
-        shared = Instances()
-        if strategy is Strategy.FEW_SHOT:
-            shared = Instances(static_instances(dataset, seed))
-        return lambda record: render(strategy, criteria, record, shared)
+        fixed = static_instances(dataset, seed) if strategy is Strategy.FEW_SHOT else None
+        shared = head(strategy, criteria, fixed)
+        return lambda record: render(shared, record)
     pool, clustering, points = exemplars
-    picks: dict[int, tuple[set[str], Instances]] = {}  # cluster -> (ids, instances)
+    picks: dict[int, tuple[set[str], Head]] = {}  # cluster -> (ids, head)
 
     def prompt(record: StudyRecord) -> RenderedPrompt:
         cluster = cluster_of(record.id, clustering, points)
@@ -190,11 +190,11 @@ def prompter(
                 # that names this one.
                 select_instances(record, *exemplars)
                 raise
-            pick = picks[cluster] = ({e.record_id for e in chosen}, resolve(chosen))
-        ids, instances = pick
+            pick = picks[cluster] = ({e.record_id for e in chosen}, head_of(chosen))
+        ids, shared = pick
         if record.id in ids:
-            instances = resolve(select_instances(record, *exemplars))
-        return render(strategy, criteria, record, instances)
+            shared = head_of(select_instances(record, *exemplars))
+        return render(shared, record)
 
     return prompt
 

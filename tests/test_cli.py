@@ -179,6 +179,24 @@ class TestConfigLoading:
                 lambda raw: {**raw, "stage2": {"pricing": {"output_usd_per_mtok": True}}},
                 id="pricing-bool",
             ),
+            # A string setting takes a string; null only where it may be unset.
+            pytest.param(lambda raw: {**raw, "stage1": {"model": 5}}, id="model-int"),
+            pytest.param(lambda raw: {**raw, "stage1": {"model": ["a"]}}, id="model-list"),
+            pytest.param(
+                lambda raw: {**raw, "provider": {"kind": "http"}, "stage1": {"url": 5},
+                             "stage2": {"url": "http://127.0.0.1:9/v1"}},
+                id="stage-url-int",
+            ),
+            pytest.param(
+                lambda raw: {**raw, "embedding": {"kind": "remote_http", "url": 5}},
+                id="embedding-url-int",
+            ),
+            pytest.param(
+                lambda raw: {**raw, "provider": {"kind": "http"},
+                             "stage1": {"url": "http://127.0.0.1:9/v1", "api_key_env": 7},
+                             "stage2": {"url": "http://127.0.0.1:9/v1"}},
+                id="api_key_env-int",
+            ),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, capsys, mutate):
@@ -568,9 +586,10 @@ class TestStageMemo:
         hashed = []
         real = cli._file_sha256
 
-        def record(path):
-            hashed.append(path)
-            return real(path)
+        def record(path, *size):
+            if not size:  # a size is the response log's prefix
+                hashed.append(path)
+            return real(path, *size)
 
         monkeypatch.setattr(cli, "_file_sha256", record)
         argv = ["screen", "--config", config_path, "--out", str(tmp_path / "run")]

@@ -1,7 +1,7 @@
-"""Prompts built on kept heads equal prompts rendered whole.
+"""Prompts built on shared heads equal prompts rendered whole.
 
 ``reference_prompts`` is the prompter and render the pipeline had
-before heads were kept: every dfsl target selects its own exemplars and
+before heads were shared: every dfsl target selects its own exemplars and
 every prompt is filled in full.  The prompts ``triage.prompter`` gives
 must match it byte for byte, for every strategy, including targets that
 are exemplars of their own cluster and a target placed by nearest
@@ -102,22 +102,25 @@ def test_a_list_of_instances_is_rendered_as_it_is_now(review):
     target, *records = dataset.records[:5]
     instances = [(records[0], "include"), (records[1], "exclude"), (records[2], "exclude")]
     for _ in range(2):
-        prompt = prompting.render(Strategy.FEW_SHOT, criteria, target, instances)
-        assert prompt.text == reference_render(Strategy.FEW_SHOT, criteria, target, instances)
+        built = prompting.head(Strategy.FEW_SHOT, criteria, instances)
+        expected = reference_render(Strategy.FEW_SHOT, criteria, target, instances)
         instances[0] = (records[3], "include")
+        # A head is a value: editing the list after it is built changes nothing.
+        assert prompting.render(built, target).text == expected
 
 
 def test_kept_heads_follow_strategy_and_criteria(review):
     dataset, criteria, _, _ = review
-    shared = prompting.Instances(static_instances(dataset, 0))
+    shared = static_instances(dataset, 0)
     for strategy, text in [(Strategy.FEW_SHOT, criteria), (Strategy.FEW_SHOT, "Other."),
                            (Strategy.DYNAMIC_FEW_SHOT, "Other."), (Strategy.FEW_SHOT, criteria)]:
+        built = prompting.head(strategy, text, shared)
         for record in dataset.records[:3]:
-            prompt = prompting.render(strategy, text, record, shared)
+            prompt = prompting.render(built, record)
             assert prompt.text == reference_render(strategy, text, record, shared)
             assert prompt.digest == hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()
     with pytest.raises(prompting.PromptError, match="does not take instances"):
-        prompting.render(Strategy.ZERO_SHOT, criteria, dataset.records[0], shared)
+        prompting.head(Strategy.ZERO_SHOT, criteria, shared)
 
 
 class KeyLog(ResponseCache):

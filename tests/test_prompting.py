@@ -9,6 +9,7 @@ from dfscreen.prompting import (
     PromptError,
     RenderedPrompt,
     Strategy,
+    head,
     render,
     render_instances,
     static_instances,
@@ -88,18 +89,18 @@ class TestGoldenSnapshots:
     )
     def test_rendered_text_matches_snapshot(self, strategy, name, with_instances):
         instances = INSTANCES if with_instances else None
-        rendered = render(strategy, CRITERIA, TARGET, instances)
+        rendered = render(head(strategy, CRITERIA, instances), TARGET)
         expected = (GOLDEN / name).read_text(encoding="utf-8")
         assert rendered.text == expected
 
     def test_prompt_ends_with_output_cue(self):
         for strategy in Strategy:
             instances = INSTANCES if strategy.requires_instances else None
-            rendered = render(strategy, CRITERIA, TARGET, instances)
+            rendered = render(head(strategy, CRITERIA, instances), TARGET)
             assert rendered.text.endswith("Output:\n")
 
     def test_json_output_block_verbatim(self):
-        rendered = render(Strategy.DYNAMIC_FEW_SHOT, CRITERIA, TARGET, INSTANCES)
+        rendered = render(head(Strategy.DYNAMIC_FEW_SHOT, CRITERIA, INSTANCES), TARGET)
         block = (
             "Output Format:\n"
             "{\n"
@@ -115,7 +116,7 @@ class TestGoldenSnapshots:
             title="Effect of {dose} mg aspirin",
             abstract="Cohort with {n=50} participants and JSON-like {objects}.",
         )
-        rendered = render(Strategy.DYNAMIC_FEW_SHOT, "Include {all} adults.", record, INSTANCES)
+        rendered = render(head(Strategy.DYNAMIC_FEW_SHOT, "Include {all} adults.", INSTANCES), record)
         assert "Effect of {dose} mg aspirin" in rendered.text
         assert "{n=50}" in rendered.text
         assert "Include {all} adults." in rendered.text
@@ -129,7 +130,7 @@ class TestGoldenSnapshots:
             abstract="ABSTRACT-TEXT mentions {instances} and {criteria}.",
         )
         instances = INSTANCES if strategy.requires_instances else None
-        rendered = render(strategy, "crit with {title}", record, instances)
+        rendered = render(head(strategy, "crit with {title}", instances), record)
         assert "crit with {title}\n" in rendered.text
         assert "Title:\nEffect of {abstract} on outcomes\n" in rendered.text
         assert "Abstract:\nABSTRACT-TEXT mentions {instances} and {criteria}.\n" in rendered.text
@@ -163,22 +164,22 @@ class TestRenderInstances:
 class TestRenderValidation:
     def test_zero_shot_rejects_instances(self):
         with pytest.raises(PromptError, match="does not take instances"):
-            render(Strategy.ZERO_SHOT, CRITERIA, TARGET, INSTANCES)
+            render(head(Strategy.ZERO_SHOT, CRITERIA, INSTANCES), TARGET)
 
     def test_few_shot_requires_instances(self):
         with pytest.raises(PromptError, match="needs instances"):
-            render(Strategy.FEW_SHOT, CRITERIA, TARGET)
+            render(head(Strategy.FEW_SHOT, CRITERIA), TARGET)
 
     def test_dynamic_requires_instances(self):
         with pytest.raises(PromptError, match="needs instances"):
-            render(Strategy.DYNAMIC_FEW_SHOT, CRITERIA, TARGET, [])
+            render(head(Strategy.DYNAMIC_FEW_SHOT, CRITERIA, []), TARGET)
 
     def test_instance_ids_preserve_order(self):
-        rendered = render(Strategy.FEW_SHOT, CRITERIA, TARGET, INSTANCES)
+        rendered = render(head(Strategy.FEW_SHOT, CRITERIA, INSTANCES), TARGET)
         assert rendered.instance_ids == ("e1", "e2", "e3")
 
     def test_zero_shot_has_no_instance_ids(self):
-        rendered = render(Strategy.ZERO_SHOT, CRITERIA, TARGET)
+        rendered = render(head(Strategy.ZERO_SHOT, CRITERIA), TARGET)
         assert rendered.instance_ids == ()
         assert isinstance(rendered, RenderedPrompt)
         assert rendered.strategy is Strategy.ZERO_SHOT
@@ -252,5 +253,5 @@ class TestStaticInstances:
 
     def test_renderable_with_few_shot(self):
         chosen = static_instances(self.make_dataset(), seed=1)
-        rendered = render(Strategy.FEW_SHOT, CRITERIA, TARGET, chosen)
+        rendered = render(head(Strategy.FEW_SHOT, CRITERIA, chosen), TARGET)
         assert rendered.text.count("Decision:") == 3

@@ -20,7 +20,7 @@ import shutil
 import pytest
 
 from dfscreen import cli, gateway, prompting, synth, triage
-from dfscreen.corpus import ReviewDataset, write_dataset_jsonl
+from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset, write_dataset_jsonl
 from dfscreen.gateway import HttpChatProvider, OracleProvider, ProviderError, ResponseCache
 from dfscreen.projection import Point2D, write_points_jsonl
 
@@ -163,6 +163,19 @@ class TestScreenKey:
         before, after, warm, cold = self.changed_run(tmp_path, UNKEYED[name])
         assert warm == cold
         assert after == before
+
+    def test_relabelled_dataset_gets_new_answers(self, tmp_path):
+        # No zs prompt holds a label, so the oracle's identity must name them.
+        def relabel(root, config_path):
+            flip = {INCLUDE: EXCLUDE, EXCLUDE: INCLUDE}
+            records = [dataclasses.replace(r, gold_label=flip[r.gold_label])
+                       for r in DATASET.records]
+            write_dataset_jsonl(ReviewDataset("MEMO", records), os.path.join(root, "data.jsonl"))
+
+        before, after, warm, cold = self.changed_run(tmp_path, relabel,
+                                                     prepare=setting("strategy", "zs"))
+        assert warm == cold != slurp(tmp_path / "before" / RESULTS)
+        assert after != before
 
     def test_http_url_is_in_the_key(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -405,10 +405,10 @@ class TestExecutor:
         third = dataset.records[2].id
         real_render = triage.render
 
-        def render(strategy, criteria, record, instances):
+        def render(head, record):
             if record.id == third:
                 raise ValueError("no prompt for the third record")
-            return real_render(strategy, criteria, record, instances)
+            return real_render(head, record)
 
         monkeypatch.setattr(triage, "render", render)
         s1 = MappedProvider("s1", default=answer(EXCLUDE, 0.99))

@@ -7,9 +7,10 @@ synthetic workspace into a temporary directory and runs, in this one
 interpreter, the workspace writer, ``tools/outputs.py``'s ``csv_review``
 and every command of its ``command_matrix`` through ``dfscreen.cli.main``,
 then a ``remote_http`` ``project`` and an ``http`` ``screen`` of one review
-against ``tests/http_stub.py``'s loopback endpoint, with a call tracer
-installed by ``sys.settrace`` and ``threading.settrace`` from before
-``dfscreen`` is first imported.  It then prints, by file and line, each
+against ``tests/http_stub.py``'s loopback endpoint and a ``file_import``
+``project`` of the same review, with a call tracer installed by
+``sys.settrace`` and ``threading.settrace`` from before ``dfscreen`` is
+first imported.  It then prints, by file and line, each
 function defined in SRC_DIR's ``dfscreen`` package (methods and nested
 functions included, lambdas and comprehensions not) that no command
 entered, and a count.  A function
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -36,15 +38,12 @@ from http_stub import Stub  # noqa: E402
 from outputs import CSV_REVIEW, command_matrix, csv_review  # noqa: E402
 
 
-NOT_IN_MATRIX = "not in the matrix, which imports no vectors"
 TRACER = "kept for the benchmark's tracer"
 ERROR_PATH = "error paths"
 
 # Functions the offline matrix cannot enter, keyed by (file in the
 # package, qualified name), each with its reason.
 UNREACHABLE = {
-    ("embedding.py", "EmbeddingClient._import_vectors"): NOT_IN_MATRIX,
-    ("embedding.py", "EmbeddingClient._import_vectors.<locals>.entry"): NOT_IN_MATRIX,
     ("embedding.py", "write_vectors_jsonl"): TRACER,
     ("jsonl.py", "each_row.<locals>.alone"): ERROR_PATH,
     ("jsonl.py", "read_jsonl.<locals>.fail"): ERROR_PATH,
@@ -73,6 +72,29 @@ def http_commands(ws: str, stub: Stub) -> list[tuple[str, list[str]]]:
         json.dump(config, fh)
     return [("project-remote-http", ["project", "--config", path]),
             ("screen-http", ["screen", "--config", path, "--out", os.path.join(ws, "run_http")])]
+
+
+def import_command(ws: str) -> tuple[str, list[str]]:
+    """(name, argv) of a ``project`` of one review that imports its vectors.
+
+    The vectors file is written here, one vector per raw record, and the
+    config has a cache of its own, so the matrix's outputs are the same as
+    without it.
+    """
+    with open(os.path.join(ws, "config.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    review = config["reviews"][CSV_REVIEW]
+    with open(os.path.join(ws, review["dataset"]), encoding="utf-8", newline="") as src, \
+            open(os.path.join(ws, "vectors.jsonl"), "w", encoding="utf-8") as dst:
+        for i, row in enumerate(csv.DictReader(src)):
+            vector = [float(i % 7), float(i % 3), float(i)]
+            dst.write(json.dumps({"id": row["id"], "vector": vector}) + "\n")
+    config.update(reviews={CSV_REVIEW: review}, cache_dir="import_cache",
+                  embedding={"kind": "file_import", "path": "vectors.jsonl"})
+    path = os.path.join(ws, "import_config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    return "project-file-import", ["project", "--config", path]
 
 
 def defined_functions(package_dir: str) -> dict[tuple[str, int, str], str]:
@@ -125,7 +147,8 @@ def main(argv: list[str] | None = None) -> int:
                 synth.main([ws, "--seed", str(args.seed)])
             csv_review(ws)
             with Stub() as stub:
-                for name, command in [*command_matrix(ws), *http_commands(ws, stub)]:
+                for name, command in [*command_matrix(ws), *http_commands(ws, stub),
+                                      import_command(ws)]:
                     with contextlib.redirect_stdout(io.StringIO()), \
                             contextlib.redirect_stderr(io.StringIO()):
                         code = cli.main(command)
