@@ -173,11 +173,14 @@ class PipelineConfig:
             _mapping(entry, f"review {rid}", REVIEW_KEYS)
             if "dataset" not in entry or "criteria" not in entry:
                 raise ConfigError(f"review {rid}: needs 'dataset' and 'criteria' paths")
-            k = entry.get("k")
+            k = None if entry.get("k") is None else _typed(f"review {rid}: k", entry["k"], int)
+            if k is not None and not clustering_mod.K_MIN <= k <= clustering_mod.K_MAX:
+                raise ConfigError(f"review {rid}: k {k} outside "
+                                  f"[{clustering_mod.K_MIN}, {clustering_mod.K_MAX}]")
             self.reviews[rid] = {
                 "dataset": self._resolve(entry["dataset"]),
                 "criteria": self._resolve(entry["criteria"]),
-                "k": None if k is None else _typed(f"review {rid}: k", k, int),
+                "k": k,
             }
         emb = {"kind": "hashed_tf",
                **_mapping(raw.get("embedding", {}), "embedding", EMBEDDING_KEYS)}
@@ -306,7 +309,7 @@ class ReviewPipeline:
     def criteria(self) -> str:
         path = self.entry["criteria"]
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 return fh.read().strip()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"criteria {path} is not UTF-8: {exc}") from None
@@ -355,20 +358,15 @@ class ReviewPipeline:
 
     @_once
     def _curate_key(self) -> str:
-        """Apart from ``keys``, which may count the records ``curated`` reads at this key."""
+        """The curate key alone, which hashes the raw dataset and no other input."""
         return content_key("curate", {"dataset_sha256": _file_sha256(self.entry["dataset"])}, [])
-
-    def _k(self) -> int:
-        """The cluster count: ``k`` if pinned, else chosen from the curated record count."""
-        k = self.entry["k"]
-        return clustering_mod.choose_k(len(self.curated()[0]) if k is None else 0, override=k)
 
     @_once
     def keys(self) -> dict[str, str]:
         """Stage name -> cache key, from the config and each input file's sha256.
 
-        No key loads an artifact, but a review that leaves ``k`` unpinned
-        counts its curated records.
+        No key reads an artifact.  The cluster key holds ``k`` as configured,
+        None for the automatic count, which the curate key already fixes.
         """
         cfg = self.cfg
         embed = {"provider": cfg.embedding.fingerprint()}
@@ -380,7 +378,7 @@ class ReviewPipeline:
         key = self._curate_key()
         keys = {"curate": key}
         for stage, params in (("embed", embed), ("project", project),
-                              ("cluster", {"k": self._k(), "seed": cfg.seed}), ("pool", {})):
+                              ("cluster", {"k": self.entry["k"], "seed": cfg.seed}), ("pool", {})):
             key = keys[stage] = content_key(stage, params, [key])
         return keys
 
@@ -403,11 +401,12 @@ class ReviewPipeline:
 
     @_once
     def clustering(self):
-        return self._artifact(
-            self.keys()["cluster"],
-            lambda: clustering_mod.kmeans(self.points()[0], self._k(), self.cfg.seed),
-            clustering_mod.Clustering.from_json,
-        )
+        def build():
+            points = self.points()[0]  # one per curated record
+            k = clustering_mod.choose_k(len(points), override=self.entry["k"])
+            return clustering_mod.kmeans(points, k, self.cfg.seed)
+
+        return self._artifact(self.keys()["cluster"], build, clustering_mod.Clustering.from_json)
 
     @_once
     def pool(self):

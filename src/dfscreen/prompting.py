@@ -151,7 +151,6 @@ _PARTS = {strategy: _split(template) for strategy, template in _TEMPLATES.items(
 class RenderedPrompt:
     text: str
     strategy: Strategy
-    instance_ids: tuple[str, ...] = ()
     digest: str | None = None  # sha256 hex of ``text``
 
 
@@ -175,7 +174,6 @@ class Head:
     strategy: Strategy
     text: str
     hashed: object  # hashlib sha256 object, updated only on copies
-    instance_ids: tuple[str, ...]
 
 
 def head(
@@ -194,8 +192,7 @@ def head(
     parts = _PARTS[strategy][0][:]
     parts[1::2] = [values[name] for name in parts[1::2]]
     text = "".join(parts)
-    ids = tuple(rec.id for rec, _ in instances) if instances else ()
-    return Head(strategy, text, hashlib.sha256(text.encode("utf-8")), ids)
+    return Head(strategy, text, hashlib.sha256(text.encode("utf-8")))
 
 
 def render(head: Head, record: StudyRecord) -> RenderedPrompt:
@@ -204,8 +201,7 @@ def render(head: Head, record: StudyRecord) -> RenderedPrompt:
     tail = f"{record.title}{between}{record.abstract}{after}"
     digest = head.hashed.copy()
     digest.update(tail.encode("utf-8"))
-    return RenderedPrompt(head.text + tail, head.strategy, head.instance_ids,
-                          digest.hexdigest())
+    return RenderedPrompt(head.text + tail, head.strategy, digest.hexdigest())
 
 
 def static_instances(

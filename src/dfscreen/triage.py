@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .clustering import Clustering
 from .corpus import EXCLUDE, LABELS, ReviewDataset, StudyRecord
-from .evaluation import EvaluationError, confusion, metrics
+from .evaluation import EvaluationError, check_unique, confusion, metrics
 from .exemplar_pool import ExemplarPool, PoolError, cluster_of, select_instances
 from .gateway import (
     CostLedger,
@@ -418,4 +418,6 @@ def write_results_jsonl(results: list[ScreeningResult], path: str) -> None:
 
 
 def read_results_jsonl(path: str) -> list[ScreeningResult]:
-    return read_jsonl(path, ScreeningResult.from_dict, EvaluationError, "unreadable result row")
+    results = read_jsonl(path, ScreeningResult.from_dict, EvaluationError, "unreadable result row")
+    check_unique(path, (r.record_id for r in results), "record id")
+    return results

@@ -211,6 +211,25 @@ class TestConfigLoading:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("k", [2, 11])
+    @pytest.mark.parametrize("command", ["curate", "evaluate", "screen"])
+    def test_pinned_k_outside_its_range_is_exit_2(self, tmp_path, capsys, command, k):
+        dataset = synth.synth_review("CFG", 40, 10, k=3, seed=2)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        run = str(tmp_path / "run")
+        assert cli.main(["screen", "--config", config_path, "--out", run]) == cli.EXIT_OK
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["reviews"]["CFG"]["k"] = k
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        before = sorted(os.listdir(run))
+        capsys.readouterr()
+        flag = "--results" if command == "evaluate" else "--out"
+        assert cli.main([command, "--config", config_path, flag, run]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: review CFG: k {k} outside [3, 10]\n"
+        assert sorted(os.listdir(run)) == before
+
     def test_absolute_review_id_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
         # os.path.join drops --out before an absolute id.
         rid = str(tmp_path / "escaped")
@@ -625,9 +644,17 @@ class TestStageMemo:
         assert {name.split("-")[0] for name in artifacts} == {"screen"}
         assert len(artifacts) == len(SHAPES)
 
-    def test_warm_screen_parses_no_curated_record(self, tmp_path, monkeypatch):
-        # Every review pins k, so its keys come from file hashes alone.
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "unpinned"])
+    def test_warm_screen_parses_no_curated_record(self, tmp_path, monkeypatch, pinned):
+        # The keys come from file hashes and k as configured, pinned or not.
         config_path = build_workspace(str(tmp_path / "ws"))
+        if not pinned:
+            with open(config_path) as fh:
+                raw = json.load(fh)
+            for entry in raw["reviews"].values():
+                del entry["k"]
+            with open(config_path, "w") as fh:
+                json.dump(raw, fh)
         argv = ["screen", "--config", config_path, "--out"]
         assert cli.main(argv + [str(tmp_path / "cold")]) == cli.EXIT_OK
         opened, parsed = [], []

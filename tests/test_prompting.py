@@ -174,13 +174,8 @@ class TestRenderValidation:
         with pytest.raises(PromptError, match="needs instances"):
             render(head(Strategy.DYNAMIC_FEW_SHOT, CRITERIA, []), TARGET)
 
-    def test_instance_ids_preserve_order(self):
-        rendered = render(head(Strategy.FEW_SHOT, CRITERIA, INSTANCES), TARGET)
-        assert rendered.instance_ids == ("e1", "e2", "e3")
-
-    def test_zero_shot_has_no_instance_ids(self):
+    def test_zero_shot_prompt_keeps_its_strategy(self):
         rendered = render(head(Strategy.ZERO_SHOT, CRITERIA), TARGET)
-        assert rendered.instance_ids == ()
         assert isinstance(rendered, RenderedPrompt)
         assert rendered.strategy is Strategy.ZERO_SHOT
 

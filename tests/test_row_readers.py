@@ -8,7 +8,8 @@ blank last line read as the clean file does.  The same holds for the
 response log, where a complete line whose key parses but whose body
 does not is reported at load, and a torn tail is cut off.  A field of
 another type than the writer writes fails its line.  Files span several
-read blocks, so a line's number survives block boundaries.
+read blocks, so a line's number survives block boundaries.  A results
+file or report that repeats its id is rejected, naming the file and id.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from dfscreen import cli, synth
 from dfscreen.corpus import DatasetError, load_dataset_jsonl
 from dfscreen.embedding import EmbeddingClient, EmbeddingError, EmbeddingProviderConfig
-from dfscreen.evaluation import EvaluationError
+from dfscreen.evaluation import EvaluationError, MetricsReport, ReviewMetrics, write_report
 from dfscreen.gateway import LlmResponse, ResponseCache, ResponseCacheError
 from dfscreen.projection import ProjectionError, read_points_jsonl
 from dfscreen.triage import read_results_jsonl
@@ -391,3 +392,42 @@ class TestNonFiniteVectors:
         assert cli.main(["project", "--config", config_path]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: {path}:2: bad vector row: vector holds a value that is not finite\n")
+
+
+class TestRepeatedIds:
+    """A row file that repeats its id is exit 4, naming the file and the id."""
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["same-row", "other-label"])
+    def test_evaluate_rejects_a_repeated_result(self, tmp_path, capsys, flip):
+        dataset = synth.synth_review("DUP", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        out = tmp_path / "run"
+        assert cli.main(["screen", "--config", config_path, "--out", str(out)]) == cli.EXIT_OK
+        path = out / "results_DUP.jsonl"
+        line = path.read_bytes().splitlines(keepends=True)[1]
+        row = json.loads(line)
+        if flip:  # a last row that would change the score if it were kept
+            row["final"] = "include" if row["final"] == "exclude" else "exclude"
+        with open(path, "ab") as fh:
+            fh.write(encode(row) + b"\n")
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", config_path, "--results", str(out)])
+        assert rc == cli.EXIT_EVALUATION
+        assert capsys.readouterr().err == (
+            f"evaluation error: {path}: record id {row['record_id']!r} repeated\n")
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("both", [False, True], ids=["one-report", "both-reports"])
+    def test_compare_rejects_a_repeated_review(self, tmp_path, capsys, both):
+        rows = [ReviewMetrics(rid, 5, 1, 1, 13, 5 / 6, 5 / 6, f1, 0.9, 0.2, 0.01, 0.02)
+                for rid, f1 in (("A", 0.8), ("B", 0.6), ("C", 0.7))]
+        paths = []
+        for name, repeat in (("a.csv", both), ("b.csv", True)):
+            report = rows + rows[1:2] if repeat else rows
+            paths.append(str(tmp_path / name))
+            write_report(MetricsReport(rows=report), paths[-1])
+        capsys.readouterr()
+        rc = cli.main(["compare", "--run-a", paths[0], "--run-b", paths[1]])
+        assert rc == cli.EXIT_EVALUATION
+        assert capsys.readouterr().err == (
+            f"evaluation error: {paths[0 if both else 1]}: review 'B' repeated\n")

@@ -20,6 +20,7 @@ import shutil
 import pytest
 
 from dfscreen import cli, gateway, prompting, synth, triage
+from dfscreen.cache import content_key
 from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset, write_dataset_jsonl
 from dfscreen.gateway import HttpChatProvider, OracleProvider, ProviderError, ResponseCache
 from dfscreen.projection import Point2D, write_points_jsonl
@@ -234,6 +235,36 @@ def test_provider_kind_is_keyed_and_api_keys_and_prices_are_not(tmp_path):
                "stage2": {**http["stage2"], "api_key_env": "KEY_2",
                           "pricing": {"output_usd_per_mtok": 9.0}}}
     assert key_of(root, oracle) != key_of(root, http) == key_of(root, changed)
+
+
+@pytest.mark.parametrize("k", [4, None], ids=["pinned", "unpinned"])
+def test_cluster_key_holds_k_as_configured(tmp_path, k):
+    # The rule's count comes from the curated records, which the curate key fixes.
+    root = str(tmp_path / "ws")
+    raw = json.loads(slurp(single_review_workspace(root, DATASET)))
+    raw["reviews"]["MEMO"].pop("k")
+    if k is not None:
+        raw["reviews"]["MEMO"]["k"] = k
+    keys = cli._pipeline_for(cli.PipelineConfig(raw, base_dir=root), "MEMO").keys()
+    assert keys["cluster"] == content_key("cluster", {"k": k, "seed": 0}, [keys["project"]])
+
+
+def test_criteria_saved_with_a_bom_keeps_the_key_and_the_prompts(tmp_path, capsys):
+    # Some editors start a UTF-8 file with U+FEFF; it is no criteria text.
+    keys, outputs = [], []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        root = str(tmp_path / name)
+        config_path = single_review_workspace(root, DATASET)
+        criteria = os.path.join(root, "criteria.txt")
+        text = slurp(criteria)
+        with open(criteria, "wb") as fh:
+            fh.write(bom + text)
+        keys.append(key_of(root, json.loads(slurp(config_path))))
+        capsys.readouterr()
+        assert screen(config_path, tmp_path / f"{name}_run", "--dry-run") == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert keys[0] == keys[1]
+    assert outputs[0] == outputs[1]
 
 
 EMBEDDING_TEST = "test_embedding_kind_model_and_url_are_in_the_key"

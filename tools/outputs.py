@@ -4,8 +4,9 @@
 
 SRC_DIR is a tree's ``src/`` directory; OUT_DIR must not exist yet.  The
 script writes the 10-review synthetic workspace into ``OUT_DIR/ws``,
-rewrites one review's raw dataset as CSV (``csv_review``), and runs, each
-in a fresh interpreter that imports ``dfscreen`` from SRC_DIR:
+rewrites one review's raw dataset as CSV and leaves another's ``k``
+unpinned (``csv_review``), and runs, each in a fresh interpreter that
+imports ``dfscreen`` from SRC_DIR:
 
 * ``screen --dry-run`` for dfsl, fs, zs and cot on a cold cache;
 * ``curate``, ``project``, ``cluster`` and ``pool``;
@@ -43,6 +44,9 @@ STRATEGIES = ("dfsl", "fs", "zs", "cot")
 SWEEP_THRESHOLDS = "0.5,0.6,0.7,0.8,0.9"
 SWEEP_ABOVE_THRESHOLDS = "0.9,0.95"
 CSV_REVIEW = "CD012768"  # the review whose raw dataset the workspace holds as CSV
+# The review left to the automatic cluster count: 6 for its 546 curated
+# records, where the workspace pins 5.
+AUTO_K_REVIEW = "CD011431"
 CLI = "import sys; from dfscreen.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -85,7 +89,11 @@ def command_matrix(ws: str) -> list[tuple[str, list[str]]]:
 
 
 def csv_review(ws: str) -> None:
-    """Rewrite ``CSV_REVIEW``'s raw JSON-lines dataset as CSV and point the config at it."""
+    """Rewrite ``CSV_REVIEW``'s raw JSON-lines dataset as CSV and point the config at it.
+
+    The config also drops ``AUTO_K_REVIEW``'s ``k``, so the matrix runs the
+    automatic cluster count.
+    """
     data = os.path.join(ws, "data", f"{CSV_REVIEW}_raw")
     columns = ["id", "title", "abstract", "gold_label"]
     with open(data + ".jsonl", encoding="utf-8") as src, \
@@ -100,6 +108,7 @@ def csv_review(ws: str) -> None:
     with open(config_path, encoding="utf-8") as fh:
         config = json.load(fh)
     config["reviews"][CSV_REVIEW]["dataset"] = f"data/{CSV_REVIEW}_raw.csv"
+    del config["reviews"][AUTO_K_REVIEW]["k"]
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")

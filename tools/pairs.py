@@ -10,12 +10,14 @@ its own code wrote, then alternates ``perfbench/worker.py pass`` runs of
 the two checkouts in ABBA order (A first in even pairs, B first in odd
 ones), so host drift falls on both sides alike.  Every pass's outputs
 (the ``run/`` directory: results, manifest and, on ``warm_replay``, the
-evaluate report) must match the first pass's byte for byte; the script
-stops at the first that does not.  It prints each pass, then for
-``wall_s``, ``cpu_s`` and ``peak_rss_mb`` each side's median and
-quartiles and the number of pairs in which B is lower.  It gates
-nothing: the exit code is 0 unless a pass fails or outputs differ.
-Standard library only.
+evaluate report) must match its own side's first pass byte for byte; the
+script stops at the first that does not.  The files in which A's outputs
+differ from B's, such as a manifest holding a changed key, are printed
+once after the first pair, and the run goes on.  It prints each pass,
+then for ``wall_s``, ``cpu_s`` and ``peak_rss_mb`` each side's median
+and quartiles and the number of pairs in which B is lower.  It gates
+nothing: the exit code is 0 unless a pass fails or a side's outputs
+differ from its first pass.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     ws = {side: os.path.join(work, f"ws{side}") for side in checkouts}
     common = ["--workload", args.workload, "--seed", str(args.seed)]
     values = {side: {m: [] for m in METRICS} for side in checkouts}
-    reference = None
+    reference = {}  # each side's first run/ directory
+    between = []  # the run/ files in which A's outputs differ from B's
     try:
         for side in checkouts:
             worker(checkouts[side], ["setup", *common, "--workspace", ws[side],
@@ -94,24 +97,29 @@ def main(argv: list[str] | None = None) -> int:
                 with open(os.path.join(pass_dir, "worker.json"), encoding="utf-8") as fh:
                     result = json.load(fh)
                 run_dir = os.path.join(pass_dir, "run")
-                if reference is None:
-                    reference = run_dir
+                if side not in reference:
+                    reference[side] = run_dir
                 else:
-                    diffs = differing(run_dir, reference)
+                    diffs = differing(run_dir, reference[side])
                     if diffs:
-                        print(f"pair {n} {side}: outputs differ from the first pass: "
+                        print(f"pair {n} {side}: outputs differ from {side}'s first pass: "
                               f"{', '.join(diffs)}")
                         return 1
                     shutil.rmtree(pass_dir)
                 for m in METRICS:
                     values[side][m].append(result[m])
                 row[side] = result
+            if n == 0:
+                between = differing(reference["B"], reference["A"])
+                if between:
+                    print(f"outputs of A and B differ: {', '.join(between)}")
             print(f"pair {n:2d} ({'AB' if n % 2 == 0 else 'BA'}): " + "  ".join(
                 f"{m} {row['A'][m]:.4f} -> {row['B'][m]:.4f}" for m in METRICS))
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; outputs identical")
+    same = "A and B differ, each side's passes identical" if between else "outputs identical"
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; {same}")
     for m in METRICS:
         a, b = values["A"][m], values["B"][m]
         wins = sum(y < x for x, y in zip(a, b))

@@ -5,7 +5,8 @@
 SRC_DIR is a tree's ``src/`` directory.  The script writes the 10-review
 synthetic workspace into a temporary directory and runs, in this one
 interpreter, the workspace writer, ``tools/outputs.py``'s ``csv_review``
-and every command of its ``command_matrix`` through ``dfscreen.cli.main``,
+(one review's dataset as CSV, another's ``k`` unpinned) and every command
+of its ``command_matrix`` through ``dfscreen.cli.main``,
 then a ``remote_http`` ``project`` and an ``http`` ``screen`` of one review
 against ``tests/http_stub.py``'s loopback endpoint and a ``file_import``
 ``project`` of the same review, with a call tracer installed by
