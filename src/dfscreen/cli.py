@@ -524,11 +524,8 @@ def _screen_review(pipe: ReviewPipeline, response_cache, failures):
     if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT:
         return triage.run_two_stage(dataset, *pipe.exemplars(), cfg.run, stage1, stage2,
                                     criteria, cache=response_cache, failures=failures)
-    return triage.run_single_stage(
-        dataset, cfg.strategy, stage1, criteria, pricing=cfg.run.stage1_pricing,
-        seed=cfg.seed, temperature=cfg.temperature, parallelism=cfg.parallelism,
-        cache=response_cache, failures=failures,
-    )
+    return triage.run_single_stage(dataset, cfg.run, stage1, criteria,
+                                   cache=response_cache, failures=failures)
 
 
 def _log_digest(path: str, size: int) -> str | None:
@@ -594,18 +591,6 @@ def _memo_hit(cache: ArtifactCache, key: str, log: str):
     return body, facts["records"], facts["routed"]
 
 
-def _replayed_ledger(run: RunConfig, records: int, routed: int) -> CostLedger:
-    """The ledger of a screen whose every answer was a cache hit."""
-    pricing = {run.stage1_model: run.stage1_pricing}
-    if run.strategy is Strategy.DYNAMIC_FEW_SHOT:
-        pricing[run.stage2_model] = run.stage2_pricing
-    ledger = CostLedger(pricing)
-    ledger.record_cache_hit(run.stage1_model, records)
-    if routed:
-        ledger.record_cache_hit(run.stage2_model, routed)
-    return ledger
-
-
 def _dry_run_screen(cfg: PipelineConfig) -> int:
     stages = 2 if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT else 1
     total_calls = 0
@@ -661,15 +646,18 @@ def cmd_screen(args) -> int:
                 body, records, routed = hit
                 with open(results_path, "wb") as fh:
                     fh.write(body)
-                ledger = _replayed_ledger(cfg.run, records, routed)
+                # Every answer was a cache hit, which costs $0 at any price.
+                merged.record_cache_hit(cfg.run.stage1_model, records)
+                if routed:
+                    merged.record_cache_hit(cfg.run.stage2_model, routed)
             else:
                 results, ledger = _screen_review(pipe, response_cache, failures)
+                merged.merge(ledger)
                 triage.write_results_jsonl(results, results_path)
                 records = len(pipe.curated()[0])
                 routed = sum(1 for r in results if r.routed)
                 if not failures:
                     _write_memo(pipe.cache, key, results_path, records, routed, log)
-            merged.merge(ledger)
             manifest["reviews"][rid] = {
                 "screen_key": key,
                 "records": records,

@@ -31,7 +31,6 @@ class StudyRecord:
     title: str
     abstract: str
     gold_label: str | None = None
-    review_id: str | None = None
 
     def __post_init__(self):
         if self.gold_label is not None and self.gold_label not in LABELS:
@@ -131,7 +130,7 @@ def curate(dataset: ReviewDataset) -> tuple[ReviewDataset, CurationReport]:
 _REQUIRED_FIELDS = ("id", "title", "abstract")
 
 
-def _record_from_mapping(m: dict, review_id: str) -> StudyRecord:
+def _record_from_mapping(m: dict) -> StudyRecord:
     for k in _REQUIRED_FIELDS:
         if k not in m:
             raise DatasetError(f"missing field {k!r}")
@@ -140,14 +139,12 @@ def _record_from_mapping(m: dict, review_id: str) -> StudyRecord:
         gold = str(gold).strip().lower()
         if gold == "":
             gold = None
-    return StudyRecord(str(m["id"]), str(m["title"]), str(m["abstract"]), gold, review_id)
+    return StudyRecord(str(m["id"]), str(m["title"]), str(m["abstract"]), gold)
 
 
 def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
     """Load records from JSON lines, one object per line."""
-    records = read_jsonl(
-        path, lambda row: _record_from_mapping(row, review_id), DatasetError, "bad record row"
-    )
+    records = read_jsonl(path, _record_from_mapping, DatasetError, "bad record row")
     return ReviewDataset(review_id, records)
 
 
@@ -174,7 +171,7 @@ def load_dataset_csv(path: str, review_id: str) -> ReviewDataset:
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
                 try:
-                    records.append(_record_from_mapping(dict(zip(header, row)), review_id))
+                    records.append(_record_from_mapping(dict(zip(header, row))))
                 except DatasetError as exc:
                     raise DatasetError(f"{path}:{lineno}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .gateway import post_json
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import check_unique, read_jsonl, write_jsonl
 from .rng import fnv1a64
 
 if TYPE_CHECKING:
@@ -124,7 +124,9 @@ class EmbeddingClient:
         def entry(row):
             return str(row["id"]), _vector(row["vector"])
 
-        table = dict(read_jsonl(self.config.path, entry, EmbeddingError, "bad vector row"))
+        rows = read_jsonl(self.config.path, entry, EmbeddingError, "bad vector row")
+        check_unique(self.config.path, (rid for rid, _ in rows), EmbeddingError, "record id")
+        table = dict(rows)
         out = []
         for rid in ids:
             if rid not in table:

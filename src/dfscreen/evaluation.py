@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .corpus import INCLUDE
+from .jsonl import check_unique
 
 
 class EvaluationError(ValueError):
@@ -253,15 +254,6 @@ def write_report(report: MetricsReport, csv_path: str, json_path: str | None = N
         fh.write("\n")
 
 
-def check_unique(path: str, ids, what: str) -> None:
-    """Raise EvaluationError naming ``path`` and the first of ``ids`` it repeats."""
-    seen = set()
-    for i in ids:
-        if i in seen:
-            raise EvaluationError(f"{path}: {what} {i!r} repeated")
-        seen.add(i)
-
-
 def read_report_csv(path: str) -> MetricsReport:
     rows = []
     try:
@@ -283,7 +275,7 @@ def read_report_csv(path: str) -> MetricsReport:
                 ) from None
     except UnicodeDecodeError as exc:
         raise EvaluationError(f"{path} is not UTF-8: {exc}") from None
-    check_unique(path, (r.review_id for r in rows), "review")
+    check_unique(path, (r.review_id for r in rows), EvaluationError, "review")
     return MetricsReport(rows=rows)
 
 

@@ -108,7 +108,8 @@ class CostLedger:
     """Per-model accumulators; dollars are always recomputed from tokens.
 
     There is deliberately no incremental usd counter to drift out of sync
-    with the token totals.
+    with the token totals, and counters change only in ``record`` and
+    ``record_cache_hit``, which ``merge`` folds through.
     """
 
     def __init__(self, pricing: dict[str, ModelPricing] | None = None):
@@ -142,29 +143,24 @@ class CostLedger:
             return sorted(self._entries)
 
     def usd_for(self, model_id: str) -> float:
-        with self._lock:
-            e = self._entries.get(model_id)
-            p = self._pricing.get(model_id)
-            if e is None or p is None:
-                return 0.0
-            return p.cost(e.prompt_tokens, e.completion_tokens)
+        e = self.entry(model_id)
+        p = self._pricing.get(model_id)
+        return 0.0 if p is None else p.cost(e.prompt_tokens, e.completion_tokens)
 
     @property
     def usd_total(self) -> float:
         return sum(self.usd_for(m) for m in self.models())
 
     def merge(self, other: "CostLedger") -> None:
-        """Fold another ledger's counters into this one."""
+        """Fold another ledger's counters and pricing into this one."""
         for model_id in other.models():
             e = other.entry(model_id)
-            with self._lock:
-                mine = self._entries.setdefault(model_id, LedgerEntry())
-                for name, count in vars(e).items():
-                    setattr(mine, name, getattr(mine, name) + count)
+            self.record(model_id, e.prompt_tokens, e.completion_tokens, e.call_count)
+            self.record_cache_hit(model_id, e.cache_hits)
         with other._lock:
             pricing = dict(other._pricing)
-        for model_id, p in pricing.items():
-            with self._lock:
+        with self._lock:
+            for model_id, p in pricing.items():
                 self._pricing.setdefault(model_id, p)
 
     def to_dict(self) -> dict:
@@ -325,7 +321,6 @@ def complete(
     provider,
     ledger: CostLedger,
     temperature: float = 0.0,
-    max_tokens: int | None = None,
     cache: ResponseCache | None = None,
     tags: dict | None = None,
     sleep: Callable[[float], None] = time.sleep,
@@ -334,12 +329,13 @@ def complete(
     """One metered completion: cache check, retries, token accounting.
 
     Transient failures are retried up to three attempts with exponential
-    backoff; every attempt lands in the ledger's call_count.  A cache hit
-    adds nothing but a cache_hits tick, so replays cost $0.  ``digest``,
-    the sha256 hex of ``prompt_text`` when the caller has it, saves the
-    cache key hashing the prompt again.
+    backoff.  A success records its tokens and attempts in the ledger; a
+    failure records its attempts and raises the provider's terminal
+    error, or one naming the last transient error.  A cache hit adds
+    nothing but a cache_hits tick, so replays cost $0.  ``digest``, the
+    sha256 hex of ``prompt_text`` when the caller has it, saves the cache
+    key hashing the prompt again.
     """
-    key = None
     if cache is not None:
         identity = getattr(provider, "identity", provider.model_id)
         key = ResponseCache.key(prompt_text, identity, temperature, digest)
@@ -347,48 +343,29 @@ def complete(
         if hit is not None:
             ledger.record_cache_hit(provider.model_id)
             return hit
-    attempts = 0
-    last_error: Exception | None = None
-    response = None
-    while attempts < MAX_ATTEMPTS:
-        attempts += 1
+    for attempts in range(1, MAX_ATTEMPTS + 1):
         try:
-            text, p_tok, c_tok = provider.send(
-                prompt_text, temperature=temperature, max_tokens=max_tokens, tags=tags
-            )
+            text, p_tok, c_tok = provider.send(prompt_text, temperature=temperature,
+                                               max_tokens=None, tags=tags)
         except TransientProviderError as exc:
-            last_error = exc
+            error = ProviderError(
+                f"provider {provider.model_id} failed after {attempts} attempts: {exc}")
             if attempts < MAX_ATTEMPTS:
                 sleep(2.0 ** (attempts - 1))
             continue
         except ProviderError as exc:
-            ledger.record(provider.model_id, 0, 0, attempts=attempts)
-            raise
-        if p_tok is None:
-            p_tok = estimate_tokens(prompt_text)
-        if c_tok is None:
-            c_tok = estimate_tokens(text)
-        response = LlmResponse(
-            text=text,
-            prompt_tokens=p_tok,
-            completion_tokens=c_tok,
-            model_id=provider.model_id,
-        )
-        break
-    if response is None:
-        ledger.record(provider.model_id, 0, 0, attempts=attempts)
-        raise ProviderError(
-            f"provider {provider.model_id} failed after {attempts} attempts: {last_error}"
-        )
-    ledger.record(
-        response.model_id,
-        response.prompt_tokens,
-        response.completion_tokens,
-        attempts=attempts,
-    )
-    if cache is not None:
-        cache.put(key, response)
-    return response
+            error = exc
+            break
+        response = LlmResponse(text, estimate_tokens(prompt_text) if p_tok is None else p_tok,
+                               estimate_tokens(text) if c_tok is None else c_tok,
+                               provider.model_id)
+        ledger.record(provider.model_id, response.prompt_tokens, response.completion_tokens,
+                      attempts)
+        if cache is not None:
+            cache.put(key, response)
+        return response
+    ledger.record(provider.model_id, 0, 0, attempts)
+    raise error
 
 
 @lru_cache(maxsize=None)

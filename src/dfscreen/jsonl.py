@@ -2,6 +2,8 @@
 
 One rule for all of them: UTF-8, one JSON object per line, blank lines
 skipped, a repeated key rejected, and every error naming ``file:line``.
+A reader whose rows are keyed by id rejects a repeated id with
+``check_unique``, naming the file and the id.
 Rows are written with sorted keys.  Only ``json`` and ``re`` are
 imported: the benchmark harness imports ``dfscreen.synth``, which reaches
 this module, and whatever the harness loads raises every worker's
@@ -131,6 +133,15 @@ def read_jsonl(path: str, convert, error: type[Exception], what: str) -> list:
             out += each_row(block, lineno, _DECODER, True, convert, fail)
             lineno += block.count(b"\n")
     return out
+
+
+def check_unique(path: str, ids, error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming ``path`` and the first of ``ids`` it repeats."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise error(f"{path}: {what} {i!r} repeated")
+        seen.add(i)
 
 
 def write_jsonl(path: str, rows) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import check_unique, read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +100,9 @@ def write_points_jsonl(points: dict[str, Point2D], path: str) -> None:
 
 
 def read_points_jsonl(path: str) -> dict[str, Point2D]:
-    return dict(read_jsonl(
+    rows = read_jsonl(
         path, lambda row: (str(row["id"]), Point2D(float(row["x"]), float(row["y"]))),
         ProjectionError, "bad point row",
-    ))
+    )
+    check_unique(path, (rid for rid, _ in rows), ProjectionError, "record id")
+    return dict(rows)

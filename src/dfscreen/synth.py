@@ -168,7 +168,6 @@ def synth_review(
             title=title,
             abstract=abstract,
             gold_label=INCLUDE if i in include_at else EXCLUDE,
-            review_id=review_id,
         )
         for i, (title, abstract) in enumerate(zip(titles, abstracts))
     ]
@@ -210,7 +209,6 @@ def synth_raw_review(shape: ReviewShape, seed: int = 0) -> ReviewDataset:
             title=f"Unindexed report {i}" if rng.random() < 0.5 else "",
             abstract="",
             gold_label=label,
-            review_id=shape.review_id,
         )
         at = rng.randrange(len(rows) + 1)
         rows.insert(at, rec)
@@ -229,7 +227,6 @@ def synth_raw_review(shape: ReviewShape, seed: int = 0) -> ReviewDataset:
                 title=src.title,
                 abstract=src.abstract + " Duplicate entry.",
                 gold_label=src.gold_label,
-                review_id=shape.review_id,
             )
         else:
             # Fresh id but the title differs only in case and spacing.
@@ -238,7 +235,6 @@ def synth_raw_review(shape: ReviewShape, seed: int = 0) -> ReviewDataset:
                 title="  " + src.title.upper().replace(" ", "  "),
                 abstract=src.abstract,
                 gold_label=src.gold_label,
-                review_id=shape.review_id,
             )
         src_pos = ids.index(src.id)
         insert_at = src_pos + 1 + rng.randrange(len(rows) - src_pos)

@@ -10,7 +10,7 @@ output fails safe to exclude and is flagged for audit.
 This module is the one place that turns a review into prompts
 (``prompter``, also behind the CLI's dry run) and runs them (one
 executor and failure budget for the cascade and the single-model
-baselines).  The executor's workers drain the records: up to
+baselines, each run set by one ``RunConfig``).  The executor's workers drain the records: up to
 ``parallelism`` of them, the calling thread included, each take the
 next record until none is left, so ``parallelism=1`` runs everything on
 the calling thread and never more than ``parallelism`` provider calls
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .clustering import Clustering
 from .corpus import EXCLUDE, LABELS, ReviewDataset, StudyRecord
-from .evaluation import EvaluationError, check_unique, confusion, metrics
+from .evaluation import EvaluationError, confusion, metrics
 from .exemplar_pool import ExemplarPool, PoolError, cluster_of, select_instances
 from .gateway import (
     CostLedger,
@@ -41,7 +41,7 @@ from .gateway import (
     complete,
     parse_decision,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import check_unique, read_jsonl, write_jsonl
 from .projection import Point2D
 from .prompting import Head, RenderedPrompt, Strategy, head, render, static_instances
 
@@ -205,21 +205,20 @@ def _screen_all(
     ledger: CostLedger,
     stage1_provider,
     stage2_provider,
-    threshold: float,
-    temperature: float,
-    parallelism: int,
+    cfg: RunConfig,
     cache: ResponseCache | None,
     failures: list | None,
     sleep,
 ) -> list[ScreeningResult]:
-    """Screen every record; at most ``parallelism`` at a time.
+    """Screen every record; at most ``cfg.parallelism`` at a time.
 
-    Up to ``parallelism`` workers, the calling thread among them, take
-    records in dataset order until none is left, so ``parallelism=1``
-    starts no thread, and neither do providers that are all
+    Up to ``cfg.parallelism`` workers, the calling thread among them,
+    take records in dataset order until none is left, so a parallelism
+    of 1 starts no thread, and neither do providers that are all
     ``in_process``.  Results come back id-sorted.
 
-    With ``stage2_provider`` None the stage-1 answer is final; an
+    A stage-1 answer that routes at ``cfg.threshold`` goes to
+    ``stage2_provider``; with that None, the stage-1 answer is final.  An
     unparseable final answer fails safe to exclude and is flagged.
     Individual provider failures are isolated (collected into
     ``failures`` when a list is passed); more than 10% failed records
@@ -230,7 +229,7 @@ def _screen_all(
     """
 
     def ask(provider, prompt: RenderedPrompt, tags: dict):
-        resp = complete(prompt.text, provider, ledger, temperature=temperature,
+        resp = complete(prompt.text, provider, ledger, temperature=cfg.temperature,
                         cache=cache, tags=tags, sleep=sleep, digest=prompt.digest)
         try:
             return resp, parse_decision(resp.text, prompt.strategy.expects_confidence)
@@ -241,7 +240,7 @@ def _screen_all(
         prompt = prompt_for(record)
         tags = {"record_id": record.id}
         resp1, d1 = ask(stage1_provider, prompt, tags)
-        routed = stage2_provider is not None and should_route(d1, threshold)
+        routed = stage2_provider is not None and should_route(d1, cfg.threshold)
         resp2, d2 = ask(stage2_provider, prompt, tags) if routed else (None, None)
         answer = d2 if routed else d1
         return ScreeningResult(
@@ -284,6 +283,7 @@ def _screen_all(
                 outcomes[i] = exc
                 stop.set()
 
+    parallelism = cfg.parallelism
     if all(getattr(p, "in_process", False)
            for p in (stage1_provider, stage2_provider) if p is not None):
         parallelism = 1
@@ -344,38 +344,32 @@ def run_two_stage(
                          stage2_provider.model_id: cfg.stage2_pricing})
     prompt_for = prompter(cfg.strategy, criteria, dataset, cfg.seed,
                           (pool, clustering, points))
-    results = _screen_all(
-        dataset, prompt_for, ledger, stage1_provider, stage2_provider,
-        cfg.threshold, cfg.temperature, cfg.parallelism, cache, failures, sleep,
-    )
+    results = _screen_all(dataset, prompt_for, ledger, stage1_provider, stage2_provider,
+                          cfg, cache, failures, sleep)
     return results, ledger
 
 
 def run_single_stage(
     dataset: ReviewDataset,
-    strategy: Strategy,
+    cfg: RunConfig,
     provider,
     criteria: str,
-    pricing: ModelPricing = DEFAULT_STAGE1_PRICING,
-    seed: int = 0,
-    temperature: float = 0.0,
-    parallelism: int = DEFAULT_PARALLELISM,
     cache: ResponseCache | None = None,
     failures: list | None = None,
     sleep=time.sleep,
 ) -> tuple[list[ScreeningResult], CostLedger]:
-    """Baseline runs: one model, no routing, no confidence field.
+    """Baseline runs of ``cfg.strategy``: one model, no routing, no confidence field.
 
-    The static few-shot strategy draws its fixed demonstration set once,
-    seeded, shared by every target in the dataset.
+    ``provider`` is priced at ``cfg.stage1_pricing``.  The static few-shot
+    strategy draws its fixed demonstration set once, seeded by
+    ``cfg.seed``, shared by every target in the dataset.
     """
-    if strategy is Strategy.DYNAMIC_FEW_SHOT:
+    if cfg.strategy is Strategy.DYNAMIC_FEW_SHOT:
         raise ValueError("use run_two_stage for the confidence strategy")
-    ledger = CostLedger({provider.model_id: pricing})
-    results = _screen_all(
-        dataset, prompter(strategy, criteria, dataset, seed), ledger, provider, None,
-        0.0, temperature, parallelism, cache, failures, sleep,
-    )
+    ledger = CostLedger({provider.model_id: cfg.stage1_pricing})
+    prompt_for = prompter(cfg.strategy, criteria, dataset, cfg.seed)
+    results = _screen_all(dataset, prompt_for, ledger, provider, None, cfg, cache, failures,
+                          sleep)
     return results, ledger
 
 
@@ -419,5 +413,5 @@ def write_results_jsonl(results: list[ScreeningResult], path: str) -> None:
 
 def read_results_jsonl(path: str) -> list[ScreeningResult]:
     results = read_jsonl(path, ScreeningResult.from_dict, EvaluationError, "unreadable result row")
-    check_unique(path, (r.record_id for r in results), "record id")
+    check_unique(path, (r.record_id for r in results), EvaluationError, "record id")
     return results

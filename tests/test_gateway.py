@@ -294,6 +294,27 @@ class TestComplete:
         assert len(provider.calls) == 1
         assert ledger.entry("m").call_count == 1
 
+    def test_terminal_error_after_a_transient_one(self):
+        terminal = ProviderError("bad request")
+        provider = ScriptedProvider(
+            "m", [TransientProviderError("503"), terminal, "unreached"])
+        ledger = CostLedger()
+        naps = []
+        with pytest.raises(ProviderError) as info:
+            complete("p", provider, ledger, sleep=naps.append)
+        assert info.value is terminal
+        e = ledger.entry("m")
+        assert (e.call_count, e.prompt_tokens, e.completion_tokens) == (2, 0, 0)
+        assert naps == [1.0]
+
+    def test_exhausted_retries_name_the_last_error(self):
+        provider = ScriptedProvider("m", [TransientProviderError(m) for m in
+                                          ("429 first", "503 second", "timeout third")])
+        with pytest.raises(ProviderError) as info:
+            complete("p", provider, CostLedger(), sleep=lambda s: None)
+        assert type(info.value) is ProviderError
+        assert str(info.value) == "provider m failed after 3 attempts: timeout third"
+
     def test_tags_reach_provider(self):
         provider = ScriptedProvider("m", ["include"])
         complete("p", provider, CostLedger(), tags={"record_id": "r9"})

@@ -152,12 +152,11 @@ def test_cache_keys_are_the_keys_of_the_text(review, strategy, monkeypatch):
 
     monkeypatch.setattr(triage, "complete", complete)
     cache = KeyLog()
+    cfg = triage.RunConfig("s1", "s2", strategy, seed=seed, parallelism=1)
     if strategy is Strategy.DYNAMIC_FEW_SHOT:
-        cfg = triage.RunConfig("s1", "s2", seed=seed, parallelism=1)
         triage.run_two_stage(dataset, *exemplars, cfg, s1, s2, criteria, cache=cache)
     else:
-        triage.run_single_stage(dataset, strategy, s1, criteria, seed=seed,
-                                parallelism=1, cache=cache)
+        triage.run_single_stage(dataset, cfg, s1, criteria, cache=cache)
     assert len(sent) >= len(dataset)
     assert cache.keys == sent
 

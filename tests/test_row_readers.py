@@ -9,7 +9,8 @@ response log, where a complete line whose key parses but whose body
 does not is reported at load, and a torn tail is cut off.  A field of
 another type than the writer writes fails its line.  Files span several
 read blocks, so a line's number survives block boundaries.  A results
-file or report that repeats its id is rejected, naming the file and id.
+file, report, or imported points or vectors file that repeats its id is
+rejected, naming the file and id.
 """
 
 from __future__ import annotations
@@ -395,7 +396,32 @@ class TestNonFiniteVectors:
 
 
 class TestRepeatedIds:
-    """A row file that repeats its id is exit 4, naming the file and the id."""
+    """A row file that repeats its id is rejected, naming the file and the id:
+    a results file or report with exit 4, an imported points or vectors
+    file with exit 2."""
+
+    @pytest.mark.parametrize("kind", ["points", "vectors"])
+    def test_project_rejects_a_repeated_import(self, tmp_path, capsys, kind):
+        dataset = synth.synth_review("DUP", 12, 4, k=3, seed=3)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        if kind == "points":
+            raw["projection"] = {"method": "import", "path": "rows.jsonl"}
+            rows = [{"id": r.id, "x": float(i), "y": 1.0} for i, r in enumerate(dataset.records)]
+            rows.append({**rows[1], "x": -3.0})
+        else:
+            raw["embedding"] = {"kind": "file_import", "path": "rows.jsonl"}
+            rows = [{"id": r.id, "vector": [float(i), 1.0]}
+                    for i, r in enumerate(dataset.records)]
+            rows.append({**rows[1], "vector": [-3.0, 0.0]})
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        path = write(tmp_path / "ws", b"".join(encode(row) + b"\n" for row in rows))
+        capsys.readouterr()
+        assert cli.main(["project", "--config", config_path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {path}: record id {rows[1]['id']!r} repeated\n")
 
     @pytest.mark.parametrize("flip", [False, True], ids=["same-row", "other-label"])
     def test_evaluate_rejects_a_repeated_result(self, tmp_path, capsys, flip):

@@ -46,7 +46,6 @@ def reference_review(review_id, n, n_includes, k=4, seed=0):
             title=title,
             abstract=abstract,
             gold_label=INCLUDE if i in include_at else EXCLUDE,
-            review_id=review_id,
         )
         for i, (title, abstract) in enumerate(zip(titles, abstracts))
     ])
@@ -57,7 +56,6 @@ class TestSynthReview:
         ds = synth.synth_review("R", 50, 12, k=4, seed=1)
         assert len(ds) == 50
         assert ds.include_count() == 12
-        assert all(r.review_id == "R" for r in ds.records)
 
     def test_ids_and_titles_unique(self):
         ds = synth.synth_review("R", 200, 40, k=5, seed=2)

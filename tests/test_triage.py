@@ -339,7 +339,7 @@ class TestSingleStage:
             default="exclude",
         )
         results, ledger = run_single_stage(
-            small_dataset, Strategy.ZERO_SHOT, provider, "C."
+            small_dataset, make_cfg(strategy=Strategy.ZERO_SHOT), provider, "C."
         )
         assert len(results) == len(small_dataset)
         finals = {r.record_id: r.final for r in results}
@@ -354,7 +354,8 @@ class TestSingleStage:
         dataset = tiny[0]
         victim = dataset.records[0].id
         provider = MappedProvider("base", table={victim: "shrug"}, default="include")
-        results, _ = run_single_stage(dataset, Strategy.ZERO_SHOT, provider, "C.")
+        results, _ = run_single_stage(dataset, make_cfg(strategy=Strategy.ZERO_SHOT),
+                                      provider, "C.")
         hit = {r.record_id: r for r in results}[victim]
         assert hit.stage1 is None
         assert hit.final == EXCLUDE
@@ -362,7 +363,8 @@ class TestSingleStage:
 
     def test_static_few_shot_shares_instances(self, small_dataset):
         provider = MappedProvider("base", default="exclude")
-        run_single_stage(small_dataset, Strategy.FEW_SHOT, provider, "C.", seed=4)
+        run_single_stage(small_dataset, make_cfg(strategy=Strategy.FEW_SHOT, seed=4),
+                         provider, "C.")
         sections = set()
         for _, prompt in provider.calls:
             body = prompt.split("Instances:\n", 1)[1].split("\n\nTitle:\n", 1)[0]
@@ -370,11 +372,21 @@ class TestSingleStage:
             sections.add(body)
         assert len(sections) == 1
 
+    def test_ledger_priced_at_stage1_pricing(self, tiny):
+        dataset = tiny[0]
+        provider = MappedProvider("base", default="exclude")
+        cfg = make_cfg(strategy=Strategy.ZERO_SHOT, stage1_pricing=ModelPricing(3.0, 5.0),
+                       stage2_pricing=ModelPricing(100.0, 100.0))
+        results, ledger = run_single_stage(dataset, cfg, provider, "C.")
+        e = ledger.entry("base")
+        assert e.call_count == len(results) == len(dataset)
+        assert e.prompt_tokens > 0
+        assert ledger.usd_for("base") == pytest.approx(
+            (3.0 * e.prompt_tokens + 5.0 * e.completion_tokens) / 1e6)
+
     def test_dynamic_strategy_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="run_two_stage"):
-            run_single_stage(
-                small_dataset, Strategy.DYNAMIC_FEW_SHOT, MappedProvider("m"), "C."
-            )
+            run_single_stage(small_dataset, make_cfg(), MappedProvider("m"), "C.")
 
 
 @dataclass
@@ -460,8 +472,9 @@ class TestExecutor:
         provider = MappedProvider("base", errors={r.id: down for r in dataset.records})
         waits = []
         with pytest.raises(RunError, match="of 119 records failed") as info:
-            run_single_stage(dataset, Strategy.ZERO_SHOT, provider, "C.",
-                             parallelism=parallelism, sleep=waits.append)
+            run_single_stage(dataset,
+                             make_cfg(strategy=Strategy.ZERO_SHOT, parallelism=parallelism),
+                             provider, "C.", sleep=waits.append)
         # The budget is 11 records: the twelfth failure stops new claims,
         # and the records other workers hold finish; 3 attempts each.
         assert len(provider.calls) <= 3 * (11 + parallelism)
@@ -535,7 +548,7 @@ class TestExecutor:
         provider = MappedProvider("base", default="exclude")
         failures = []
         results, ledger = run_single_stage(
-            ReviewDataset("EMPTY", []), Strategy.ZERO_SHOT, provider, "C.",
+            ReviewDataset("EMPTY", []), make_cfg(strategy=Strategy.ZERO_SHOT), provider, "C.",
             failures=failures,
         )
         assert results == [] and failures == [] and provider.calls == []
@@ -545,7 +558,7 @@ class TestExecutor:
         dataset = tiny[0]
         provider = MappedProvider("base", default="exclude")
         results, _ = run_single_stage(
-            dataset, Strategy.ZERO_SHOT, provider, "C.", parallelism=64
+            dataset, make_cfg(strategy=Strategy.ZERO_SHOT, parallelism=64), provider, "C."
         )
         assert [r.record_id for r in results] == sorted(r.id for r in dataset.records)
         assert len(provider.calls) == len(dataset)

@@ -10,8 +10,9 @@ its own code wrote, then alternates ``perfbench/worker.py pass`` runs of
 the two checkouts in ABBA order (A first in even pairs, B first in odd
 ones), so host drift falls on both sides alike.  Every pass's outputs
 (the ``run/`` directory: results, manifest and, on ``warm_replay``, the
-evaluate report) must match its own side's first pass byte for byte; the
-script stops at the first that does not.  The files in which A's outputs
+evaluate report; and on ``warm_replay`` the sweep's ``sweep/sweep.csv``)
+must match its own side's first pass byte for byte; the script stops at
+the first that does not.  The files in which A's outputs
 differ from B's, such as a manifest holding a changed key, are printed
 once after the first pair, and the run goes on.  It prints each pass,
 then for ``wall_s``, ``cpu_s`` and ``peak_rss_mb`` each side's median
@@ -35,6 +36,7 @@ import tempfile
 WORKLOADS = ("cold_workspace", "warm_replay", "latency_bound")
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 TIMEOUT_S = 300
+SWEEP_CSV = os.path.join("sweep", "sweep.csv")
 
 
 def worker(checkout: str, args: list[str]) -> None:
@@ -49,12 +51,21 @@ def worker(checkout: str, args: list[str]) -> None:
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
 
 
-def differing(run_dir: str, reference: str) -> list[str]:
-    """Files of the two output directories that differ or exist on one side only."""
-    a, b = set(os.listdir(reference)), set(os.listdir(run_dir))
+def outputs(pass_dir: str) -> set[str]:
+    """A pass's output files, relative to ``pass_dir``: every file of ``run/``
+    and, where the pass swept, ``sweep/sweep.csv``."""
+    names = {os.path.join("run", name) for name in os.listdir(os.path.join(pass_dir, "run"))}
+    if os.path.exists(os.path.join(pass_dir, SWEEP_CSV)):
+        names.add(SWEEP_CSV)
+    return names
+
+
+def differing(pass_dir: str, reference: str) -> list[str]:
+    """Output files of the two passes that differ or exist on one side only."""
+    a, b = outputs(reference), outputs(pass_dir)
     out = sorted(a ^ b)
     out += [name for name in sorted(a & b) if not filecmp.cmp(
-        os.path.join(reference, name), os.path.join(run_dir, name), shallow=False)]
+        os.path.join(reference, name), os.path.join(pass_dir, name), shallow=False)]
     return out
 
 
@@ -80,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     ws = {side: os.path.join(work, f"ws{side}") for side in checkouts}
     common = ["--workload", args.workload, "--seed", str(args.seed)]
     values = {side: {m: [] for m in METRICS} for side in checkouts}
-    reference = {}  # each side's first run/ directory
-    between = []  # the run/ files in which A's outputs differ from B's
+    reference = {}  # each side's first pass directory
+    between = []  # the output files in which A's differ from B's
     try:
         for side in checkouts:
             worker(checkouts[side], ["setup", *common, "--workspace", ws[side],
@@ -96,11 +107,10 @@ def main(argv: list[str] | None = None) -> int:
                                          "--pass-dir", pass_dir])
                 with open(os.path.join(pass_dir, "worker.json"), encoding="utf-8") as fh:
                     result = json.load(fh)
-                run_dir = os.path.join(pass_dir, "run")
                 if side not in reference:
-                    reference[side] = run_dir
+                    reference[side] = pass_dir
                 else:
-                    diffs = differing(run_dir, reference[side])
+                    diffs = differing(pass_dir, reference[side])
                     if diffs:
                         print(f"pair {n} {side}: outputs differ from {side}'s first pass: "
                               f"{', '.join(diffs)}")

@@ -78,8 +78,9 @@ def http_commands(ws: str, stub: Stub) -> list[tuple[str, list[str]]]:
 def import_command(ws: str) -> tuple[str, list[str]]:
     """(name, argv) of a ``project`` of one review that imports its vectors.
 
-    The vectors file is written here, one vector per raw record, and the
-    config has a cache of its own, so the matrix's outputs are the same as
+    The vectors file is written here, one vector per raw record id (the
+    raw dataset repeats some, and a vectors file may not), and the config
+    has a cache of its own, so the matrix's outputs are the same as
     without it.
     """
     with open(os.path.join(ws, "config.json"), encoding="utf-8") as fh:
@@ -87,9 +88,10 @@ def import_command(ws: str) -> tuple[str, list[str]]:
     review = config["reviews"][CSV_REVIEW]
     with open(os.path.join(ws, review["dataset"]), encoding="utf-8", newline="") as src, \
             open(os.path.join(ws, "vectors.jsonl"), "w", encoding="utf-8") as dst:
-        for i, row in enumerate(csv.DictReader(src)):
+        ids = dict.fromkeys(row["id"] for row in csv.DictReader(src))
+        for i, rid in enumerate(ids):
             vector = [float(i % 7), float(i % 3), float(i)]
-            dst.write(json.dumps({"id": row["id"], "vector": vector}) + "\n")
+            dst.write(json.dumps({"id": rid, "vector": vector}) + "\n")
     config.update(reviews={CSV_REVIEW: review}, cache_dir="import_cache",
                   embedding={"kind": "file_import", "path": "vectors.jsonl"})
     path = os.path.join(ws, "import_config.json")
