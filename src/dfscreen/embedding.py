@@ -9,12 +9,15 @@ Three providers:
 * ``hashed_tf`` builds hashed term-frequency vectors locally. It needs no
   network and is fully deterministic, which makes it the right backend
   for tests and the synthetic benchmark corpus.
+
+``hashed_tf`` tokens are the maximal runs of ASCII ``a``-``z`` and
+``0``-``9`` in the lower-cased text; every other character separates
+them.  Each token adds one to the count at its FNV-1a hash modulo
+``dim``, and the counts are scaled to unit length.
 """
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -26,7 +29,14 @@ from .rng import fnv1a64
 if TYPE_CHECKING:
     import numpy as np
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+# Texts tokenized at a time: a whole review at once raises the peak RSS.
+_CHUNK = 64
+# Between the texts of a chunk: an ASCII encoding never holds the byte 0xFF.
+_SEP = b"\xff"
+# a-z, 0-9 and the separator stay; every other byte becomes a space.
+_TOKEN_BYTES = bytes(
+    b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" + _SEP else 0x20 for b in range(256)
+)
 
 
 class EmbeddingError(RuntimeError):
@@ -64,17 +74,44 @@ def _token_hash(token: str) -> int:
     return fnv1a64(token)
 
 
-def hashed_tf_vector(text: str, dim: int) -> np.ndarray:
-    """Hashed term-frequency vector, L2-normalized. Zero vector if no tokens."""
+class _Columns(dict):
+    """Token bytes to column, hashed on first lookup; the separator to spare column ``dim``."""
+
+    def __init__(self, dim: int):
+        super().__init__({_SEP: dim})
+        self.dim = dim
+
+    def __missing__(self, token: bytes) -> int:
+        self[token] = col = _token_hash(token.decode()) % self.dim
+        return col
+
+
+def hashed_tf_matrix(texts: list[str], dim: int) -> np.ndarray:
+    """Hashed term-frequency vectors, L2-normalized, one row per text (zero if no tokens).
+
+    Lower-casing comes before the ASCII encode, which turns the Kelvin sign
+    into ``k``; any other non-ASCII character encodes as ``?``, a separator.
+    """
     import numpy as np
-    counts = [0.0] * dim  # a list, as indexing an array one item at a time is slow
-    for tok in _TOKEN.findall(text.lower()):
-        counts[_token_hash(tok) % dim] += 1.0
-    vec = np.array(counts)
-    norm = math.sqrt(float(vec @ vec))
-    if norm > 0:
-        vec /= norm
-    return vec
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    columns = _Columns(dim)
+    for start in range(0, len(texts), _CHUNK):
+        chunk = texts[start:start + _CHUNK]
+        tokens = (b" " + _SEP + b" ").join(
+            t.lower().encode("ascii", "replace") for t in chunk
+        ).translate(_TOKEN_BYTES).split()
+        cols = np.fromiter(map(columns.__getitem__, tokens), np.intp, len(tokens))
+        # A separator counts in the spare column of the row it opens, so a
+        # token's row is the number of separators up to it.
+        rows = np.cumsum(cols == dim)
+        n = len(chunk)
+        counts = np.bincount(rows * (dim + 1) + cols, minlength=n * (dim + 1))
+        out[start:start + n] = counts.reshape(n, dim + 1)[:, :dim]
+    # The counts are integers, so the sum of squares is exact.
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+    norms[norms == 0] = 1.0
+    out /= norms[:, np.newaxis]
+    return out
 
 
 @dataclass
@@ -85,8 +122,8 @@ class EmbeddingClient:
 
     def embed_batch(
         self, texts: list[str], ids: list[str] | None = None
-    ) -> list[np.ndarray]:
-        """Vectors for ``texts``, one per input.
+    ) -> np.ndarray | list[np.ndarray]:
+        """Vectors for ``texts``, one per input; ``hashed_tf`` gives one array.
 
         ``ids`` is required for the file_import provider, which looks
         vectors up by record id rather than by text.
@@ -94,7 +131,7 @@ class EmbeddingClient:
         if self.config.kind == "file_import":
             return self._import_vectors(texts, ids)
         if self.config.kind == "hashed_tf":
-            return [hashed_tf_vector(t, self.config.dim) for t in texts]
+            return hashed_tf_matrix(texts, self.config.dim)
         return self._remote(texts)
 
     def _remote(self, texts: list[str]) -> list[np.ndarray]:

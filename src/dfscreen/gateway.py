@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
-from .jsonl import blocks, each_row
+from .jsonl import blocks, dumps, each_row
 from .rng import derive_rng
 
 
@@ -84,8 +84,9 @@ class ModelPricing:
     output_usd_per_mtok: float
 
     def __post_init__(self):
-        if self.input_usd_per_mtok < 0 or self.output_usd_per_mtok < 0:
-            raise ValueError("pricing must be nonnegative")
+        for price in (self.input_usd_per_mtok, self.output_usd_per_mtok):
+            if not (math.isfinite(price) and price >= 0):
+                raise ValueError(f"price {price} is not finite and nonnegative")
 
     def cost(self, prompt_tokens: int, completion_tokens: int) -> float:
         return (
@@ -289,7 +290,7 @@ class ResponseCache:
     def put(self, key: str, response: LlmResponse) -> None:
         line = None
         if self.path:
-            line = (json.dumps({"key": key, **vars(response)}) + "\n").encode("utf-8")
+            line = (dumps({"key": key, **vars(response)}) + "\n").encode("utf-8")
         with self._lock:
             self._ensure_loaded()
             if key in self._mem:
@@ -515,5 +516,5 @@ class OracleProvider:
         correct = rng.random() < accuracy
         truth = self.gold[record_id]
         label = truth if correct else (EXCLUDE if truth == INCLUDE else INCLUDE)
-        text = json.dumps({"confidence": confidence, "decision": label})
+        text = dumps({"confidence": confidence, "decision": label})
         return text, estimate_tokens(prompt_text), estimate_tokens(text)

@@ -4,7 +4,8 @@ One rule for all of them: UTF-8, one JSON object per line, blank lines
 skipped, a repeated key rejected, and every error naming ``file:line``.
 A reader whose rows are keyed by id rejects a repeated id with
 ``check_unique``, naming the file and the id.
-Rows are written with sorted keys.  Only ``json`` and ``re`` are
+Rows are written with sorted keys; ``dumps``, for the response log and
+the oracle's answers, keeps insertion order.  Only ``json`` and ``re`` are
 imported: the benchmark harness imports ``dfscreen.synth``, which reaches
 this module, and whatever the harness loads raises every worker's
 measured peak RSS.
@@ -34,12 +35,16 @@ def _reject_dup_keys(pairs):
 
 
 # Built once: json.loads with a hook builds a new decoder on every call,
-# and JSONEncoder.encode a new C encoder.  The encoder writes what
-# json.dumps(row, sort_keys=True) does.
+# and json.dumps a new C encoder.  _ENCODE writes what
+# json.dumps(row, sort_keys=True) does, and _DUMPS what json.dumps(row)
+# does.  Neither checks for cycles, so both are safe to share between threads.
 _DECODER = json.JSONDecoder(object_pairs_hook=_reject_dup_keys)
-_ENCODE = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-    None, ": ", ", ", True, False, True,
+_ENCODE, _DUMPS = (
+    json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ", ", sort_keys, False, True,
+    )
+    for sort_keys in (True, False)
 )
 _BLOCK = 1 << 16  # bytes read at a time; a block is cut back to whole lines
 _SPACE = re.compile(r"[ \t\r]*")  # JSON whitespace that stays on its line
@@ -142,6 +147,11 @@ def check_unique(path: str, ids, error: type[Exception], what: str) -> None:
         if i in seen:
             raise error(f"{path}: {what} {i!r} repeated")
         seen.add(i)
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj)``: keys in insertion order, non-ASCII escaped."""
+    return "".join(_DUMPS(obj, 0))
 
 
 def write_jsonl(path: str, rows) -> None:

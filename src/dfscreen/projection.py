@@ -49,8 +49,8 @@ def _top_components(cov: np.ndarray, count: int) -> np.ndarray:
     return np.column_stack(chosen)
 
 
-def project_pca(vectors: list[np.ndarray]) -> list[Point2D]:
-    """Exact 2-D PCA of the given vectors, in input order."""
+def project_pca(vectors: np.ndarray | list[np.ndarray]) -> list[Point2D]:
+    """Exact 2-D PCA of the given vectors (rows of an array), in input order."""
     import numpy as np
     if len(vectors) < 3:
         raise DegenerateDataError(
@@ -63,12 +63,12 @@ def project_pca(vectors: list[np.ndarray]) -> list[Point2D]:
     cov = centered.T @ centered / (x.shape[0] - 1)
     components = _top_components(cov, 2)
     projected = centered @ components
-    return [Point2D(float(px), float(py)) for px, py in projected]
+    return [Point2D(px, py) for px, py in projected.tolist()]
 
 
 def project_2d(
     ids: list[str],
-    vectors: list[np.ndarray] | None = None,
+    vectors: np.ndarray | list[np.ndarray] | None = None,
     method: str = "pca",
     import_path: str | None = None,
 ) -> dict[str, Point2D]:

@@ -79,6 +79,8 @@ class RunConfig:
             raise ValueError(f"threshold {self.threshold} outside [0,1]")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ValueError(f"temperature {self.temperature} outside [0,2]")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import builtins
 import csv
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -209,6 +210,38 @@ class TestConfigLoading:
         rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            pytest.param(
+                lambda raw: {**raw, "stage1": {"pricing": {"input_usd_per_mtok": math.inf}}},
+                "stage1 pricing: price inf is not finite and nonnegative", id="price-infinity",
+            ),
+            pytest.param(
+                lambda raw: {**raw, "stage2": {"pricing": {"output_usd_per_mtok": math.nan}}},
+                "stage2 pricing: price nan is not finite and nonnegative", id="price-nan",
+            ),
+            pytest.param(lambda raw: {**raw, "temperature": math.nan},
+                         "config: temperature nan outside [0,2]", id="temperature-nan"),
+            pytest.param(lambda raw: {**raw, "temperature": -5},
+                         "config: temperature -5.0 outside [0,2]", id="temperature-negative"),
+            pytest.param(lambda raw: {**raw, "temperature": math.inf},
+                         "config: temperature inf outside [0,2]", id="temperature-infinity"),
+        ],
+    )
+    def test_nonfinite_or_out_of_range_number_is_exit_2(self, tmp_path, capsys, mutate, message):
+        # json writes and reads the non-standard literals NaN and Infinity.
+        dataset = synth.synth_review("CFG", 40, 10, k=3, seed=2)
+        config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        with open(config_path, "w") as fh:
+            json.dump(mutate(raw), fh)
+        rc = cli.main(["screen", "--config", config_path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("k", [2, 11])

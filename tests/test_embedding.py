@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dfscreen import embedding
@@ -15,7 +16,7 @@ from dfscreen.embedding import (
     EmbeddingClient,
     EmbeddingError,
     EmbeddingProviderConfig,
-    hashed_tf_vector,
+    hashed_tf_matrix,
     write_vectors_jsonl,
 )
 from dfscreen.gateway import ProviderError
@@ -23,35 +24,53 @@ from dfscreen.rng import fnv1a64
 
 from http_stub import Reply, embedding_vector
 
+# The tokenization rule, applied one text at a time.
+TOKEN = re.compile(r"[a-z0-9]+")
+# NUL; "İ", which lower-cases to "i" and a combining dot; the Kelvin sign,
+# which lower-cases to "k"; "ÿ", whose code point is the separator byte.
+TOKENIZER_EDGES = "\x00İ\u212aKkAZaz09?\xff\u03a3é -\n"
+TEXT = st.one_of(st.text(), st.text(alphabet=TOKENIZER_EDGES))
+
+
+def reference_row(text: str, dim: int) -> np.ndarray:
+    """One text's vector, token by token, hashed without the memo."""
+    row = np.zeros(dim, dtype=np.float64)
+    for tok in TOKEN.findall(text.lower()):
+        row[fnv1a64(tok) % dim] += 1.0
+    norm = math.sqrt(float(row @ row))
+    if norm > 0:
+        row /= norm
+    return row
+
 
 class TestHashedTf:
     def test_deterministic(self):
-        a = hashed_tf_vector("cardiac imaging outcomes", 32)
-        b = hashed_tf_vector("cardiac imaging outcomes", 32)
+        a = hashed_tf_matrix(["cardiac imaging outcomes"], 32)[0]
+        b = hashed_tf_matrix(["cardiac imaging outcomes"], 32)[0]
         assert np.array_equal(a, b)
 
     def test_unit_norm(self):
-        v = hashed_tf_vector("one two three four", 64)
+        v = hashed_tf_matrix(["one two three four"], 64)[0]
         assert math.isclose(float(v @ v), 1.0, rel_tol=1e-12)
 
     def test_empty_text_zero_vector(self):
-        v = hashed_tf_vector("", 16)
+        v = hashed_tf_matrix([""], 16)[0]
         assert not v.any()
 
     def test_case_insensitive_tokens(self):
         assert np.array_equal(
-            hashed_tf_vector("Cardiac STUDY", 32), hashed_tf_vector("cardiac study", 32)
+            hashed_tf_matrix(["Cardiac STUDY"], 32)[0], hashed_tf_matrix(["cardiac study"], 32)[0]
         )
 
     def test_token_counts_accumulate(self):
-        once = hashed_tf_vector("word", 32)
+        once = hashed_tf_matrix(["word"], 32)[0]
         # Repeating the only token leaves the direction unchanged.
-        thrice = hashed_tf_vector("word word word", 32)
+        thrice = hashed_tf_matrix(["word word word"], 32)[0]
         assert np.allclose(once, thrice)
 
     def test_different_texts_differ(self):
-        a = hashed_tf_vector("cardiac cohort", 64)
-        b = hashed_tf_vector("renal biopsy", 64)
+        a = hashed_tf_matrix(["cardiac cohort"], 64)[0]
+        b = hashed_tf_matrix(["renal biopsy"], 64)[0]
         assert not np.array_equal(a, b)
 
 
@@ -60,13 +79,8 @@ class TestHashedTf:
         st.sampled_from([2, 16, 64]),
     )
     def test_memoised_hashing_matches_direct_fnv(self, text, dim):
-        expected = np.zeros(dim, dtype=np.float64)
-        for tok in embedding._TOKEN.findall(text.lower()):
-            expected[fnv1a64(tok) % dim] += 1.0
-        norm = math.sqrt(float(expected @ expected))
-        if norm > 0:
-            expected /= norm
-        assert hashed_tf_vector(text, dim).tobytes() == expected.tobytes()
+        expected = reference_row(text, dim)
+        assert hashed_tf_matrix([text], dim)[0].tobytes() == expected.tobytes()
 
     def test_each_distinct_token_hashed_once(self, monkeypatch):
         calls = []
@@ -78,11 +92,28 @@ class TestHashedTf:
         monkeypatch.setattr(embedding, "fnv1a64", counting)
         embedding._token_hash.cache_clear()
         try:
-            hashed_tf_vector("renal renal biopsy", 16)
-            hashed_tf_vector("biopsy cohort", 16)
+            hashed_tf_matrix(["renal renal biopsy"], 16)[0]
+            hashed_tf_matrix(["biopsy cohort"], 16)[0]
         finally:
             embedding._token_hash.cache_clear()
         assert calls == ["renal", "biopsy", "cohort"]
+
+    @given(
+        st.one_of(
+            st.lists(TEXT, max_size=3),
+            st.lists(TEXT, min_size=embedding._CHUNK + 1, max_size=3 * embedding._CHUNK),
+        ),
+        st.sampled_from([2, 7, 64]),
+    )
+    @example([], 7)
+    @example([""], 2)
+    @example(["İ \u212aelvin", "a\x00b", "", "ÿ9z"] * 40, 64)
+    def test_matrix_rows_match_per_text_reference(self, texts, dim):
+        matrix = hashed_tf_matrix(texts, dim)
+        assert matrix.shape == (len(texts), dim)
+        assert matrix.dtype == np.float64
+        for text, row in zip(texts, matrix):
+            assert row.tobytes() == reference_row(text, dim).tobytes()
 
 
 class TestConfig:

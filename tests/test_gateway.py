@@ -132,6 +132,13 @@ class TestValueObjects:
         with pytest.raises(ValueError):
             ModelPricing(-0.1, 1.0)
 
+    @pytest.mark.parametrize("price", [math.inf, -math.inf, math.nan])
+    def test_pricing_finite(self, price):
+        with pytest.raises(ValueError, match="not finite"):
+            ModelPricing(price, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            ModelPricing(1.0, price)
+
 
 class TestEstimates:
     def test_four_chars_per_token(self):

@@ -26,7 +26,7 @@ from dfscreen.evaluation import (
 )
 from dfscreen.exemplar_pool import Exemplar, ExemplarPool
 from dfscreen.gateway import CostLedger, Decision, LlmResponse, ModelPricing, ResponseCache
-from dfscreen.jsonl import write_jsonl
+from dfscreen.jsonl import dumps, write_jsonl
 from dfscreen.projection import Point2D, ProjectionError, read_points_jsonl
 from dfscreen.triage import ScreeningResult, read_results_jsonl, write_results_jsonl
 
@@ -279,3 +279,11 @@ def test_any_rows_are_written_as_sorted_key_json_dumps(tmp_path_factory, rows):
     write_jsonl(str(path), rows)
     want = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+@settings(max_examples=200)
+@given(st.lists(st.dictionaries(st.text(), json_values, max_size=6), max_size=5))
+def test_dumps_is_json_dumps(rows):
+    # Insertion order: the response log and the oracle's answers are not sorted.
+    for row in [*ENCODED_ROWS, *rows]:
+        assert dumps(row) == json.dumps(row)

@@ -131,6 +131,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="parallelism"):
             make_cfg(parallelism=0)
 
+    @pytest.mark.parametrize("temperature", [-5.0, -1e-9, 2.0000001, float("inf"), float("nan")])
+    def test_temperature_validated(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            make_cfg(temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.7, 2.0])
+    def test_temperature_in_range_accepted(self, temperature):
+        assert make_cfg(temperature=temperature).temperature == temperature
+
     def test_defaults(self):
         cfg = make_cfg()
         assert cfg.strategy is Strategy.DYNAMIC_FEW_SHOT
