@@ -5,6 +5,11 @@ its parameters, and the keys of its inputs, so any upstream change
 ripples into fresh downstream keys while untouched stages replay from
 disk.  Writes are atomic (temp file + rename) so a crashed run never
 leaves a half-written artifact behind.
+
+Every file it writes is the body, a newline and a seal line: the
+canonical JSON of the writer's facts, if any, and ``"seal"``, the sha256
+of the body and then of those facts' canonical JSON.  A file whose seal
+is missing or fails is a miss, as a missing file is, and is reported.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from typing import Callable
 
@@ -32,6 +38,13 @@ def content_key(stage: str, params: dict, input_keys: list[str]) -> str:
     return f"{stage}-{sha256_hex(payload)[:32]}"
 
 
+def _seal(body, facts: dict) -> str:
+    """sha256 of the body's bytes followed by the canonical JSON of ``facts``."""
+    h = hashlib.sha256(body)
+    h.update(canonical_json(facts).encode("ascii"))
+    return h.hexdigest()
+
+
 class ArtifactCache:
     """Key-to-file store under one directory."""
 
@@ -42,24 +55,48 @@ class ArtifactCache:
     def path(self, key: str) -> str:
         return os.path.join(self.root, key)
 
-    def has(self, key: str) -> bool:
-        return os.path.exists(self.path(key))
+    def read_text(self, key: str, what: str = "artifact", with_facts: bool = False):
+        """The body at ``key`` as text, or None on a miss; ``with_facts``, (body, facts).
 
-    def read_text(self, key: str) -> str:
-        with open(self.path(key), encoding="utf-8") as fh:
-            return fh.read()
+        A missing file is a miss.  So is one whose seal is missing or fails,
+        or whose body is not UTF-8: one stderr line names it as ``what``.
+        """
+        path = self.path(key)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return None
+        cut = data.rfind(b"\n", 0, len(data) - 1)
+        body = memoryview(data)[:cut]
+        try:
+            facts = json.loads(data[cut + 1:])
+            seal = facts.pop("seal", None)
+            if cut >= 0 and data.endswith(b"\n") and seal == _seal(body, facts):
+                text = str(body, "utf-8")
+                return (text, facts) if with_facts else text
+        except (ValueError, TypeError, AttributeError):
+            pass
+        print(f"{what} {path}: damaged or unsealed; building it again", file=sys.stderr)
+        return None
 
-    def write_atomic(self, key: str, write: Callable[[str], None]) -> str:
-        """Run ``write(path)`` on a fresh temp file, then rename it to the key.
+    def write_atomic(self, key: str, write: Callable[[str], None],
+                     facts: dict | None = None) -> str:
+        """Run ``write(path)`` on a fresh temp file, seal it, then rename it to the key.
 
-        A writer that fails part way leaves nothing at the key, and
-        concurrent writers of the same key are safe.
+        The seal line, appended after the body, holds ``facts``.  A writer
+        that fails part way leaves nothing at the key, and concurrent
+        writers of the same key are safe.
         """
         target = self.path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{key}.")
         os.close(fd)
         try:
             write(tmp)
+            facts = facts or {}
+            with open(tmp, "rb+") as fh:
+                seal = {**facts, "seal": _seal(fh.read(), facts)}
+                fh.write(f"\n{canonical_json(seal)}\n".encode("ascii"))
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):

@@ -8,11 +8,12 @@ run; intermediates land in a content-addressed cache so reruns only redo
 what changed.  The embedding has a key but no artifact: ``project``
 embeds the records as its input.  Every command but ``curate`` walks the
 reviews in id order with one ReviewPipeline each; its single stage
-helper reads a stage's artifact back or builds and writes it, and each
-stage runs once per pipeline.  ``screen`` memoizes each review's results
-at its ``screen_key`` and replays them while the response log still
-holds the answers they came from; ``sweep`` runs the same cascade, at its
-highest threshold, and uses no memo.
+helper reads a stage's sealed artifact back, or on a miss (missing,
+damaged or unsealed) builds and writes it, and each stage runs once per
+pipeline.  ``screen`` memoizes each review's results at its
+``screen_key``, sealed with their facts, and replays them while the
+response log still holds the answers they came from; ``sweep`` runs the
+same cascade, at its highest threshold, and uses no memo.
 
 Exit codes: 0 success, 2 config error, 3 provider failure,
 4 evaluation mismatch.
@@ -27,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import typing
 from contextlib import closing
@@ -284,20 +286,20 @@ class ReviewPipeline:
         self.cache = cache
         self._done: dict = {}
 
-    def _artifact(self, key: str, build, read, write=None):
+    def _artifact(self, key: str, build, load, write=None):
         """(value, key): the artifact at ``key`` read back, or built and written.
 
-        ``read(path)``/``write(value, path)`` handle a file format; without
-        ``write`` the artifact is ``to_json()`` text and ``read(text)`` loads
-        it, and text it cannot load is a ConfigError naming the file.
+        ``load(path, text)`` loads the sealed text a hit reads; text it
+        cannot load is a ConfigError naming the file.  A miss writes
+        ``write(value, path)`` for a file format, else ``to_json()`` text.
         """
-        if self.cache.has(key):
-            if write is not None:
-                return read(self.cache.path(key)), key
+        path = self.cache.path(key)
+        text = self.cache.read_text(key)
+        if text is not None:
             try:
-                return read(self.cache.read_text(key)), key
+                return load(path, text), key
             except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"unreadable artifact {self.cache.path(key)}: {exc}") from None
+                raise ConfigError(f"unreadable artifact {path}: {exc}") from None
         value = build()
         if write is None:
             self.cache.write_text(key, value.to_json())
@@ -318,9 +320,8 @@ class ReviewPipeline:
     def curated(self):
         """(dataset, curation report, key); the report is None on a cache hit.
 
-        A review that curation leaves without records is a ConfigError
-        before anything is written, so a cached curated artifact that holds
-        none is damaged: a ConfigError naming the file.
+        A review that curation leaves without records is a ConfigError,
+        and writes no artifact.
         """
         source = self.entry["dataset"]
 
@@ -330,14 +331,9 @@ class ReviewPipeline:
                 raise ConfigError(f"review {self.review_id}: no records left after curation")
             return dataset, report
 
-        def read(path):
-            dataset = corpus.load_dataset_jsonl(path, self.review_id)
-            if not dataset.records:
-                raise ConfigError(f"unreadable artifact {path}: no records")
-            return dataset, None
-
         (dataset, report), key = self._artifact(
-            self._curate_key(), build, read,
+            self._curate_key(), build,
+            lambda path, text: (corpus.load_dataset_jsonl(path, self.review_id, text), None),
             lambda built, path: corpus.write_dataset_jsonl(built[0], path),
         )
         return dataset, report, key
@@ -406,14 +402,15 @@ class ReviewPipeline:
             k = clustering_mod.choose_k(len(points), override=self.entry["k"])
             return clustering_mod.kmeans(points, k, self.cfg.seed)
 
-        return self._artifact(self.keys()["cluster"], build, clustering_mod.Clustering.from_json)
+        return self._artifact(self.keys()["cluster"], build,
+                              lambda _, text: clustering_mod.Clustering.from_json(text))
 
     @_once
     def pool(self):
         return self._artifact(
             self.keys()["pool"],
             lambda: build_pool(self.curated()[0], self.clustering()[0], self.points()[0]),
-            ExemplarPool.from_json,
+            lambda _, text: ExemplarPool.from_json(text),
         )
 
     def exemplars(self):
@@ -536,59 +533,18 @@ def _log_digest(path: str, size: int) -> str | None:
         return None
 
 
-def _seal(body: bytes, facts: dict) -> str:
-    """sha256 of a memo's results bytes followed by the canonical JSON of its facts."""
-    return hashlib.sha256(body + canonical_json(facts).encode("ascii")).hexdigest()
-
-
 def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
                 routed: int, log: str) -> None:
-    """Store a review's results bytes at ``key``, sealed with the facts of their screen.
+    """Store a review's results at ``key``, sealed with the facts of their screen.
 
-    The last line holds the record and routed counts, the length and sha256
-    of the response log as it stands, which holds every answer the results
-    were built from, and the ``_seal`` over the results and those facts.
+    The facts: the record and routed counts, and the length and sha256 of
+    the response log, which holds every answer the results were built from.
     """
-    with open(results_path, "rb") as fh:
-        body = fh.read()
     log_bytes = os.path.getsize(log)
     facts = {"log_bytes": log_bytes, "log_sha256": _log_digest(log, log_bytes),
              "records": records, "routed": routed}
-    if facts["log_sha256"] is None:
-        return  # a log not ending in a whole line; the next run screens again
-    data = body + (canonical_json({**facts, "seal": _seal(body, facts)}) + "\n").encode("ascii")
-
-    def write(path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(data)
-
-    cache.write_atomic(key, write)
-
-
-def _memo_hit(cache: ArtifactCache, key: str, log: str):
-    """(results bytes, record count, routed count) of the memo at ``key``, or None.
-
-    A memo is used only if its seal holds and the log still starts with the
-    prefix its answers came from.  One whose seal fails is damaged, or was
-    written in an older format: a line on stderr names it.
-    """
-    if not cache.has(key):
-        return None
-    path = cache.path(key)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cut = data.rfind(b"\n", 0, len(data) - 1) + 1
-    body = data[:cut]
-    try:
-        facts = json.loads(data[cut:])
-        if _seal(body, {k: v for k, v in facts.items() if k != "seal"}) != facts["seal"]:
-            raise ValueError("the memo fails its seal")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"screen memo {path}: damaged ({exc!r}); screening again", file=sys.stderr)
-        return None
-    if _log_digest(log, facts["log_bytes"]) != facts["log_sha256"]:
-        return None
-    return body, facts["records"], facts["routed"]
+    if facts["log_sha256"] is not None:  # else the log ends mid-line; screen again
+        cache.write_atomic(key, functools.partial(shutil.copyfile, results_path), facts)
 
 
 def _dry_run_screen(cfg: PipelineConfig) -> int:
@@ -641,10 +597,12 @@ def cmd_screen(args) -> int:
             key = pipe.screen_key()
             results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
             failures: list = []
-            hit = _memo_hit(pipe.cache, key, log)
-            if hit is not None:
-                body, records, routed = hit
-                with open(results_path, "wb") as fh:
+            memo = pipe.cache.read_text(key, "screen memo", with_facts=True)
+            body, facts = memo or (None, None)
+            # A memo is used only while the log starts with the prefix its answers came from.
+            if facts and _log_digest(log, facts["log_bytes"]) == facts["log_sha256"]:
+                records, routed = facts["records"], facts["routed"]
+                with open(results_path, "w", encoding="utf-8", newline="") as fh:
                     fh.write(body)
                 # Every answer was a cache hit, which costs $0 at any price.
                 merged.record_cache_hit(cfg.run.stage1_model, records)

@@ -142,9 +142,9 @@ def _record_from_mapping(m: dict) -> StudyRecord:
     return StudyRecord(str(m["id"]), str(m["title"]), str(m["abstract"]), gold)
 
 
-def load_dataset_jsonl(path: str, review_id: str) -> ReviewDataset:
-    """Load records from JSON lines, one object per line."""
-    records = read_jsonl(path, _record_from_mapping, DatasetError, "bad record row")
+def load_dataset_jsonl(path: str, review_id: str, text: str | None = None) -> ReviewDataset:
+    """Load records from JSON lines, one object per line, in ``text`` if given."""
+    records = read_jsonl(path, _record_from_mapping, DatasetError, "bad record row", text)
     return ReviewDataset(review_id, records)
 
 

@@ -66,18 +66,18 @@ def blocks(fh):
         yield rest
 
 
-def each_row(block: bytes, lineno: int, decoder, bom: bool, take, fail) -> list:
+def each_row(block: bytes | str, lineno: int, decoder, bom: bool, take, fail) -> list:
     """``take(obj)`` for each object line of ``block``, whose first line is ``lineno + 1``.
 
-    The block is decoded once.  An object that starts its line and,
-    scanned in place, ends on it (only spaces, tabs and CRs after) is
-    taken as it is.  Any other line, and a line holding a non-UTF-8 byte,
+    The block is decoded once, if it is bytes.  An object that starts its
+    line and, scanned in place, ends on it (only spaces, tabs and CRs
+    after) is taken as it is.  Any other line, and a line holding a non-UTF-8 byte,
     is decoded alone, after a BOM where ``bom``: skipped if blank, else it
     must be one object.  A line that is not, or whose ``take`` raises
     ValueError, KeyError or TypeError, raises ``fail(line number, exc)``.
     """
     try:
-        text, rest = block.decode("utf-8"), b""
+        text, rest = (block if isinstance(block, str) else block.decode("utf-8")), b""
     except UnicodeDecodeError as exc:
         cut = block.rfind(b"\n", 0, exc.start) + 1
         text, rest = block[:cut].decode("utf-8"), block[cut:]
@@ -121,16 +121,19 @@ def each_row(block: bytes, lineno: int, decoder, bom: bool, take, fail) -> list:
     return out
 
 
-def read_jsonl(path: str, convert, error: type[Exception], what: str) -> list:
-    """``convert(row)`` for each object line of ``path``, in file order.
+def read_jsonl(path: str, convert, error: type[Exception], what: str,
+               text: str | None = None) -> list:
+    """``convert(row)`` for each object line of ``path``, or of ``text`` read from it.
 
-    A line that is not UTF-8 JSON, not an object, or that ``convert``
-    rejects with ValueError, KeyError or TypeError raises ``error`` with
-    the message ``path:line: what: reason``.
+    Lines come in file order.  A line that is not UTF-8 JSON, not an
+    object, or that ``convert`` rejects with ValueError, KeyError or
+    TypeError raises ``error`` with the message ``path:line: what: reason``.
     """
     def fail(lineno, exc):
         return error(f"{path}:{lineno}: {what}: {exc}")
 
+    if text is not None:
+        return each_row(text, 0, _DECODER, True, convert, fail)
     out = []
     lineno = 0
     with open(path, "rb") as fh:

@@ -99,10 +99,11 @@ def write_points_jsonl(points: dict[str, Point2D], path: str) -> None:
                        for rid in sorted(points)))
 
 
-def read_points_jsonl(path: str) -> dict[str, Point2D]:
+def read_points_jsonl(path: str, text: str | None = None) -> dict[str, Point2D]:
+    """The points file at ``path``, parsed from ``text`` if given."""
     rows = read_jsonl(
         path, lambda row: (str(row["id"]), Point2D(float(row["x"]), float(row["y"]))),
-        ProjectionError, "bad point row",
+        ProjectionError, "bad point row", text,
     )
     check_unique(path, (rid for rid, _ in rows), ProjectionError, "record id")
     return dict(rows)

@@ -21,6 +21,7 @@ from dfscreen.gateway import (
     ProviderError,
     ResponseCache,
 )
+from dfscreen.projection import write_points_jsonl
 from dfscreen.synth import ReviewShape
 from dfscreen.triage import RunError, read_results_jsonl
 
@@ -394,8 +395,10 @@ class TestImportProjection:
         pool, _ = pca.pool()
         with open(config_path) as fh:
             raw = json.load(fh)
-        # Relative to the config file, like every other path in it.
-        os.replace(pca.cache.path(points_key), str(tmp_path / "ws" / "points.jsonl"))
+        # Relative to the config file, like every other path in it.  A sealed
+        # project-* artifact is not a plain points file, so write one.
+        write_points_jsonl(points, str(tmp_path / "ws" / "points.jsonl"))
+        os.unlink(pca.cache.path(points_key))
         raw["projection"] = {"method": "import", "path": "points.jsonl"}
         raw["reviews"] = {"REV-A": raw["reviews"]["REV-A"]}
         with open(config_path, "w") as fh:
@@ -560,8 +563,11 @@ class TestPipelineErrors:
         with open(artifact, "wb") as fh:
             fh.write(data[: len(data) // 2])
         capsys.readouterr()
-        assert cli.main(["cluster", "--config", config_path]) == cli.EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        # A torn artifact is a miss: reported, then built and written again.
+        assert cli.main(["cluster", "--config", config_path]) == cli.EXIT_OK
+        assert capsys.readouterr().err == (
+            f"artifact {artifact}: damaged or unsealed; building it again\n")
+        assert slurp(artifact) == data
 
 
 class TestGoldLabels:
@@ -861,34 +867,49 @@ class TestDamagedArtifact:
         assert cli.main(argv) == cli.EXIT_OK
         return config_path, str(tmp_path / "ws" / "cache")
 
+    @staticmethod
+    def dry_run_rebuilds(tmp_path, capsys, config_path, path, damage):
+        """Damage ``path``; a dry run then reports it and writes it again.
+
+        The dry run's stdout, and the file, are as they were before.
+        """
+        sealed = slurp(path)
+        # A warm screen replays its memo; the dry run reads the stage artifacts.
+        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm"), "--dry-run"]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK
+        clean = capsys.readouterr().out
+        damage(path)
+        assert cli.main(argv) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == f"artifact {path}: damaged or unsealed; building it again\n"
+        assert out == clean
+        assert slurp(path) == sealed
+
     @pytest.mark.parametrize("damage", [_cut_in_half, _empty, _bad_byte],
                              ids=["half", "empty", "non-utf8"])
     @pytest.mark.parametrize("stage", ["cluster", "pool"])
     def test_damaged_artifact_is_exit_2(self, tmp_path, capsys, warm_ws, stage, damage):
+        # Since every artifact is sealed, a damaged one is a miss, not exit 2.
         config_path, cache_dir = warm_ws
-        path = cached(cache_dir, stage)
-        damage(path)
-        capsys.readouterr()
-        # A warm screen replays its memo; the dry run reads the stage artifacts.
-        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm"), "--dry-run"]
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: unreadable artifact {path}: "), err
+        self.dry_run_rebuilds(tmp_path, capsys, config_path, cached(cache_dir, stage), damage)
 
     def test_curated_records_missing_an_exemplar_is_exit_2(self, tmp_path, capsys, warm_ws):
+        # The cut fails the seal, so the records are curated again: no
+        # PoolError (test_triage covers prompter's).
         config_path, cache_dir = warm_ws
         pipe = cli._pipeline_for(cli.PipelineConfig.load(config_path), "DMG")
         exemplar = pipe.pool()[0].ranked[0]["include"][0].record_id
+
+        def drop_exemplar(path):
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(line for line in lines
+                              if not line.strip() or json.loads(line).get("id") != exemplar)
+
         path = cached(cache_dir, "curate")
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(line for line in lines if json.loads(line)["id"] != exemplar)
-        capsys.readouterr()
-        argv = ["screen", "--config", config_path, "--out", str(tmp_path / "warm"), "--dry-run"]
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: pool exemplar {exemplar} is not in the "), err
+        self.dry_run_rebuilds(tmp_path, capsys, config_path, path, drop_exemplar)
 
 
 
@@ -899,16 +920,19 @@ class TestEmptiedCuratedArtifact:
         cold = ["screen", "--config", config_path, "--out", str(tmp_path / "cold")]
         assert cli.main(cold) == cli.EXIT_OK
         path = cached(str(tmp_path / "ws" / "cache"), "curate")
-        _empty(path)
+        sealed = slurp(path)
         capsys.readouterr()
-        # A warm screen replays its memo; sweep and the dry run read the records.
+        # A warm screen replays its memo; sweep and the dry run read the
+        # records.  An emptied artifact is a miss, curated again.
         for argv in (["sweep", "--config", config_path, "--out", str(tmp_path / "sweep")],
                      ["screen", "--config", config_path, "--out", str(tmp_path / "dry"),
                       "--dry-run"]):
-            assert cli.main(argv) == cli.EXIT_CONFIG
+            _empty(path)
+            assert cli.main(argv) == cli.EXIT_OK
             assert capsys.readouterr().err == (
-                f"config error: unreadable artifact {path}: no records\n")
-        assert not os.path.exists(tmp_path / "sweep" / "sweep.csv")
+                f"artifact {path}: damaged or unsealed; building it again\n")
+            assert slurp(path) == sealed
+        assert os.path.exists(tmp_path / "sweep" / "sweep.csv")
 
     def test_a_review_curated_to_nothing_writes_no_artifact(self, tmp_path, capsys):
         blank = synth.synth_review("BLANK", 12, 4, k=3, seed=1)

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+from contextlib import closing
 
 import pytest
 from hypothesis import given
@@ -357,18 +358,18 @@ class TestResponseCache:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "responses.jsonl")
-        first = ResponseCache(path)
         resp = LlmResponse(text="include", prompt_tokens=7, completion_tokens=2, model_id="m")
-        first.put("k1", resp)
+        with closing(ResponseCache(path)) as first:
+            first.put("k1", resp)
         again = ResponseCache(path)
         assert again.get("k1") == resp
 
     def test_put_idempotent(self, tmp_path):
         path = str(tmp_path / "responses.jsonl")
-        cache = ResponseCache(path)
         resp = LlmResponse(text="x", prompt_tokens=1, completion_tokens=1, model_id="m")
-        cache.put("k", resp)
-        cache.put("k", resp)
+        with closing(ResponseCache(path)) as cache:
+            cache.put("k", resp)
+            cache.put("k", resp)
         with open(path) as fh:
             assert len(fh.readlines()) == 1
 

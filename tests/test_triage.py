@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dfscreen import synth, triage
 from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset
 from dfscreen.evaluation import confusion, metrics
+from dfscreen.exemplar_pool import PoolError
 from dfscreen.gateway import (
     Decision,
     ModelPricing,
@@ -159,6 +160,16 @@ class TestTwoStage:
             dataset, pool, clustering, points, cfg, s1, s2, "Include adult trials.",
             cache=cache,
         )
+
+    def test_pool_exemplar_missing_from_the_dataset_is_a_pool_error(self, tiny):
+        dataset, points, clustering, pool = tiny
+        exemplar = pool.ranked[0]["include"][0].record_id
+        short = ReviewDataset("TINY", [r for r in dataset.records if r.id != exemplar])
+        prompt_for = triage.prompter(Strategy.DYNAMIC_FEW_SHOT, "Include adult trials.",
+                                     short, 0, (pool, clustering, points))
+        with pytest.raises(PoolError, match=f"pool exemplar {exemplar} is not in the TINY "):
+            for record in short.records:
+                prompt_for(record)
 
     def test_shape_and_order(self, small_pipeline):
         dataset = small_pipeline[0]
