@@ -55,26 +55,31 @@ class ArtifactCache:
     def path(self, key: str) -> str:
         return os.path.join(self.root, key)
 
-    def read_text(self, key: str, what: str = "artifact", with_facts: bool = False):
+    def read_text(self, key: str, what: str = "artifact", with_facts: bool = False,
+                  decode: bool = True):
         """The body at ``key`` as text, or None on a miss; ``with_facts``, (body, facts).
 
-        A missing file is a miss.  So is one whose seal is missing or fails,
-        or whose body is not UTF-8: one stderr line names it as ``what``.
+        Without ``decode`` the body is its checked bytes, a bytearray, for the
+        caller to decode.  A missing file is a miss.  So is one whose seal is
+        missing or fails, or whose body is not UTF-8 where it is decoded: one
+        stderr line names it as ``what``.
         """
         path = self.path(key)
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
+                data = bytearray(os.fstat(fh.fileno()).st_size)
+                del data[fh.readinto(data):]
         except FileNotFoundError:
             return None
         cut = data.rfind(b"\n", 0, len(data) - 1)
-        body = memoryview(data)[:cut]
+        whole = cut >= 0 and data.endswith(b"\n")
         try:
             facts = json.loads(data[cut + 1:])
             seal = facts.pop("seal", None)
-            if cut >= 0 and data.endswith(b"\n") and seal == _seal(body, facts):
-                text = str(body, "utf-8")
-                return (text, facts) if with_facts else text
+            del data[max(cut, 0):]  # the body alone, cut in place
+            if whole and seal == _seal(data, facts):
+                body = data.decode("utf-8") if decode else data
+                return (body, facts) if with_facts else body
         except (ValueError, TypeError, AttributeError):
             pass
         print(f"{what} {path}: damaged or unsealed; building it again", file=sys.stderr)

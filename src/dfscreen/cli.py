@@ -7,13 +7,15 @@ models and pricing, seed, cache directory.  The stage commands
 run; intermediates land in a content-addressed cache so reruns only redo
 what changed.  The embedding has a key but no artifact: ``project``
 embeds the records as its input.  Every command but ``curate`` walks the
-reviews in id order with one ReviewPipeline each; its single stage
-helper reads a stage's sealed artifact back, or on a miss (missing,
-damaged or unsealed) builds and writes it, and each stage runs once per
-pipeline.  ``screen`` memoizes each review's results at its
-``screen_key``, sealed with their facts, and replays them while the
-response log still holds the answers they came from; ``sweep`` runs the
-same cascade, at its highest threshold, and uses no memo.
+reviews in id order with one ReviewPipeline each, which reads each
+stage's sealed artifact back, or on a miss (missing, damaged or
+unsealed) builds and writes it, and runs each stage once.  The curated
+artifact's seal also holds every record's gold label, so a command that
+only scores (``evaluate``) parses no record.  ``screen`` memoizes each
+review's results at its ``screen_key``, sealed with their facts, and
+replays them while the response log still holds the answers they came
+from; ``sweep`` runs the same cascade, at its highest threshold, and
+uses no memo.
 
 Exit codes: 0 success, 2 config error, 3 provider failure,
 4 evaluation mismatch.
@@ -76,15 +78,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _file_sha256(path: str, size: float = math.inf) -> str | None:
+def _file_sha256(path: str, size: float = math.inf, start: int = 0, h=None) -> str | None:
     """sha256 of the file, or of its first ``size`` bytes, read in 64 KiB blocks.
 
     A prefix's digest is None unless the file holds ``size`` bytes and they
-    end a line.
+    end a line.  Given ``h``, the sha256 state of the file's first
+    ``start`` bytes, which end a line, the bytes after them are hashed on
+    into ``h``.
     """
-    h = hashlib.sha256()
-    left, block = size, b"\n"  # an empty prefix ends a line
+    h = hashlib.sha256() if h is None else h
+    left, block = size - start, b"\n"  # an empty prefix ends a line
     with open(path, "rb") as fh:
+        fh.seek(start)
         while left and (block := fh.read(min(left, 1 << 16))):
             h.update(block)
             left -= len(block)
@@ -286,20 +291,25 @@ class ReviewPipeline:
         self.cache = cache
         self._done: dict = {}
 
+    @staticmethod
+    def _load(path: str, parse):
+        """``parse()`` of the artifact at ``path``; a failure is a ConfigError naming it."""
+        try:
+            return parse()
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"unreadable artifact {path}: {exc}") from None
+
     def _artifact(self, key: str, build, load, write=None):
         """(value, key): the artifact at ``key`` read back, or built and written.
 
-        ``load(path, text)`` loads the sealed text a hit reads; text it
-        cannot load is a ConfigError naming the file.  A miss writes
-        ``write(value, path)`` for a file format, else ``to_json()`` text.
+        ``load(path, text)`` loads the sealed text a hit reads.  A miss
+        writes ``write(value, path)`` for a file format, else ``to_json()``
+        text.
         """
         path = self.cache.path(key)
         text = self.cache.read_text(key)
         if text is not None:
-            try:
-                return load(path, text), key
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"unreadable artifact {path}: {exc}") from None
+            return self._load(path, lambda: load(path, text)), key
         value = build()
         if write is None:
             self.cache.write_text(key, value.to_json())
@@ -317,35 +327,60 @@ class ReviewPipeline:
             raise ConfigError(f"criteria {path} is not UTF-8: {exc}") from None
 
     @_once
+    def _curated_seal(self) -> dict:
+        """The curated artifact's ``labels`` fact and checked ``body``, read once.
+
+        Empty on a miss: a missing, damaged or unsealed artifact, or one
+        sealed without labels, as caches written before the fact hold.
+        ``curated`` takes both out when it parses the body: the records
+        then hold the labels.
+        """
+        key = self._curate_key()
+        hit = self.cache.read_text(key, with_facts=True, decode=False)
+        if hit is None:
+            return {}
+        body, facts = hit
+        if "labels" not in facts:
+            print(f"artifact {self.cache.path(key)}: sealed without labels; building it again",
+                  file=sys.stderr)
+            return {}
+        return {"labels": facts["labels"], "body": body}
+
+    @_once
     def curated(self):
         """(dataset, curation report, key); the report is None on a cache hit.
 
-        A review that curation leaves without records is a ConfigError,
-        and writes no artifact.
+        A hit parses the checked bytes block by block, keeping neither
+        them nor the labels fact.  A miss curates the raw dataset and
+        writes the artifact, sealed with each record's gold label
+        (``labels``).  A review that curation leaves without records is a
+        ConfigError, and writes no artifact.
         """
-        source = self.entry["dataset"]
-
-        def build():
-            dataset, report = corpus.curate(corpus.load_dataset(source, self.review_id))
-            if not dataset.records:
-                raise ConfigError(f"review {self.review_id}: no records left after curation")
-            return dataset, report
-
-        (dataset, report), key = self._artifact(
-            self._curate_key(), build,
-            lambda path, text: (corpus.load_dataset_jsonl(path, self.review_id, text), None),
-            lambda built, path: corpus.write_dataset_jsonl(built[0], path),
-        )
+        key = self._curate_key()
+        seal = self._curated_seal()
+        if seal:
+            path, body = self.cache.path(key), seal["body"]
+            seal.clear()
+            dataset = self._load(
+                path, lambda: corpus.load_dataset_jsonl(path, self.review_id, body))
+            return dataset, None, key
+        dataset, report = corpus.curate(corpus.load_dataset(self.entry["dataset"],
+                                                            self.review_id))
+        if not dataset.records:
+            raise ConfigError(f"review {self.review_id}: no records left after curation")
+        self.cache.write_atomic(key, functools.partial(corpus.write_dataset_jsonl, dataset),
+                                {"labels": _labels(dataset)})
         return dataset, report, key
 
     def gold(self, scoring: bool = False) -> dict[str, str | None]:
         """Gold label per curated record id, None where a record has none.
 
+        Before the records are parsed they come from the curated
+        artifact's seal, so a command that only scores parses none.
         Commands that score against the labels pass ``scoring``: a missing
         label is then an EvaluationError.
         """
-        dataset, _, _ = self.curated()
-        gold = {r.id: r.gold_label for r in dataset.records}
+        gold = self._curated_seal().get("labels") or _labels(self.curated()[0])
         if scoring and any(v is None for v in gold.values()):
             raise evaluation.EvaluationError(
                 f"review {self.review_id}: gold labels missing"
@@ -467,6 +502,11 @@ class ReviewPipeline:
         return content_key("screen", params, [self.keys()["pool"]])
 
 
+def _labels(dataset: corpus.ReviewDataset) -> dict[str, str | None]:
+    """Each record's gold label by id: the curated artifact's ``labels`` fact."""
+    return {r.id: r.gold_label for r in dataset.records}
+
+
 def cmd_curate(args) -> int:
     cfg = PipelineConfig.load(args.config)
     out_dir = args.out
@@ -525,23 +565,42 @@ def _screen_review(pipe: ReviewPipeline, response_cache, failures):
                                    cache=response_cache, failures=failures)
 
 
-def _log_digest(path: str, size: int) -> str | None:
-    """``_file_sha256`` of the response log's first ``size`` bytes; None if it is missing."""
-    try:
-        return _file_sha256(path, size)
-    except FileNotFoundError:
-        return None
+class _LogDigest:
+    """``_file_sha256`` of the response log's prefixes, for one command.
+
+    Each prefix is hashed on from the longest prefix hashed before it, if
+    it is no shorter, so prefixes asked for in increasing sizes read the
+    log once.  Only line-ending prefixes are carried on from: the log only
+    grows, and a torn tail it drops lies past its last line.  A missing
+    log has no digest.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._at, self._state = 0, hashlib.sha256()
+
+    def __call__(self, size: int) -> str | None:
+        if size < self._at:
+            self._at, self._state = 0, hashlib.sha256()
+        h = self._state.copy()
+        try:
+            digest = _file_sha256(self.path, size, self._at, h)
+        except FileNotFoundError:
+            return None
+        if digest is not None:
+            self._at, self._state = size, h
+        return digest
 
 
 def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
-                routed: int, log: str) -> None:
+                routed: int, log_digest: _LogDigest) -> None:
     """Store a review's results at ``key``, sealed with the facts of their screen.
 
     The facts: the record and routed counts, and the length and sha256 of
     the response log, which holds every answer the results were built from.
     """
-    log_bytes = os.path.getsize(log)
-    facts = {"log_bytes": log_bytes, "log_sha256": _log_digest(log, log_bytes),
+    log_bytes = os.path.getsize(log_digest.path)
+    facts = {"log_bytes": log_bytes, "log_sha256": log_digest(log_bytes),
              "records": records, "routed": routed}
     if facts["log_sha256"] is not None:  # else the log ends mid-line; screen again
         cache.write_atomic(key, functools.partial(shutil.copyfile, results_path), facts)
@@ -592,17 +651,18 @@ def cmd_screen(args) -> int:
         "reviews": {},
     }
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
+    log_digest = _LogDigest(log)
     with closing(ResponseCache(log)) as response_cache:
         for rid, pipe in _pipelines(cfg):
             key = pipe.screen_key()
             results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
             failures: list = []
-            memo = pipe.cache.read_text(key, "screen memo", with_facts=True)
+            memo = pipe.cache.read_text(key, "screen memo", with_facts=True, decode=False)
             body, facts = memo or (None, None)
             # A memo is used only while the log starts with the prefix its answers came from.
-            if facts and _log_digest(log, facts["log_bytes"]) == facts["log_sha256"]:
+            if facts and log_digest(facts["log_bytes"]) == facts["log_sha256"]:
                 records, routed = facts["records"], facts["routed"]
-                with open(results_path, "w", encoding="utf-8", newline="") as fh:
+                with open(results_path, "wb") as fh:
                     fh.write(body)
                 # Every answer was a cache hit, which costs $0 at any price.
                 merged.record_cache_hit(cfg.run.stage1_model, records)
@@ -615,7 +675,7 @@ def cmd_screen(args) -> int:
                 records = len(pipe.curated()[0])
                 routed = sum(1 for r in results if r.routed)
                 if not failures:
-                    _write_memo(pipe.cache, key, results_path, records, routed, log)
+                    _write_memo(pipe.cache, key, results_path, records, routed, log_digest)
             manifest["reviews"][rid] = {
                 "screen_key": key,
                 "records": records,
@@ -666,8 +726,24 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _sweep_review(pipe: ReviewPipeline, gold: dict, response_cache, thresholds) -> list:
+    """One review's sweep points; its records and results go when it returns."""
+    failures: list = []
+    results, _ = _screen_review(pipe, response_cache, failures)
+    if failures:
+        raise RunError(
+            f"sweep needs every record; {len(failures)} of {len(gold)} "
+            f"failed: {sorted(rid_ for rid_, _ in failures)}"
+        )
+    return triage.sweep_thresholds(results, gold, thresholds)
+
+
 def cmd_sweep(args) -> int:
-    """Score every threshold from one memo-less ``_screen_review`` per review."""
+    """Score every threshold from one memo-less ``_screen_review`` per review.
+
+    Every review's gold labels are checked before any call; then the
+    reviews are screened one at a time, each pipeline let go once scored.
+    """
     cfg = PipelineConfig.load(args.config)
     try:
         thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
@@ -683,19 +759,12 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     os.makedirs(cfg.cache_dir, exist_ok=True)
     out_rows = []
-    pipes = list(_pipelines(cfg))
-    golds = [pipe.gold(scoring=True) for _, pipe in pipes]  # before any call
+    reviews = [(rid, pipe, pipe.gold(scoring=True)) for rid, pipe in _pipelines(cfg)]
     log = os.path.join(cfg.cache_dir, "responses.jsonl")
     with closing(ResponseCache(log)) as response_cache:
-        for (rid, pipe), gold in zip(pipes, golds):
-            failures: list = []
-            results, _ = _screen_review(pipe, response_cache, failures)
-            if failures:
-                raise RunError(
-                    f"sweep needs every record; {len(failures)} of {len(gold)} "
-                    f"failed: {sorted(rid_ for rid_, _ in failures)}"
-                )
-            for pt in triage.sweep_thresholds(results, gold, thresholds):
+        while reviews:
+            rid, pipe, gold = reviews.pop(0)
+            for pt in _sweep_review(pipe, gold, response_cache, thresholds):
                 out_rows.append((rid, pt.threshold, pt.f1, pt.routed_ratio))
                 print(
                     f"{rid} @ {pt.threshold:.2f}: F1={pt.f1:.4f} "

@@ -131,20 +131,22 @@ _REQUIRED_FIELDS = ("id", "title", "abstract")
 
 
 def _record_from_mapping(m: dict) -> StudyRecord:
-    for k in _REQUIRED_FIELDS:
-        if k not in m:
-            raise DatasetError(f"missing field {k!r}")
+    try:
+        rid, title, abstract = m["id"], m["title"], m["abstract"]  # in _REQUIRED_FIELDS order
+    except KeyError as exc:
+        raise DatasetError(f"missing field {exc.args[0]!r}") from None
     gold = m.get("gold_label")
-    if gold is not None:
-        gold = str(gold).strip().lower()
-        if gold == "":
-            gold = None
-    return StudyRecord(str(m["id"]), str(m["title"]), str(m["abstract"]), gold)
+    if gold is not None and gold not in LABELS:
+        gold = str(gold).strip().lower() or None
+    return StudyRecord(str(rid), str(title), str(abstract), gold)
 
 
-def load_dataset_jsonl(path: str, review_id: str, text: str | None = None) -> ReviewDataset:
-    """Load records from JSON lines, one object per line, in ``text`` if given."""
-    records = read_jsonl(path, _record_from_mapping, DatasetError, "bad record row", text)
+def load_dataset_jsonl(path: str, review_id: str, data=None) -> ReviewDataset:
+    """Load records from JSON lines, one object per line, in ``data`` if given.
+
+    ``data`` is the file's text or bytes, read block by block.
+    """
+    records = read_jsonl(path, _record_from_mapping, DatasetError, "bad record row", data)
     return ReviewDataset(review_id, records)
 
 

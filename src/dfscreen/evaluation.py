@@ -50,15 +50,21 @@ class ConfusionMatrix:
         )
 
 
-def confusion(final_labels: dict[str, str], gold: dict[str, str]) -> ConfusionMatrix:
-    """Count outcomes over identical id sets; any mismatch is an error."""
-    if set(final_labels) != set(gold):
-        only_pred = sorted(set(final_labels) - set(gold))
-        only_gold = sorted(set(gold) - set(final_labels))
+def check_ids(predicted, gold: dict[str, str]) -> None:
+    """Raise EvaluationError unless the ids ``predicted`` holds are ``gold``'s."""
+    predicted = set(predicted)
+    if predicted != set(gold):
+        only_pred = sorted(predicted - set(gold))
+        only_gold = sorted(set(gold) - predicted)
         raise EvaluationError(
             f"id sets differ: {len(only_pred)} only in predictions "
             f"{only_pred[:5]}, {len(only_gold)} only in gold {only_gold[:5]}"
         )
+
+
+def confusion(final_labels: dict[str, str], gold: dict[str, str]) -> ConfusionMatrix:
+    """Count outcomes over identical id sets; any mismatch is an error."""
+    check_ids(final_labels, gold)
     tp = fp = fn = tn = 0
     for rid, predicted in final_labels.items():
         actual = gold[rid]

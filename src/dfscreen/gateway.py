@@ -26,6 +26,7 @@ import threading
 import time
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable
 
 from .corpus import EXCLUDE, INCLUDE
@@ -183,6 +184,8 @@ def _last_decision_word(text: str) -> str | None:
 
 
 _JSON = json.JSONDecoder()
+# A response log line's fields besides its key, in LlmResponse's order.
+_LOGGED = itemgetter("text", "prompt_tokens", "completion_tokens", "model_id")
 
 
 def _first_json_object(text: str) -> dict | None:
@@ -228,6 +231,13 @@ def parse_decision(text: str, expects_confidence: bool) -> Decision:
 
 
 def _entry(row: dict) -> tuple[str, LlmResponse]:
+    """A log line's (key, response).  A line of other fields than ``put`` writes
+    is taken by name, which raises what a keyword call raises."""
+    if len(row) == 5:
+        try:
+            return row["key"], LlmResponse(*_LOGGED(row))
+        except KeyError:
+            pass
     return row.pop("key"), LlmResponse(**row)
 
 

@@ -10,10 +10,11 @@ imported: the benchmark harness imports ``dfscreen.synth``, which reaches
 this module, and whatever the harness loads raises every worker's
 measured peak RSS.
 
-A file is read in blocks of whole lines, each walked once by
-``each_row``: an object that fills its line is taken in place by
-``json``'s C scanner, and any other line is decoded alone, so every line
-reads, and fails, as reading one line at a time would.  The response log
+A file, or bytes already read from one (a sealed cache artifact), is
+read in blocks of whole lines, each walked once by ``each_row``: an
+object that fills its line is taken in place by ``json``'s C scanner,
+and any other line is decoded alone, so every line reads, and fails, as
+reading one line at a time would.  The response log
 (``gateway``) is read with the same walk.  Rows become plain, not
 frozen, dataclasses through their own constructors: a frozen
 ``__init__`` sets each field through the slower ``object.__setattr__``.
@@ -64,6 +65,18 @@ def blocks(fh):
         rest = chunk[cut:]
     if rest:
         yield rest
+
+
+def buffer_blocks(data):
+    """``data``, text or bytes, in the blocks ``blocks`` reads from a file of it."""
+    nl = "\n" if isinstance(data, str) else b"\n"
+    start, end = 0, len(data)
+    while start < end:
+        cut = data.rfind(nl, start, start + _BLOCK) + 1
+        if not cut:  # no line ends in the block: take the whole line
+            cut = data.find(nl, start) + 1 or end
+        yield data[start:cut]
+        start = cut
 
 
 def each_row(block: bytes | str, lineno: int, decoder, bom: bool, take, fail) -> list:
@@ -122,8 +135,8 @@ def each_row(block: bytes | str, lineno: int, decoder, bom: bool, take, fail) ->
 
 
 def read_jsonl(path: str, convert, error: type[Exception], what: str,
-               text: str | None = None) -> list:
-    """``convert(row)`` for each object line of ``path``, or of ``text`` read from it.
+               data: str | bytes | bytearray | None = None) -> list:
+    """``convert(row)`` for each object line of ``path``, or of ``data`` read from it.
 
     Lines come in file order.  A line that is not UTF-8 JSON, not an
     object, or that ``convert`` rejects with ValueError, KeyError or
@@ -132,15 +145,18 @@ def read_jsonl(path: str, convert, error: type[Exception], what: str,
     def fail(lineno, exc):
         return error(f"{path}:{lineno}: {what}: {exc}")
 
-    if text is not None:
-        return each_row(text, 0, _DECODER, True, convert, fail)
-    out = []
-    lineno = 0
-    with open(path, "rb") as fh:
-        for block in blocks(fh):
+    def read(chunks) -> list:
+        out = []
+        lineno = 0
+        for block in chunks:
             out += each_row(block, lineno, _DECODER, True, convert, fail)
-            lineno += block.count(b"\n")
-    return out
+            lineno += block.count("\n" if isinstance(block, str) else b"\n")
+        return out
+
+    if data is not None:
+        return read(buffer_blocks(data))
+    with open(path, "rb") as fh:
+        return read(blocks(fh))
 
 
 def check_unique(path: str, ids, error: type[Exception], what: str) -> None:

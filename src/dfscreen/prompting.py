@@ -13,11 +13,12 @@ A prompt is a head and a tail.  The head is everything before the
 target's title: the role text, the criteria and, for the few-shot
 variants, the rendered instances.  The tail is the target's title and
 abstract and the text around them.  ``head`` builds a ``Head`` once,
-with the sha256 state of its text, and ``render`` fills in one target:
-the text is the head's plus the tail, and the digest is the head's hash
-state updated with the tail, the sha256 of the whole text without
-hashing the head again.  Which targets share a head is the caller's
-choice (``triage.prompter``).
+and ``render`` fills in one target: the text is the head's plus the
+tail.  A prompt's digest, the sha256 of its text, is computed when it is
+read, as the head's hash state updated with the tail: the head is hashed
+once, on the first digest of a prompt that starts with it, and a caller
+that reads no digest (the dry run) hashes nothing.  Which targets share
+a head is the caller's choice (``triage.prompter``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .corpus import EXCLUDE, INCLUDE, ReviewDataset, StudyRecord
 from .rng import SplitMix64
@@ -147,13 +149,6 @@ def _split(template: str) -> tuple[list[str], str, str]:
 _PARTS = {strategy: _split(template) for strategy, template in _TEMPLATES.items()}
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
-    text: str
-    strategy: Strategy
-    digest: str | None = None  # sha256 hex of ``text``
-
-
 def render_instances(instances: list[tuple[StudyRecord, str]]) -> str:
     blocks = []
     for record, label in instances:
@@ -173,7 +168,28 @@ class Head:
 
     strategy: Strategy
     text: str
-    hashed: object  # hashlib sha256 object, updated only on copies
+
+    @cached_property
+    def hashed(self):
+        """hashlib sha256 object of ``text``, updated only on copies."""
+        return hashlib.sha256(self.text.encode("utf-8"))
+
+
+@dataclass(frozen=True)
+class RenderedPrompt:
+    text: str
+    strategy: Strategy
+    head: Head  # the head ``text`` starts with
+
+    @property
+    def digest(self) -> str:
+        """sha256 hex of ``text``: the head's hash state updated with the tail.
+
+        Computed at each read, so a caller that needs it twice keeps it.
+        """
+        digest = self.head.hashed.copy()
+        digest.update(self.text[len(self.head.text):].encode("utf-8"))
+        return digest.hexdigest()
 
 
 def head(
@@ -192,16 +208,14 @@ def head(
     parts = _PARTS[strategy][0][:]
     parts[1::2] = [values[name] for name in parts[1::2]]
     text = "".join(parts)
-    return Head(strategy, text, hashlib.sha256(text.encode("utf-8")))
+    return Head(strategy, text)
 
 
 def render(head: Head, record: StudyRecord) -> RenderedPrompt:
     """The prompt for one target record: ``head`` and the record's tail."""
     _, between, after = _PARTS[head.strategy]
-    tail = f"{record.title}{between}{record.abstract}{after}"
-    digest = head.hashed.copy()
-    digest.update(tail.encode("utf-8"))
-    return RenderedPrompt(head.text + tail, head.strategy, digest.hexdigest())
+    return RenderedPrompt(f"{head.text}{record.title}{between}{record.abstract}{after}",
+                          head.strategy, head)
 
 
 def static_instances(

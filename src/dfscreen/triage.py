@@ -22,14 +22,17 @@ threshold sweep is scored from the results of a single cascade run.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import itemgetter
 
 from .clustering import Clustering
-from .corpus import EXCLUDE, LABELS, ReviewDataset, StudyRecord
-from .evaluation import EvaluationError, confusion, metrics
+from .corpus import EXCLUDE, INCLUDE, LABELS, ReviewDataset, StudyRecord
+from .evaluation import ConfusionMatrix, EvaluationError, check_ids, metrics
 from .exemplar_pool import ExemplarPool, PoolError, cluster_of, select_instances
 from .gateway import (
     CostLedger,
@@ -108,23 +111,44 @@ class ScreeningResult:
         """Inverse of ``to_dict``; a field an older file lacks takes its default.
 
         A field of another type than ``to_dict`` writes raises ValueError.
+        A row of the fields ``to_dict`` writes is taken field by field; any
+        other row, and one that fails, is taken again by name, which raises
+        what a keyword call and these checks raise.
         """
-        r = cls(**{name: Decision(**v) if isinstance(v, dict) else v
-                   for name, v in row.items()})
-        if type(r.record_id) is not str:
-            raise ValueError(f"record_id {r.record_id!r} is not a string")
-        if r.final not in LABELS:
-            raise ValueError(f"final {r.final!r} is not one of {LABELS}")
-        if type(r.routed) is not bool or type(r.unparsed_final) is not bool:
+        if len(row) == len(_FIELD_NAMES):
+            try:
+                r = cls(*_FIELDS(row))
+                r.stage1, r.stage2 = _decision(r.stage1), _decision(r.stage2)
+                return r._checked()
+            except (KeyError, TypeError, ValueError):
+                pass
+        return cls(**{name: _decision(v) for name, v in row.items()})._checked()
+
+    def _checked(self) -> "ScreeningResult":
+        if type(self.record_id) is not str:
+            raise ValueError(f"record_id {self.record_id!r} is not a string")
+        if self.final not in LABELS:
+            raise ValueError(f"final {self.final!r} is not one of {LABELS}")
+        if type(self.routed) is not bool or type(self.unparsed_final) is not bool:
             raise ValueError("routed and unparsed_final must be true or false")
-        for d in (r.stage1, r.stage2):
+        for d in (self.stage1, self.stage2):
             if d is not None and type(d) is not Decision:
                 raise ValueError(f"decision {d!r} is neither null nor an object")
-        for n in (r.stage1_prompt_tokens, r.stage1_completion_tokens,
-                  r.stage2_prompt_tokens, r.stage2_completion_tokens):
+        for n in (self.stage1_prompt_tokens, self.stage1_completion_tokens,
+                  self.stage2_prompt_tokens, self.stage2_completion_tokens):
             if type(n) is not int or n < 0:
                 raise ValueError(f"token count {n!r} is not a nonnegative integer")
-        return r
+        return self
+
+
+def _decision(value):
+    """A results row's decision object as a Decision; any other value as it is."""
+    return Decision(**value) if isinstance(value, dict) else value
+
+
+# The results row's fields in ScreeningResult's order, and a row's values of them.
+_FIELD_NAMES = tuple(f.name for f in fields(ScreeningResult))
+_FIELDS = itemgetter(*_FIELD_NAMES)
 
 
 def effective_confidence(stage1: Decision | None) -> float:
@@ -230,9 +254,9 @@ def _screen_all(
     is re-raised once they have finished the ones in hand.
     """
 
-    def ask(provider, prompt: RenderedPrompt, tags: dict):
+    def ask(provider, prompt: RenderedPrompt, digest: str, tags: dict):
         resp = complete(prompt.text, provider, ledger, temperature=cfg.temperature,
-                        cache=cache, tags=tags, sleep=sleep, digest=prompt.digest)
+                        cache=cache, tags=tags, sleep=sleep, digest=digest)
         try:
             return resp, parse_decision(resp.text, prompt.strategy.expects_confidence)
         except UnparseableResponse:
@@ -240,10 +264,11 @@ def _screen_all(
 
     def screen_one(record: StudyRecord) -> ScreeningResult:
         prompt = prompt_for(record)
+        digest = prompt.digest  # one hash for both stages
         tags = {"record_id": record.id}
-        resp1, d1 = ask(stage1_provider, prompt, tags)
+        resp1, d1 = ask(stage1_provider, prompt, digest, tags)
         routed = stage2_provider is not None and should_route(d1, cfg.threshold)
-        resp2, d2 = ask(stage2_provider, prompt, tags) if routed else (None, None)
+        resp2, d2 = ask(stage2_provider, prompt, digest, tags) if routed else (None, None)
         answer = d2 if routed else d1
         return ScreeningResult(
             record_id=record.id,
@@ -393,19 +418,47 @@ def sweep_thresholds(
     point is exact: routed records take the run's final answer, the rest
     their stage-1 label.  A threshold that routes a record the results do
     not mark routed is above the run's, and raises ValueError.
+
+    ``results`` hold one row per record.  Their ids are checked against
+    ``gold`` once, and each record's routing confidence is read once: at
+    any threshold the routed records are those stage 1 left unparsed and
+    a prefix of the rest ranked by confidence, whose confusion counts
+    come from a running tally.
     """
+    check_ids((r.record_id for r in results), gold)
+    unparsed = [r for r in results if r.stage1 is None]
+    counts = [0, 0, 0, 0]  # tp, fp, fn, tn; a (predicted, actual) pair's index below
+    ranked = []  # (confidence, id, index as kept, index as routed, routed in the run)
+    for r in results:
+        actual = gold[r.record_id] != INCLUDE
+        as_routed = 2 * (r.final != INCLUDE) + actual
+        if r.stage1 is None:
+            counts[as_routed] += 1
+        else:
+            as_kept = 2 * (r.stage1.label != INCLUDE) + actual
+            counts[as_kept] += 1
+            ranked.append((effective_confidence(r.stage1), r.record_id, as_kept, as_routed,
+                           r.routed))
+    ranked.sort()
+    tallies = [tuple(counts)]  # tallies[k]: the counts with the k least confident routed
+    for _, _, as_kept, as_routed, _ in ranked:
+        counts[as_kept] -= 1
+        counts[as_routed] += 1
+        tallies.append(tuple(counts))
+    confidences = [row[0] for row in ranked]
+    # A threshold that routes the first k ranked records raises for k >= unrun.
+    unrun = 0 if any(not r.routed for r in unparsed) else next(
+        (k + 1 for k, row in enumerate(ranked) if not row[4]), math.inf)
     out = []
     for th in thresholds:
-        routed = {r.record_id for r in results if should_route(r.stage1, th)}
-        unrun = [r.record_id for r in results if r.record_id in routed and not r.routed]
-        if unrun:
-            raise ValueError(f"threshold {th} routes {unrun[0]}, which the run did not route")
-        finals = {
-            r.record_id: r.final if r.record_id in routed else r.stage1.label
-            for r in results
-        }
-        f1 = metrics(confusion(finals, gold))["f1"]
-        out.append(SweepPoint(th, f1, len(routed) / len(results), tuple(sorted(routed))))
+        k = bisect_left(confidences, th)  # how many confidences lie below th
+        if k >= unrun:
+            first = next(r.record_id for r in results
+                         if should_route(r.stage1, th) and not r.routed)
+            raise ValueError(f"threshold {th} routes {first}, which the run did not route")
+        f1 = metrics(ConfusionMatrix(*tallies[k]))["f1"]
+        routed = sorted([r.record_id for r in unparsed] + [row[1] for row in ranked[:k]])
+        out.append(SweepPoint(th, f1, len(routed) / len(results), tuple(routed)))
     return out
 
 

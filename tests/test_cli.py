@@ -717,6 +717,34 @@ class TestStageMemo:
             name = f"results_{shape.review_id}.jsonl"
             assert slurp(tmp_path / "warm" / name) == slurp(tmp_path / "cold" / name)
 
+    def test_warm_evaluate_parses_no_curated_record(self, tmp_path, monkeypatch):
+        # The gold labels come from each curated artifact's seal.
+        config_path = build_workspace(str(tmp_path / "ws"))
+        cold = tmp_path / "cold"
+        assert cli.main(["screen", "--config", config_path, "--out", str(cold)]) == cli.EXIT_OK
+        argv = ["evaluate", "--config", config_path, "--results", str(cold)]
+        assert cli.main(argv) == cli.EXIT_OK
+        expected = {name: slurp(cold / name) for name in ("report.csv", "report.json")}
+        opened, parsed = [], []
+        real_open, real_load = builtins.open, corpus.load_dataset_jsonl
+
+        def record_open(file, *args, **kwargs):
+            opened.append(os.path.basename(str(file)))
+            return real_open(file, *args, **kwargs)
+
+        def record_load(path, *args):
+            parsed.append(path)
+            return real_load(path, *args)
+
+        monkeypatch.setattr(builtins, "open", record_open)
+        monkeypatch.setattr(corpus, "load_dataset_jsonl", record_load)
+        assert cli.main(argv) == cli.EXIT_OK
+        monkeypatch.undo()
+        assert parsed == []
+        curated = [name for name in opened if name.startswith("curate-")]
+        assert len(curated) == len(set(curated)) == len(SHAPES)
+        assert {name: slurp(cold / name) for name in expected} == expected
+
     def test_cold_baseline_screen_builds_no_exemplar_artifact(self, tmp_path):
         dataset = synth.synth_review("BASE", 40, 10, k=3, seed=4)
         bare, built = (single_review_workspace(str(tmp_path / ws), dataset)

@@ -24,6 +24,7 @@ from dfscreen.gateway import OracleProfile, OracleProvider, ResponseCache
 from dfscreen.prompting import Strategy, static_instances
 
 from conftest import build_pipeline
+from test_cli import single_review_workspace
 
 FIELDS = re.compile(r"\{(criteria|title|abstract|instances)\}")
 TEMPLATES = {
@@ -190,3 +191,20 @@ def test_warm_replay_selection_bound(tmp_path):
             bound += record.id in picks[cluster]
         bound += len(picks)
     assert bound == 144
+
+
+@pytest.mark.parametrize("strategy", ["dfsl", "fs"])
+def test_dry_run_hashes_no_prompt(tmp_path, monkeypatch, capsys, strategy):
+    # The dry run reads each prompt's text alone; a digest is hashed only when read.
+    dataset = synth.synth_review("DRY", 40, 10, k=3, seed=2)
+    config_path = single_review_workspace(str(tmp_path / "ws"), dataset)
+    argv = ["screen", "--config", config_path, "--out", str(tmp_path / "out"),
+            "--strategy", strategy, "--dry-run"]
+    assert cli.main(argv) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    hashed = []
+    monkeypatch.setattr(prompting.RenderedPrompt, "digest", property(hashed.append))
+    monkeypatch.setattr(prompting.Head, "hashed", property(hashed.append))
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert hashed == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 import time
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from dfscreen import synth, triage
 from dfscreen.corpus import EXCLUDE, INCLUDE, ReviewDataset
-from dfscreen.evaluation import confusion, metrics
+from dfscreen.evaluation import EvaluationError, confusion, metrics
 from dfscreen.exemplar_pool import PoolError
 from dfscreen.gateway import (
     Decision,
@@ -736,6 +737,79 @@ def test_one_pass_sweep_equals_a_run_per_threshold(sweep_pipeline, data):
             )
         )
     assert sweep == expected
+
+
+def sweep_by_definition(results, gold, thresholds):
+    """``sweep_thresholds`` as it is defined: each threshold scored on its own."""
+    out = []
+    for th in thresholds:
+        routed = {r.record_id for r in results if should_route(r.stage1, th)}
+        unrun = [r.record_id for r in results if r.record_id in routed and not r.routed]
+        if unrun:
+            raise ValueError(f"threshold {th} routes {unrun[0]}, which the run did not route")
+        finals = {r.record_id: r.final if r.record_id in routed else r.stage1.label
+                  for r in results}
+        f1 = metrics(confusion(finals, gold))["f1"]
+        out.append(SweepPoint(th, f1, len(routed) / len(results), tuple(sorted(routed))))
+    return out
+
+
+# Confidences on and off the thresholds drawn below, and a null one.
+SWEEP_CONFIDENCES = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+STAGE1_DECISIONS = st.none() | st.builds(Decision, LABELS, st.none() | SWEEP_CONFIDENCES)
+
+
+@st.composite
+def swept_runs(draw):
+    """(results, gold, thresholds) of a run at its highest threshold, maybe one above it.
+
+    Thresholds fall on the records' confidences and just above them.  One
+    run in five is single-stage, routing nothing: every threshold that
+    routes a record, an unparsed one at any threshold, is above it.
+    """
+    n = draw(st.integers(1, 25))
+    ids = [f"r{i:02d}" for i in draw(st.permutations(range(n)))]
+    gold = {rid: draw(LABELS) for rid in ids}
+    decisions = [draw(STAGE1_DECISIONS) for _ in ids]
+    confidences = sorted({d.confidence for d in decisions if d and d.confidence is not None})
+    near = sorted({c2 for c in confidences for c2 in (c, math.nextafter(c, 2.0)) if c2 <= 1.0})
+    points = SWEEP_CONFIDENCES | st.sampled_from(near) if near else SWEEP_CONFIDENCES
+    thresholds = draw(st.lists(points, min_size=1, max_size=5))
+    thresholds += draw(st.lists(st.sampled_from([0.0, 1.0]), max_size=2))
+    run_at = max(thresholds)
+    single_stage = draw(st.integers(0, 4)) == 0
+    results = []
+    for rid, d1 in zip(ids, decisions):
+        routed = not single_stage and should_route(d1, run_at)
+        d2 = draw(st.none() | st.builds(Decision, LABELS)) if routed else None
+        answer = d2 if routed else d1
+        results.append(ScreeningResult(rid, d1, routed, d2,
+                                       EXCLUDE if answer is None else answer.label))
+    if draw(st.booleans()):  # a threshold above the run's: ValueError, if it routes more
+        above = [c for c in near if c > run_at]
+        thresholds.insert(draw(st.integers(0, len(thresholds))),
+                          draw(st.floats(run_at, 1.0) | st.sampled_from(above or [1.0])))
+    return results, gold, thresholds
+
+
+@given(swept_runs())
+def test_sweep_equals_its_per_threshold_definition(run):
+    results, gold, thresholds = run
+    try:
+        expected = sweep_by_definition(results, gold, thresholds)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            sweep_thresholds(results, gold, thresholds)
+        assert str(info.value) == str(exc)
+        assert "which the run did not route" in str(exc)
+    else:
+        assert sweep_thresholds(results, gold, thresholds) == expected
+
+
+def test_sweep_checks_the_id_sets():
+    results = [ScreeningResult("a", Decision(INCLUDE, 0.95), False, None, INCLUDE)]
+    with pytest.raises(EvaluationError, match="id sets differ: 1 only in predictions"):
+        sweep_thresholds(results, {"b": INCLUDE}, [0.5, 0.9])
 
 
 class TestSerialization:
