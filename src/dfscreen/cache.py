@@ -55,14 +55,14 @@ class ArtifactCache:
     def path(self, key: str) -> str:
         return os.path.join(self.root, key)
 
-    def read_text(self, key: str, what: str = "artifact", with_facts: bool = False,
+    def read_text(self, key: str, what: str | None = "artifact", with_facts: bool = False,
                   decode: bool = True):
         """The body at ``key`` as text, or None on a miss; ``with_facts``, (body, facts).
 
         Without ``decode`` the body is its checked bytes, a bytearray, for the
         caller to decode.  A missing file is a miss.  So is one whose seal is
         missing or fails, or whose body is not UTF-8 where it is decoded: one
-        stderr line names it as ``what``.
+        stderr line names it as ``what``, unless ``what`` is None.
         """
         path = self.path(key)
         try:
@@ -82,7 +82,8 @@ class ArtifactCache:
                 return (body, facts) if with_facts else body
         except (ValueError, TypeError, AttributeError):
             pass
-        print(f"{what} {path}: damaged or unsealed; building it again", file=sys.stderr)
+        if what is not None:
+            print(f"{what} {path}: damaged or unsealed; building it again", file=sys.stderr)
         return None
 
     def write_atomic(self, key: str, write: Callable[[str], None],

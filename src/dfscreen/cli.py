@@ -15,7 +15,9 @@ only scores (``evaluate``) parses no record.  ``screen`` memoizes each
 review's results at its ``screen_key``, sealed with their facts, and
 replays them while the response log still holds the answers they came
 from; ``sweep`` runs the same cascade, at its highest threshold, and
-uses no memo.
+uses no memo.  The facts include the results' score counts, so
+``evaluate`` scores a results file that is the memo's body from them and
+parses only the rows of any other.
 
 Exit codes: 0 success, 2 config error, 3 provider failure,
 4 evaluation mismatch.
@@ -593,15 +595,18 @@ class _LogDigest:
 
 
 def _write_memo(cache: ArtifactCache, key: str, results_path: str, records: int,
-                routed: int, log_digest: _LogDigest) -> None:
+                routed: int, log_digest: _LogDigest, score: dict | None) -> None:
     """Store a review's results at ``key``, sealed with the facts of their screen.
 
-    The facts: the record and routed counts, and the length and sha256 of
-    the response log, which holds every answer the results were built from.
+    The facts: the record and routed counts, the length and sha256 of the
+    response log, which holds every answer the results were built from,
+    and the results' ``score``, if given, which ``evaluate`` reads.
     """
     log_bytes = os.path.getsize(log_digest.path)
     facts = {"log_bytes": log_bytes, "log_sha256": log_digest(log_bytes),
              "records": records, "routed": routed}
+    if score is not None:
+        facts["score"] = score
     if facts["log_sha256"] is not None:  # else the log ends mid-line; screen again
         cache.write_atomic(key, functools.partial(shutil.copyfile, results_path), facts)
 
@@ -675,7 +680,10 @@ def cmd_screen(args) -> int:
                 records = len(pipe.curated()[0])
                 routed = sum(1 for r in results if r.routed)
                 if not failures:
-                    _write_memo(pipe.cache, key, results_path, records, routed, log_digest)
+                    gold = pipe.gold()
+                    score = None if None in gold.values() else evaluation.score(results, gold)
+                    _write_memo(pipe.cache, key, results_path, records, routed, log_digest,
+                                score)
             manifest["reviews"][rid] = {
                 "screen_key": key,
                 "records": records,
@@ -693,24 +701,46 @@ def cmd_screen(args) -> int:
     return EXIT_OK
 
 
+def _memo_facts(pipe: ReviewPipeline, data: bytes, records: int) -> dict | None:
+    """The facts of the config's memo for the review, if its body is ``data``
+    and its seal holds a ``score`` of ``records`` records.  A damaged memo,
+    or one whose key cannot be built, is not reported: ``data`` is parsed.
+    """
+    try:
+        memo = pipe.cache.read_text(pipe.screen_key(), None, with_facts=True, decode=False)
+    except (OSError, ConfigError):
+        return None
+    if memo and memo[0] == data and "score" in memo[1] and memo[1]["records"] == records:
+        return memo[1]
+    return None
+
+
+def _priced(run: RunConfig, tokens: dict[str, int]) -> tuple[float, float]:
+    """(stage-1, stage-2) USD of ``evaluation.TOKEN_SUMS`` at the config's prices."""
+    s1p, s1c, s2p, s2c = (tokens[name] for name in evaluation.TOKEN_SUMS)
+    return run.stage1_pricing.cost(s1p, s1c), run.stage2_pricing.cost(s2p, s2c)
+
+
 def cmd_evaluate(args) -> int:
+    """Score each review's results; a file that is its memo's body, from the memo's counts."""
     cfg = PipelineConfig.load(args.config)
     rows = []
     for rid, pipe in _pipelines(cfg):
         results_path = os.path.join(args.results, f"results_{rid}.jsonl")
         if not os.path.exists(results_path):
             raise evaluation.EvaluationError(f"missing results file {results_path}")
-        results = triage.read_results_jsonl(results_path)
+        with open(results_path, "rb") as fh:
+            data = fh.read()
         gold = pipe.gold(scoring=True)
-        usd1 = cfg.run.stage1_pricing.cost(
-            sum(r.stage1_prompt_tokens for r in results),
-            sum(r.stage1_completion_tokens for r in results),
-        )
-        usd2 = cfg.run.stage2_pricing.cost(
-            sum(r.stage2_prompt_tokens for r in results),
-            sum(r.stage2_completion_tokens for r in results),
-        )
-        rows.append(evaluation.evaluate_run(rid, results, gold, usd1, usd2))
+        facts = _memo_facts(pipe, data, len(gold))
+        if facts is None:
+            results = triage.read_results_jsonl(results_path, data)
+            tokens = {name: sum(getattr(r, name) for r in results)
+                      for name in evaluation.TOKEN_SUMS}
+            rows.append(evaluation.evaluate_run(rid, results, gold, *_priced(cfg.run, tokens)))
+        else:
+            rows.append(evaluation.report_row(rid, facts["score"], facts["routed"] / len(gold),
+                                              *_priced(cfg.run, facts["score"])))
     report = evaluation.MetricsReport(rows=rows)
     csv_path = os.path.join(args.results, "report.csv")
     json_path = os.path.join(args.results, "report.json")

@@ -215,6 +215,34 @@ class MetricsReport:
         return metrics(cm)
 
 
+# The token sums a report row prices, named as a results row names them.
+TOKEN_SUMS = ("stage1_prompt_tokens", "stage1_completion_tokens",
+              "stage2_prompt_tokens", "stage2_completion_tokens")
+
+
+def score(results, gold: dict[str, str]) -> dict[str, int]:
+    """In one pass, the confusion counts of ``results`` against ``gold``, whose
+    ids they must hold once each, and their ``TOKEN_SUMS``."""
+    check_ids((r.record_id for r in results), gold)
+    counts = [0] * 8  # a (predicted, actual) pair's index, then the token sums
+    for r in results:
+        counts[2 * (r.final != INCLUDE) + (gold[r.record_id] != INCLUDE)] += 1
+        counts[4] += r.stage1_prompt_tokens
+        counts[5] += r.stage1_completion_tokens
+        counts[6] += r.stage2_prompt_tokens
+        counts[7] += r.stage2_completion_tokens
+    return dict(zip(("tp", "fp", "fn", "tn", *TOKEN_SUMS), counts))
+
+
+def report_row(review_id: str, counts: dict[str, int], routed_ratio: float,
+               usd_stage1: float, usd_stage2: float) -> ReviewMetrics:
+    """The report row of the confusion ``counts``, as ``score`` names them, with
+    the routed share and spend given."""
+    cm = ConfusionMatrix(counts["tp"], counts["fp"], counts["fn"], counts["tn"])
+    return ReviewMetrics(review_id, **vars(cm), **metrics(cm), routed_ratio=routed_ratio,
+                         usd_stage1=usd_stage1, usd_stage2=usd_stage2)
+
+
 def evaluate_run(
     review_id: str,
     results,
@@ -230,12 +258,9 @@ def evaluate_run(
     results = list(results)
     if not results:
         raise EvaluationError(f"no results for review {review_id}")
-    finals = {r.record_id: r.final for r in results}
-    cm = confusion(finals, gold)
-    m = metrics(cm)
+    cm = confusion({r.record_id: r.final for r in results}, gold)
     routed = sum(1 for r in results if r.routed) / len(results)
-    return ReviewMetrics(review_id=review_id, **vars(cm), **m, routed_ratio=routed,
-                         usd_stage1=usd_stage1, usd_stage2=usd_stage2)
+    return report_row(review_id, vars(cm), routed, usd_stage1, usd_stage2)
 
 
 def write_report(report: MetricsReport, csv_path: str, json_path: str | None = None) -> None:

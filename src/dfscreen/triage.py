@@ -466,7 +466,9 @@ def write_results_jsonl(results: list[ScreeningResult], path: str) -> None:
     write_jsonl(path, (r.to_dict() for r in results))
 
 
-def read_results_jsonl(path: str) -> list[ScreeningResult]:
-    results = read_jsonl(path, ScreeningResult.from_dict, EvaluationError, "unreadable result row")
+def read_results_jsonl(path: str, data: bytes | None = None) -> list[ScreeningResult]:
+    """The results rows of ``path``, or of ``data`` already read from it."""
+    results = read_jsonl(path, ScreeningResult.from_dict, EvaluationError,
+                         "unreadable result row", data)
     check_unique(path, (r.record_id for r in results), EvaluationError, "record id")
     return results

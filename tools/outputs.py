@@ -12,7 +12,11 @@ imports ``dfscreen`` from SRC_DIR:
 * ``curate``, ``project``, ``cluster`` and ``pool``;
 * ``screen`` dfsl cold and warm, then fs, zs and cot;
 * ``sweep``, then ``screen`` dfsl once more;
-* ``evaluate`` of the dfsl and fs runs, and ``compare`` of their reports;
+* ``evaluate`` of the dfsl runs, cold and warm, and of the fs run, then
+  ``compare`` of the cold dfsl and fs reports: the dfsl results are scored
+  from their ``screen-*`` memo's sealed counts (the warm ones are a copy
+  of the memo), and the fs results, which no memo of the config vouches
+  for, are parsed;
 * the four dry runs again, warm;
 * ``sweep-above``, a sweep above the config's threshold, whose stage 2
   sends what no earlier command asked.
@@ -78,6 +82,7 @@ def command_matrix(ws: str) -> list[tuple[str, list[str]]]:
         ("sweep", ["sweep", *config, "--thresholds", SWEEP_THRESHOLDS, *out("sweep")]),
         ("screen-dfsl-after-sweep", ["screen", *config, *out("run_after_sweep")]),
         ("evaluate-dfsl", evaluate("run_cold")),
+        ("evaluate-dfsl-warm", evaluate("run_warm")),
         ("evaluate-fs", evaluate("run_fs")),
         ("compare", ["compare",
                      "--run-a", os.path.join(ws, "run_cold", "report.csv"),
