@@ -6,19 +6,24 @@ ripples into fresh downstream keys while untouched stages replay from
 disk.  Writes are atomic (temp file + rename) so a crashed run never
 leaves a half-written artifact behind.
 
-Every file it writes is the body, a newline and a seal line: the
-canonical JSON of the writer's facts, if any, and ``"seal"``, the sha256
-of the body and then of those facts' canonical JSON.  A file whose seal
-is missing or fails is a miss, as a missing file is, and is reported.
+Every file it writes is the body, a newline, a seal line and a newline.
+The seal line is ``canonical_json`` of the writer's facts, if any, and
+``"seal"``: the sha256 of the body and then of those facts' canonical
+JSON.  Fact keys sort before ``"seal"``, so a read cuts the facts' bytes
+out of the line and checks the digest without parsing JSON.  A file whose
+seal is missing or fails is a miss, as a missing file is, and is reported;
+a checked body that does not parse is an error naming the file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -38,11 +43,32 @@ def content_key(stage: str, params: dict, input_keys: list[str]) -> str:
     return f"{stage}-{sha256_hex(payload)[:32]}"
 
 
-def _seal(body, facts: dict) -> str:
-    """sha256 of the body's bytes followed by the canonical JSON of ``facts``."""
-    h = hashlib.sha256(body)
-    h.update(canonical_json(facts).encode("ascii"))
-    return h.hexdigest()
+_TAIL = len(b'"seal":"') + 64 + len(b'"}')  # the seal line's last member and brace
+
+
+def _seal_line(h, facts_json: bytes) -> bytes:
+    """The seal line of a body whose sha256 so far is ``h``: ``facts_json``
+    with ``"seal"``, the digest of the body and then of it, as last member."""
+    h.update(facts_json)
+    sep = b"," if facts_json != b"{}" else b""
+    return facts_json[:-1] + sep + b'"seal":"' + h.hexdigest().encode("ascii") + b'"}'
+
+
+@dataclass
+class Sealed:
+    """A checked cache file: ``body``, its bytes, and the ``facts`` its seal holds.
+
+    The facts are parsed from their checked bytes, ``facts_json``, on first
+    access, and kept in their place.
+    """
+
+    body: bytearray
+    facts_json: bytes | None
+
+    @functools.cached_property
+    def facts(self) -> dict:
+        facts, self.facts_json = json.loads(self.facts_json), None
+        return facts
 
 
 class ArtifactCache:
@@ -55,14 +81,12 @@ class ArtifactCache:
     def path(self, key: str) -> str:
         return os.path.join(self.root, key)
 
-    def read_text(self, key: str, what: str | None = "artifact", with_facts: bool = False,
-                  decode: bool = True):
-        """The body at ``key`` as text, or None on a miss; ``with_facts``, (body, facts).
+    def read_text(self, key: str, what: str | None = "artifact") -> Sealed | None:
+        """The checked file at ``key``, or None on a miss.
 
-        Without ``decode`` the body is its checked bytes, a bytearray, for the
-        caller to decode.  A missing file is a miss.  So is one whose seal is
-        missing or fails, or whose body is not UTF-8 where it is decoded: one
-        stderr line names it as ``what``, unless ``what`` is None.
+        A missing file is a miss.  So is one whose seal is missing or fails:
+        one stderr line names it as ``what``, unless ``what`` is None.  The
+        check hashes bytes and parses nothing.
         """
         path = self.path(key)
         try:
@@ -72,16 +96,12 @@ class ArtifactCache:
         except FileNotFoundError:
             return None
         cut = data.rfind(b"\n", 0, len(data) - 1)
-        whole = cut >= 0 and data.endswith(b"\n")
-        try:
-            facts = json.loads(data[cut + 1:])
-            seal = facts.pop("seal", None)
-            del data[max(cut, 0):]  # the body alone, cut in place
-            if whole and seal == _seal(data, facts):
-                body = data.decode("utf-8") if decode else data
-                return (body, facts) if with_facts else body
-        except (ValueError, TypeError, AttributeError):
-            pass
+        if cut >= 0 and data.endswith(b"\n"):
+            line = data[cut + 1:-1]
+            facts_json = line[:-_TAIL].removesuffix(b",") + b"}"
+            del data[cut:]  # the body alone, cut in place
+            if line == _seal_line(hashlib.sha256(data), facts_json):
+                return Sealed(data, facts_json)
         if what is not None:
             print(f"{what} {path}: damaged or unsealed; building it again", file=sys.stderr)
         return None
@@ -94,15 +114,14 @@ class ArtifactCache:
         that fails part way leaves nothing at the key, and concurrent
         writers of the same key are safe.
         """
+        facts_json = canonical_json(facts or {}).encode("ascii")
         target = self.path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{key}.")
         os.close(fd)
         try:
             write(tmp)
-            facts = facts or {}
             with open(tmp, "rb+") as fh:
-                seal = {**facts, "seal": _seal(fh.read(), facts)}
-                fh.write(f"\n{canonical_json(seal)}\n".encode("ascii"))
+                fh.write(b"\n" + _seal_line(hashlib.sha256(fh.read()), facts_json) + b"\n")
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):

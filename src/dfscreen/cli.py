@@ -304,14 +304,14 @@ class ReviewPipeline:
     def _artifact(self, key: str, build, load, write=None):
         """(value, key): the artifact at ``key`` read back, or built and written.
 
-        ``load(path, text)`` loads the sealed text a hit reads.  A miss
+        ``load(path, data)`` loads the checked bytes a hit reads.  A miss
         writes ``write(value, path)`` for a file format, else ``to_json()``
         text.
         """
         path = self.cache.path(key)
-        text = self.cache.read_text(key)
-        if text is not None:
-            return self._load(path, lambda: load(path, text)), key
+        hit = self.cache.read_text(key)
+        if hit is not None:
+            return self._load(path, lambda: load(path, hit.body)), key
         value = build()
         if write is None:
             self.cache.write_text(key, value.to_json())
@@ -330,23 +330,20 @@ class ReviewPipeline:
 
     @_once
     def _curated_seal(self) -> dict:
-        """The curated artifact's ``labels`` fact and checked ``body``, read once.
+        """``{"hit": the curated artifact}``, read once, its ``labels`` fact unparsed.
 
-        Empty on a miss: a missing, damaged or unsealed artifact, or one
-        sealed without labels, as caches written before the fact hold.
-        ``curated`` takes both out when it parses the body: the records
-        then hold the labels.
+        The hit is None on a miss: a missing, damaged or unsealed artifact,
+        or one sealed without labels, as caches written before the fact
+        hold.  ``curated`` takes the hit out when it parses the body: the
+        records then hold the labels.
         """
         key = self._curate_key()
-        hit = self.cache.read_text(key, with_facts=True, decode=False)
-        if hit is None:
-            return {}
-        body, facts = hit
-        if "labels" not in facts:
+        hit = self.cache.read_text(key)
+        if hit is not None and not hit.facts_json.startswith(b'{"labels":'):  # its one fact
             print(f"artifact {self.cache.path(key)}: sealed without labels; building it again",
                   file=sys.stderr)
-            return {}
-        return {"labels": facts["labels"], "body": body}
+            hit = None
+        return {"hit": hit}
 
     @_once
     def curated(self):
@@ -359,10 +356,10 @@ class ReviewPipeline:
         ConfigError, and writes no artifact.
         """
         key = self._curate_key()
-        seal = self._curated_seal()
-        if seal:
-            path, body = self.cache.path(key), seal["body"]
-            seal.clear()
+        hit = self._curated_seal().pop("hit", None)
+        if hit is not None:
+            path, body = self.cache.path(key), hit.body
+            del hit  # and the labels fact's bytes with it, before the records are parsed
             dataset = self._load(
                 path, lambda: corpus.load_dataset_jsonl(path, self.review_id, body))
             return dataset, None, key
@@ -382,7 +379,8 @@ class ReviewPipeline:
         Commands that score against the labels pass ``scoring``: a missing
         label is then an EvaluationError.
         """
-        gold = self._curated_seal().get("labels") or _labels(self.curated()[0])
+        hit = self._curated_seal().get("hit")
+        gold = hit.facts["labels"] if hit is not None else _labels(self.curated()[0])
         if scoring and any(v is None for v in gold.values()):
             raise evaluation.EvaluationError(
                 f"review {self.review_id}: gold labels missing"
@@ -440,14 +438,14 @@ class ReviewPipeline:
             return clustering_mod.kmeans(points, k, self.cfg.seed)
 
         return self._artifact(self.keys()["cluster"], build,
-                              lambda _, text: clustering_mod.Clustering.from_json(text))
+                              lambda _, data: clustering_mod.Clustering.from_json(data))
 
     @_once
     def pool(self):
         return self._artifact(
             self.keys()["pool"],
             lambda: build_pool(self.curated()[0], self.clustering()[0], self.points()[0]),
-            lambda _, text: ExemplarPool.from_json(text),
+            lambda _, data: ExemplarPool.from_json(data),
         )
 
     def exemplars(self):
@@ -662,13 +660,13 @@ def cmd_screen(args) -> int:
             key = pipe.screen_key()
             results_path = os.path.join(out_dir, f"results_{rid}.jsonl")
             failures: list = []
-            memo = pipe.cache.read_text(key, "screen memo", with_facts=True, decode=False)
-            body, facts = memo or (None, None)
+            memo = pipe.cache.read_text(key, "screen memo")
+            facts = memo.facts if memo is not None else None
             # A memo is used only while the log starts with the prefix its answers came from.
             if facts and log_digest(facts["log_bytes"]) == facts["log_sha256"]:
                 records, routed = facts["records"], facts["routed"]
                 with open(results_path, "wb") as fh:
-                    fh.write(body)
+                    fh.write(memo.body)
                 # Every answer was a cache hit, which costs $0 at any price.
                 merged.record_cache_hit(cfg.run.stage1_model, records)
                 if routed:
@@ -707,12 +705,11 @@ def _memo_facts(pipe: ReviewPipeline, data: bytes, records: int) -> dict | None:
     or one whose key cannot be built, is not reported: ``data`` is parsed.
     """
     try:
-        memo = pipe.cache.read_text(pipe.screen_key(), None, with_facts=True, decode=False)
+        memo = pipe.cache.read_text(pipe.screen_key(), None)
     except (OSError, ConfigError):
         return None
-    if memo and memo[0] == data and "score" in memo[1] and memo[1]["records"] == records:
-        return memo[1]
-    return None
+    facts = memo.facts if memo is not None and memo.body == data else {}
+    return facts if "score" in facts and facts["records"] == records else None
 
 
 def _priced(run: RunConfig, tokens: dict[str, int]) -> tuple[float, float]:

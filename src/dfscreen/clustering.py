@@ -43,8 +43,8 @@ class Clustering:
         return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Clustering":
-        clustering = cls(**json.loads(text))
+    def from_json(cls, data: str | bytes) -> "Clustering":
+        clustering = cls(**json.loads(data))
         clustering.centroids = [Point2D(*c) for c in clustering.centroids]
         return clustering
 

@@ -144,7 +144,7 @@ def _record_from_mapping(m: dict) -> StudyRecord:
 def load_dataset_jsonl(path: str, review_id: str, data=None) -> ReviewDataset:
     """Load records from JSON lines, one object per line, in ``data`` if given.
 
-    ``data`` is the file's text or bytes, read block by block.
+    ``data`` is the file's bytes, read block by block.
     """
     records = read_jsonl(path, _record_from_mapping, DatasetError, "bad record row", data)
     return ReviewDataset(review_id, records)
@@ -178,6 +178,8 @@ def load_dataset_csv(path: str, review_id: str) -> ReviewDataset:
                     raise DatasetError(f"{path}:{lineno}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path} is not UTF-8: {exc}") from None
+    except csv.Error as exc:  # such as a field past csv's size limit after an open quote
+        raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
     return ReviewDataset(review_id, records)
 
 

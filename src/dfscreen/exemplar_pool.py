@@ -85,9 +85,9 @@ class ExemplarPool:
         return json.dumps({"ranked": ranked}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExemplarPool":
+    def from_json(cls, data: str | bytes) -> "ExemplarPool":
         """Load a pool artifact; an older one's ``"assignment"`` key is ignored."""
-        obj = json.loads(text)
+        obj = json.loads(data)
         ranked = {
             int(c): {lab: [Exemplar(*row) for row in rows] for lab, rows in by_label.items()}
             for c, by_label in obj["ranked"].items()

@@ -68,29 +68,28 @@ def blocks(fh):
 
 
 def buffer_blocks(data):
-    """``data``, text or bytes, in the blocks ``blocks`` reads from a file of it."""
-    nl = "\n" if isinstance(data, str) else b"\n"
+    """``data``, bytes, in the blocks ``blocks`` reads from a file of it."""
     start, end = 0, len(data)
     while start < end:
-        cut = data.rfind(nl, start, start + _BLOCK) + 1
+        cut = data.rfind(b"\n", start, start + _BLOCK) + 1
         if not cut:  # no line ends in the block: take the whole line
-            cut = data.find(nl, start) + 1 or end
+            cut = data.find(b"\n", start) + 1 or end
         yield data[start:cut]
         start = cut
 
 
-def each_row(block: bytes | str, lineno: int, decoder, bom: bool, take, fail) -> list:
+def each_row(block: bytes, lineno: int, decoder, bom: bool, take, fail) -> list:
     """``take(obj)`` for each object line of ``block``, whose first line is ``lineno + 1``.
 
-    The block is decoded once, if it is bytes.  An object that starts its
-    line and, scanned in place, ends on it (only spaces, tabs and CRs
-    after) is taken as it is.  Any other line, and a line holding a non-UTF-8 byte,
-    is decoded alone, after a BOM where ``bom``: skipped if blank, else it
+    The block is decoded once.  An object that starts its line and,
+    scanned in place, ends on it (only spaces, tabs and CRs after) is taken
+    as it is.  Any other line, and a line holding a non-UTF-8 byte, is
+    decoded alone, after a BOM where ``bom``: skipped if blank, else it
     must be one object.  A line that is not, or whose ``take`` raises
     ValueError, KeyError or TypeError, raises ``fail(line number, exc)``.
     """
     try:
-        text, rest = (block if isinstance(block, str) else block.decode("utf-8")), b""
+        text, rest = block.decode("utf-8"), b""
     except UnicodeDecodeError as exc:
         cut = block.rfind(b"\n", 0, exc.start) + 1
         text, rest = block[:cut].decode("utf-8"), block[cut:]
@@ -135,7 +134,7 @@ def each_row(block: bytes | str, lineno: int, decoder, bom: bool, take, fail) ->
 
 
 def read_jsonl(path: str, convert, error: type[Exception], what: str,
-               data: str | bytes | bytearray | None = None) -> list:
+               data: bytes | bytearray | None = None) -> list:
     """``convert(row)`` for each object line of ``path``, or of ``data`` read from it.
 
     Lines come in file order.  A line that is not UTF-8 JSON, not an
@@ -150,7 +149,7 @@ def read_jsonl(path: str, convert, error: type[Exception], what: str,
         lineno = 0
         for block in chunks:
             out += each_row(block, lineno, _DECODER, True, convert, fail)
-            lineno += block.count("\n" if isinstance(block, str) else b"\n")
+            lineno += block.count(b"\n")
         return out
 
     if data is not None:

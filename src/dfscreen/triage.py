@@ -27,8 +27,7 @@ import threading
 import time
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, fields
-from operator import itemgetter
+from dataclasses import dataclass
 
 from .clustering import Clustering
 from .corpus import EXCLUDE, INCLUDE, LABELS, ReviewDataset, StudyRecord
@@ -111,44 +110,27 @@ class ScreeningResult:
         """Inverse of ``to_dict``; a field an older file lacks takes its default.
 
         A field of another type than ``to_dict`` writes raises ValueError.
-        A row of the fields ``to_dict`` writes is taken field by field; any
-        other row, and one that fails, is taken again by name, which raises
-        what a keyword call and these checks raise.
         """
-        if len(row) == len(_FIELD_NAMES):
-            try:
-                r = cls(*_FIELDS(row))
-                r.stage1, r.stage2 = _decision(r.stage1), _decision(r.stage2)
-                return r._checked()
-            except (KeyError, TypeError, ValueError):
-                pass
-        return cls(**{name: _decision(v) for name, v in row.items()})._checked()
-
-    def _checked(self) -> "ScreeningResult":
-        if type(self.record_id) is not str:
-            raise ValueError(f"record_id {self.record_id!r} is not a string")
-        if self.final not in LABELS:
-            raise ValueError(f"final {self.final!r} is not one of {LABELS}")
-        if type(self.routed) is not bool or type(self.unparsed_final) is not bool:
+        r = cls(**{name: _decision(v) for name, v in row.items()})
+        if type(r.record_id) is not str:
+            raise ValueError(f"record_id {r.record_id!r} is not a string")
+        if r.final not in LABELS:
+            raise ValueError(f"final {r.final!r} is not one of {LABELS}")
+        if type(r.routed) is not bool or type(r.unparsed_final) is not bool:
             raise ValueError("routed and unparsed_final must be true or false")
-        for d in (self.stage1, self.stage2):
+        for d in (r.stage1, r.stage2):
             if d is not None and type(d) is not Decision:
                 raise ValueError(f"decision {d!r} is neither null nor an object")
-        for n in (self.stage1_prompt_tokens, self.stage1_completion_tokens,
-                  self.stage2_prompt_tokens, self.stage2_completion_tokens):
+        for n in (r.stage1_prompt_tokens, r.stage1_completion_tokens,
+                  r.stage2_prompt_tokens, r.stage2_completion_tokens):
             if type(n) is not int or n < 0:
                 raise ValueError(f"token count {n!r} is not a nonnegative integer")
-        return self
+        return r
 
 
 def _decision(value):
     """A results row's decision object as a Decision; any other value as it is."""
     return Decision(**value) if isinstance(value, dict) else value
-
-
-# The results row's fields in ScreeningResult's order, and a row's values of them.
-_FIELD_NAMES = tuple(f.name for f in fields(ScreeningResult))
-_FIELDS = itemgetter(*_FIELD_NAMES)
 
 
 def effective_confidence(stage1: Decision | None) -> float:

@@ -121,6 +121,22 @@ class TestConfigLoading:
         rc = cli.main(["curate", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["curate", "screen"])
+    def test_csv_open_quote_past_the_field_limit_is_exit_2(self, tmp_path, capsys, command):
+        config_path = single_review_workspace(str(tmp_path / "ws"), synth.synth_review(
+            "QUOTE", 12, 3, k=3, seed=1))
+        data = tmp_path / "ws" / "data.csv"
+        data.write_text('id,title,abstract\n1,"T1,A1\n' + "x" * (1 << 17) + "\n")
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["reviews"]["QUOTE"]["dataset"] = "data.csv"
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        capsys.readouterr()
+        assert cli.main([command, "--config", config_path, "--out", str(tmp_path / "out")]) \
+            == cli.EXIT_CONFIG
+        assert f"config error: {data}:3: field larger than field limit" in capsys.readouterr().err
+
     def test_unknown_strategy_rejected(self, tmp_path):
         root = str(tmp_path / "ws")
         config_path = build_workspace(root)

@@ -190,6 +190,15 @@ class TestLoading:
         with pytest.raises(DatasetError, match="ragged.csv:3"):
             load_dataset_csv(str(path), "R")
 
+    @pytest.mark.parametrize("head", ["", "id,title,abstract\n1,T1,A1\n"])
+    def test_csv_open_quote_past_the_field_limit_names_line(self, tmp_path, head):
+        # An unmatched quote makes the rest of the file one field, past csv's limit.
+        path = tmp_path / "quote.csv"
+        path.write_text(head + 'id,"title,abstract\n' + "x" * (1 << 17) + "\n")
+        line = head.count("\n") + 2
+        with pytest.raises(DatasetError, match=f"quote.csv:{line}: field larger than"):
+            load_dataset_csv(str(path), "R")
+
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "d.xlsx"
         path.write_text("whatever")

@@ -8,11 +8,14 @@ reported once, curated again and rewritten with it.
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 import shutil
 
 import pytest
 
+from dfscreen import cache as cache_mod
 from dfscreen import cli, corpus, synth
 from dfscreen.cache import ArtifactCache
 
@@ -38,11 +41,51 @@ def curated_key(ws):
     return name
 
 
+def curate_facts_parsed(monkeypatch, allowed):
+    """The ``curate-*`` facts parsed from now on; one past ``allowed`` raises."""
+    parsed = []
+
+    def facts(sealed):
+        if sealed.facts_json.startswith(b'{"labels":'):
+            parsed.append(len(sealed.body))
+            assert len(parsed) <= allowed, "a curate-* fact parsed"
+        return json.loads(sealed.facts_json)
+
+    kept = functools.cached_property(facts)  # parsed on first access and kept, as ever
+    kept.__set_name__(cache_mod.Sealed, "facts")
+    monkeypatch.setattr(cache_mod.Sealed, "facts", kept)
+    return parsed
+
+
+@pytest.mark.parametrize("argv, labels_checks", [
+    (["screen", "--dry-run"], 0),
+    (["sweep", "--thresholds", "0.5,0.9"], 1),  # sweep's labels check, before any call
+], ids=["dry-run", "sweep"])
+def test_warm_records_reads_parse_no_fact(warm, tmp_path, capsys, monkeypatch, argv,
+                                          labels_checks):
+    clean_ws, _ = warm
+    ws = tmp_path / "ws"
+    shutil.copytree(clean_ws, ws)
+    argv = argv + ["--config", str(ws / "config.json"), "--out", str(tmp_path / "out")]
+    sweep_csv = tmp_path / "out" / "sweep.csv"
+
+    def run():
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK
+        return capsys.readouterr(), slurp(sweep_csv) if sweep_csv.exists() else None
+
+    expected = run()
+    parsed = curate_facts_parsed(monkeypatch, labels_checks)
+    assert run() == expected
+    assert len(parsed) == labels_checks
+
+
 def test_labels_fact_equals_the_records_labels(warm):
     ws, _ = warm
     cache = ArtifactCache(str(ws / "cache"))
     key = curated_key(ws)
-    body, facts = cache.read_text(key, with_facts=True)
+    hit = cache.read_text(key)
+    body, facts = hit.body, hit.facts
     records = corpus.load_dataset_jsonl(cache.path(key), "LABELS", body).records
     assert set(facts) == {"labels"}
     assert facts["labels"] == {r.id: r.gold_label for r in records}
@@ -58,7 +101,7 @@ def test_record_without_a_label_is_null_in_the_fact(tmp_path):
                                           corpus.ReviewDataset("LABELS", records))
     assert cli.main(["project", "--config", config_path]) == cli.EXIT_OK
     cache = ArtifactCache(str(tmp_path / "ws" / "cache"))
-    _, facts = cache.read_text(curated_key(tmp_path / "ws"), with_facts=True)
+    facts = cache.read_text(curated_key(tmp_path / "ws")).facts
     assert facts["labels"] == {r.id: r.gold_label for r in records}
     assert sum(v is None for v in facts["labels"].values()) == len(records[::3])
 
@@ -71,7 +114,7 @@ def test_curated_artifact_sealed_without_labels_is_rebuilt_once(warm, tmp_path, 
     key = curated_key(ws)
     sealed = slurp(cache.path(key))
     # As an older cache holds it: the same body, sealed with no facts.
-    cache.write_text(key, cache.read_text(key))
+    cache.write_text(key, cache.read_text(key).body.decode("utf-8"))
     assert slurp(cache.path(key)) != sealed
     out = tmp_path / "run"
     shutil.copytree(cold, out)

@@ -43,7 +43,7 @@ def evaluate(config_path, results, capsys):
 
 def memo_facts(path):
     cache = ArtifactCache(os.path.dirname(path))
-    return cache.read_text(os.path.basename(path), with_facts=True)[1]
+    return cache.read_text(os.path.basename(path)).facts
 
 
 def parsed_files(monkeypatch):
@@ -189,7 +189,8 @@ class TestParsePath:
         expected = evaluate(config_path, run, capsys)
         path = memo_path(config_path)
         cache, key = ArtifactCache(os.path.dirname(path)), os.path.basename(path)
-        body, facts = cache.read_text(key, with_facts=True, decode=False)
+        memo = cache.read_text(key)
+        body, facts = memo.body, memo.facts
         change(facts)
 
         def write(tmp):

@@ -9,14 +9,17 @@ the clean cache.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dfscreen import cli, synth
-from dfscreen.cache import ArtifactCache
+from dfscreen.cache import ArtifactCache, canonical_json
 
 from test_cli import single_review_workspace, slurp
 
@@ -94,6 +97,24 @@ def test_damaged_file_is_reported_rebuilt_and_rewritten(warm, tmp_path, capsys, 
     assert (stdout, outputs) == (expected[1], expected[3])
 
 
+@pytest.mark.parametrize("kind", ["curate", "project", "cluster", "pool"])
+def test_sealed_body_that_is_not_utf8_is_exit_2(warm, tmp_path, capsys, kind):
+    ws = tmp_path / "ws"
+    shutil.copytree(warm, ws)
+    path = cached(ws, kind)
+    cache = ArtifactCache(str(path.parent))
+    hit = cache.read_text(path.name)
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(b"\xff" + hit.body)
+
+    cache.write_atomic(path.name, write, hit.facts)  # as only a forger could
+    rc, _, stderr, _ = run(ws, READERS[kind], tmp_path / "out", capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert stderr.startswith(f"config error: unreadable artifact {path}: ")
+
+
 def unseal(cache_dir):
     """Strip every cache file's seal line, as a cache written before seals holds."""
     names = sorted(n for n in os.listdir(cache_dir) if n != "responses.jsonl")
@@ -126,6 +147,51 @@ def test_facts_ride_in_the_seal(tmp_path):
     cache = ArtifactCache(str(tmp_path))
     cache.write_text("plain", "{}")
     cache.write_atomic("memo", lambda path: open(path, "w").close(), {"records": 3})
-    assert cache.read_text("plain") == "{}"
-    assert cache.read_text("memo", with_facts=True) == ("", {"records": 3})
+    plain, memo = cache.read_text("plain"), cache.read_text("memo")
+    assert (plain.body, plain.facts) == (b"{}", {})
+    assert (memo.body, memo.facts) == (b"", {"records": 3})
     assert cache.read_text("missing") is None
+
+
+# Facts as writers give them: JSON values under keys that sort before "seal".
+FACTS = st.dictionaries(
+    st.text(max_size=6).filter(lambda k: k < "seal"),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+                 | st.floats(allow_nan=False, allow_infinity=False),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                 max_leaves=8),
+    max_size=4)
+SEAL = b'"seal":"' + b"0" * 64 + b'"}'
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.binary(max_size=300), facts=FACTS, where=st.integers(0, 1 << 16),
+       flip=st.integers(1, 255))
+@example(body=b"", facts={}, where=0, flip=1)
+@example(body=b"[1]\n", facts={"labels": {"seal": "include", "r2": None}}, where=9, flip=2)
+@example(body=b'{"a":1,' + SEAL + b"\n{" + SEAL, facts={"records": 1}, where=3, flip=4)
+def test_seal_line_is_the_facts_and_seal_in_canonical_json(tmp_path, capsys, body, facts,
+                                                            where, flip):
+    cache = ArtifactCache(str(tmp_path))
+
+    def write(path):
+        with open(path, "wb") as fh:
+            fh.write(body)
+
+    path = cache.write_atomic("k", write, facts)
+    sealed = slurp(path)
+    digest = hashlib.sha256(body + canonical_json(facts).encode("ascii")).hexdigest()
+    assert sealed == body + f"\n{canonical_json({**facts, 'seal': digest})}\n".encode("ascii")
+    hit = cache.read_text("k")
+    assert (hit.body, hit.facts) == (body, facts)
+    capsys.readouterr()
+    at = where % len(sealed)
+    flipped = bytearray(sealed)
+    flipped[at] ^= flip
+    for damaged in (bytes(flipped), sealed[:at]):
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        assert cache.read_text("k") is None
+        assert capsys.readouterr().err == (
+            f"artifact {path}: damaged or unsealed; building it again\n")

@@ -104,7 +104,7 @@ def test_warm_cascade_over_pools_with_assignment_map_is_byte_identical(tmp_path,
     for _, pipe in cli._pipelines(cfg):
         clus, _ = pipe.clustering()
         _, pool_key = pipe.pool()
-        older = json.loads(pipe.cache.read_text(pool_key))
+        older = json.loads(pipe.cache.read_text(pool_key).body)
         assert "assignment" not in older
         older["assignment"] = clus.assignment
         pipe.cache.write_text(pool_key, json.dumps(older, sort_keys=True))
